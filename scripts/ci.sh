@@ -30,6 +30,11 @@
 #             runs the sharded collector fan-out at num_shards=4 — several
 #             shards racing on the pool and the shared reward-cache locks
 #             is exactly the traffic TSan should see
+#   benchmark benchmark/run_benchmark.sh --test: builds the benchmark
+#             harness (its own tree, .bench_build/) and runs the comparator
+#             self-test plus every workload at a tiny size, so a change to
+#             the reward path cannot break the harness or its bit-exact
+#             cached-reward check unnoticed. No timing is judged here.
 #
 # Prints a summary table and exits nonzero if any step failed. Steps keep
 # running after a failure so one run reports the whole matrix.
@@ -97,6 +102,12 @@ tsan_step() {
 }
 
 run_step "tsan" tsan_step
+
+benchmark_step() {
+  bash benchmark/run_benchmark.sh --test
+}
+
+run_step "benchmark harness" benchmark_step
 
 echo
 echo "=== ci summary ==="

@@ -1,8 +1,10 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace pafeat {
 
@@ -69,8 +71,18 @@ bool ParseDouble(std::string_view text, double* out) {
   if (owned.empty()) return false;
   char* end = nullptr;
   double value = std::strtod(owned.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
+  if (end == nullptr || *end != '\0' || !std::isfinite(value)) return false;
   *out = value;
+  return true;
+}
+
+bool ParseFloat(std::string_view text, float* out) {
+  double value = 0.0;
+  if (!ParseDouble(text, &value)) return false;
+  // A double beyond float range has no float to convert to (undefined
+  // behaviour), so it is malformed input here.
+  if (std::fabs(value) > std::numeric_limits<float>::max()) return false;
+  *out = static_cast<float>(value);
   return true;
 }
 

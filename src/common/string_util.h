@@ -23,8 +23,11 @@ std::string FormatDouble(double value, int digits);
 bool StartsWith(std::string_view text, std::string_view prefix);
 
 // Parses helpers returning false on malformed input instead of throwing.
+// ParseDouble rejects non-finite values ("nan", "inf", overflow such as
+// "1e400"); ParseFloat also rejects finite values beyond float range.
 bool ParseInt(std::string_view text, int* out);
 bool ParseDouble(std::string_view text, double* out);
+bool ParseFloat(std::string_view text, float* out);
 
 }  // namespace pafeat
 

@@ -142,9 +142,10 @@ void Feat::SetRewardShaper(std::unique_ptr<RewardShaper> shaper) {
 
 Trajectory Feat::RunEpisode(const EpisodePlan& plan,
                             std::vector<int>* full_actions) {
-  // Episodes run on a private environment copy (cheap: a representation
-  // vector plus state) so that concurrent episodes on the same task do not
-  // interfere; the reward cache behind the evaluator is shared and locked.
+  // Episodes run on a private environment copy (a representation vector,
+  // the state and the first-layer reward carry) so that concurrent episodes
+  // on the same task do not interfere; the reward cache behind the evaluator
+  // is shared and locked.
   FeatureSelectionEnv env = *tasks_[plan.slot].env;
   Rng rng = plan.rng;
 

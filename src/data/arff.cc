@@ -59,12 +59,7 @@ bool CellToFloat(const std::string& raw,
     *out = 0.0f;
     return true;
   }
-  if (nominal.empty()) {
-    double parsed = 0.0;
-    if (!ParseDouble(value, &parsed)) return false;
-    *out = static_cast<float>(parsed);
-    return true;
-  }
+  if (nominal.empty()) return ParseFloat(value, out);
   const auto it = std::find(nominal.begin(), nominal.end(), value);
   if (it == nominal.end()) return false;
   *out = static_cast<float>(it - nominal.begin());

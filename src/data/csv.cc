@@ -58,12 +58,12 @@ std::optional<Table> ReadTableCsv(const std::string& path) {
     std::vector<float> feature_row;
     std::vector<float> label_row;
     for (size_t i = 0; i < fields.size(); ++i) {
-      double value = 0.0;
-      if (!ParseDouble(fields[i], &value)) return std::nullopt;
+      float value = 0.0f;
+      if (!ParseFloat(fields[i], &value)) return std::nullopt;
       if (is_label[i]) {
-        label_row.push_back(static_cast<float>(value));
+        label_row.push_back(value);
       } else {
-        feature_row.push_back(static_cast<float>(value));
+        feature_row.push_back(value);
       }
     }
     feature_rows.push_back(std::move(feature_row));

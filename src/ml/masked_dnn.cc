@@ -111,7 +111,8 @@ std::vector<float> MaskedDnnClassifier::Predict(const Matrix& features,
 }
 
 std::vector<float> MaskedDnnClassifier::PredictBlock(
-    const Matrix& block, const FeatureMask& mask) const {
+    const Matrix& block, const FeatureMask& mask,
+    FirstLayerCarry* carry) const {
   PF_CHECK(net_ != nullptr);
   const int m = block.cols();
   PF_CHECK_EQ(m, net_->config().input_dim);
@@ -119,22 +120,36 @@ std::vector<float> MaskedDnnClassifier::PredictBlock(
   std::vector<float> out(rows);
   if (rows == 0) return out;
 
-  std::vector<int> selected;
-  const std::vector<int>* cols = &all_cols_;
   if (!mask.empty()) {
     PF_CHECK_EQ(static_cast<int>(mask.size()), m);
-    // An all-zero mask is legal (the empty subset): the gather list is empty
-    // and the first layer reduces to bias + activation, exactly matching a
-    // fully zero-masked input.
-    selected = MaskToIndices(mask);
-    cols = &selected;
   }
+  // An all-zero mask is legal (the empty subset): the gather list is empty
+  // and the first layer reduces to bias + activation, exactly matching a
+  // fully zero-masked input.
+  std::vector<int> selected = mask.empty() ? all_cols_ : MaskToIndices(mask);
+
+  // The carried sum is the gather over carry->cols; when those columns open
+  // the selected list, folding in the rest replays the one-pass chain
+  // exactly (Mlp::AccumulateGathered). Anything else restarts from zero.
+  FirstLayerCarry fresh;
+  if (carry == nullptr) carry = &fresh;
+  const std::size_t count =
+      static_cast<std::size_t>(rows) * net_->layer_output_dim(0);
+  if (carry->sum.size() != count || carry->cols.size() > selected.size() ||
+      !std::equal(carry->cols.begin(), carry->cols.end(), selected.begin())) {
+    carry->cols.clear();
+    carry->sum.assign(count, 0.0f);
+  }
+  const int done = static_cast<int>(carry->cols.size());
+  net_->AccumulateGathered(rows, block.data(), m, selected.data() + done,
+                           static_cast<int>(selected.size()) - done, w0t_,
+                           carry->sum.data());
+  carry->cols.swap(selected);
 
   InferenceArena* arena = InferenceArena::ThreadLocal();
   ArenaScope scope(arena);
   float* probs = arena->Alloc(static_cast<std::size_t>(rows));
-  net_->PredictGathered(rows, block.data(), m, cols->data(),
-                        static_cast<int>(cols->size()), w0t_, arena, probs);
+  net_->FinishGathered(rows, carry->sum.data(), arena, probs);
   std::copy(probs, probs + rows, out.begin());
   return out;
 }
@@ -159,9 +174,9 @@ std::vector<float> MaskedDnnClassifier::PredictBlockReference(
 
 double MaskedDnnClassifier::EvaluateAucBlock(
     const Matrix& block, const std::vector<float>& block_labels,
-    const FeatureMask& mask) const {
+    const FeatureMask& mask, FirstLayerCarry* carry) const {
   PF_CHECK_EQ(static_cast<int>(block_labels.size()), block.rows());
-  return AucScore(PredictBlock(block, mask), block_labels);
+  return AucScore(PredictBlock(block, mask, carry), block_labels);
 }
 
 double MaskedDnnClassifier::EvaluateAuc(const Matrix& features,

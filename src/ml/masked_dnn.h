@@ -23,6 +23,18 @@ struct MaskedDnnConfig {
   double min_keep = 0.3;
 };
 
+// One scan's partial first-layer product (DESIGN.md "Inference fast path"):
+// `sum` holds an eval block times the first-layer weight over the sorted
+// column list `cols`, before the bias (block rows x first-layer width). A
+// reward query whose selected columns extend `cols` gathers only the new
+// ones; any other query restarts the carry from zero. Either way the result
+// is bit-identical to a fresh evaluation. A carry belongs to the one
+// classifier and block that fill it; an empty carry is the fresh case.
+struct FirstLayerCarry {
+  std::vector<int> cols;
+  std::vector<float> sum;
+};
+
 // The pretrained reward classifier CLS of Eqn 2: one DNN trained once per
 // task on all features with feature-mask dropout, then queried with the
 // candidate subset's mask at every reward evaluation — avoiding a classifier
@@ -47,11 +59,13 @@ class MaskedDnnClassifier {
   // block (every row of `block` is evaluated): the first layer gathers only
   // the mask's selected columns, so the cost scales with |mask| rather than
   // the feature count and no masked copy of the block is ever materialized.
-  // Bit-identical to PredictBlockReference; forward passes draw scratch from
-  // the calling thread's InferenceArena (no heap allocations beyond the
-  // returned vector). SubsetEvaluator holds such a block for its eval rows.
-  std::vector<float> PredictBlock(const Matrix& block,
-                                  const FeatureMask& mask) const;
+  // With a `carry` whose columns are a prefix of the mask's, only the columns
+  // past that prefix are gathered, and the carry moves up to the mask.
+  // Bit-identical to PredictBlockReference with or without a carry; forward
+  // passes draw scratch from the calling thread's InferenceArena.
+  // SubsetEvaluator holds such a block for its eval rows.
+  std::vector<float> PredictBlock(const Matrix& block, const FeatureMask& mask,
+                                  FirstLayerCarry* carry = nullptr) const;
 
   // Reference implementation kept for the bitwise-equivalence tests: builds
   // the zero-masked copy (BuildMaskedBatch) and runs it full-width through
@@ -63,7 +77,8 @@ class MaskedDnnClassifier {
   // SubsetEvaluator::Reward.
   double EvaluateAucBlock(const Matrix& block,
                           const std::vector<float>& block_labels,
-                          const FeatureMask& mask) const;
+                          const FeatureMask& mask,
+                          FirstLayerCarry* carry = nullptr) const;
 
   // AUC of the masked prediction over the given rows — the paper's P(.) in
   // the reward function.

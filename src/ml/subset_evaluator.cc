@@ -31,7 +31,8 @@ double SubsetEvaluator::EvaluateUncached(const FeatureMask& mask) const {
   return classifier_->EvaluateAucBlock(eval_block_, eval_labels_, mask);
 }
 
-double SubsetEvaluator::Reward(const FeatureMask& mask) const {
+double SubsetEvaluator::Reward(const FeatureMask& mask,
+                               FirstLayerCarry* carry) const {
   PF_CHECK_EQ(static_cast<int>(mask.size()), features_->cols());
   PackedMask key = PackMask(mask);
   double value = 0.0;
@@ -40,7 +41,8 @@ double SubsetEvaluator::Reward(const FeatureMask& mask) const {
   }
   // This caller claimed the key: compute outside the lock so different masks
   // evaluate concurrently, then publish (waking any stampede waiters).
-  const double reward = EvaluateUncached(mask);
+  const double reward =
+      classifier_->EvaluateAucBlock(eval_block_, eval_labels_, mask, carry);
   cache_.Publish(std::move(key), reward);
   return reward;
 }

@@ -23,7 +23,9 @@ namespace pafeat {
 // The evaluation rows are gathered into a contiguous block once at
 // construction; a cache miss runs the classifier's column-gathered fast path
 // over that block, so the per-miss cost scales with the subset size rather
-// than the full feature count, and no masked copy is materialized.
+// than the full feature count, and no masked copy is materialized. A miss
+// along a left-to-right scan that carries its first-layer sum costs only the
+// newly selected columns (FirstLayerCarry).
 //
 // The cache behind Reward is a bounded TieredRewardCache (DESIGN.md "Bounded
 // memory plane"): the byte budget resolves through ResolveCacheBudgetBytes
@@ -41,12 +43,17 @@ class SubsetEvaluator {
                   const MaskedDnnClassifier* classifier,
                   long long cache_budget_bytes = kMemoryBudgetDefault);
 
-  // Cached AUC reward of the subset.
-  double Reward(const FeatureMask& mask) const;
+  // Cached AUC reward of the subset. A scan passes its `carry` (owned by the
+  // caller, used with this evaluator only): a miss then gathers only the
+  // columns selected since the carry's last miss. A hit leaves the carry
+  // behind; the next miss folds in every column it skipped. The reward is
+  // bit-identical with or without a carry.
+  double Reward(const FeatureMask& mask,
+                FirstLayerCarry* carry = nullptr) const;
 
   // The cache-miss cost of Reward, without touching the cache: one AUC
-  // evaluation of the subset over the precomputed eval block. Exposed for
-  // benchmarks and tests.
+  // evaluation of the subset over the precomputed eval block, the same code
+  // as a miss with an empty carry. Exposed for benchmarks and tests.
   double EvaluateUncached(const FeatureMask& mask) const;
 
   // Reward of the full feature set (the P_all baseline of Eqn 6a).

@@ -125,17 +125,36 @@ void Mlp::PredictGathered(int rows, const float* x, int ldx, const int* cols,
                           int ncols, const Matrix& w0t, InferenceArena* arena,
                           float* out) const {
   PF_CHECK_GT(rows, 0);
+  ArenaScope scope(arena);
+  const std::size_t count =
+      static_cast<std::size_t>(rows) * layer_output_dim(0);
+  float* sum = arena->Alloc(count);
+  std::fill_n(sum, count, 0.0f);
+  AccumulateGathered(rows, x, ldx, cols, ncols, w0t, sum);
+  FinishGathered(rows, sum, arena, out);
+}
+
+void Mlp::AccumulateGathered(int rows, const float* x, int ldx,
+                             const int* cols, int ncols, const Matrix& w0t,
+                             float* sum) const {
   PF_CHECK_GE(ncols, 0);  // ncols == 0: empty subset, first layer = bias only
-  const Layer& first = layers_.front();
-  const int out_dim = first.weight.rows();
+  const int out_dim = layer_output_dim(0);
   PF_CHECK_EQ(w0t.rows(), config_.input_dim);
   PF_CHECK_EQ(w0t.cols(), out_dim);
+  kernels::GemmGatherNN(rows, out_dim, x, ldx, cols, ncols, w0t.data(),
+                        out_dim, sum, out_dim);
+}
+
+void Mlp::FinishGathered(int rows, const float* sum, InferenceArena* arena,
+                         float* out) const {
+  PF_CHECK_GT(rows, 0);
+  const Layer& first = layers_.front();
+  const int out_dim = first.weight.rows();
   ArenaScope scope(arena);
   const std::size_t count = static_cast<std::size_t>(rows) * out_dim;
   float* hidden = num_layers() == 1 ? out : arena->Alloc(count);
-  std::fill_n(hidden, count, 0.0f);
-  kernels::GemmGatherNN(rows, out_dim, x, ldx, cols, ncols, w0t.data(),
-                        out_dim, hidden, out_dim);
+  // The bias goes onto a copy, leaving the sum for the next query.
+  std::copy(sum, sum + count, hidden);
   AddBiasRows(rows, out_dim, first.bias.data(), hidden);
   ApplyActivation(first.activation, hidden, static_cast<int>(count));
   if (num_layers() > 1) PredictTailInto(1, rows, hidden, arena, out);

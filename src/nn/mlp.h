@@ -68,9 +68,23 @@ class Mlp {
   // by the caller so repeated queries share it. Cost is O(rows * ncols *
   // width) instead of O(rows * input_dim * width), and the result is
   // bit-identical to PredictGatheredReference on the zero-masked batch.
+  // Runs AccumulateGathered into a zeroed sum, then FinishGathered.
   void PredictGathered(int rows, const float* x, int ldx, const int* cols,
                        int ncols, const Matrix& w0t, InferenceArena* arena,
                        float* out) const;
+
+  // The two halves of PredictGathered, for callers that keep the first-layer
+  // sum between queries (a scan's FirstLayerCarry). AccumulateGathered adds
+  // the listed columns' share of the first-layer product to `sum` (rows x
+  // first-layer width, before the bias) with kernels::GemmGatherNN: one
+  // rounded add per list entry, in list order, so accumulating [c1..cj] and
+  // later [cj+1..ck] leaves exactly the bits of one pass over [c1..ck].
+  // FinishGathered adds the bias, applies the activation and runs the
+  // remaining layers from `sum`, which it leaves untouched.
+  void AccumulateGathered(int rows, const float* x, int ldx, const int* cols,
+                          int ncols, const Matrix& w0t, float* sum) const;
+  void FinishGathered(int rows, const float* sum, InferenceArena* arena,
+                      float* out) const;
 
   // Reference implementation of the masked-inference summation order: the
   // full-width product over all input_dim columns of `x` (masked columns

@@ -27,7 +27,7 @@ FeatureSelectionEnv::FeatureSelectionEnv(
 void FeatureSelectionEnv::Reset() {
   state_.mask.assign(num_features_, 0);
   state_.position = 0;
-  current_performance_ = evaluator_->Reward(state_.mask);
+  current_performance_ = evaluator_->Reward(state_.mask, &carry_);
 }
 
 void FeatureSelectionEnv::ResetTo(const EnvState& state) {
@@ -35,7 +35,7 @@ void FeatureSelectionEnv::ResetTo(const EnvState& state) {
   PF_CHECK_GE(state.position, 0);
   PF_CHECK_LE(state.position, num_features_);
   state_ = state;
-  current_performance_ = evaluator_->Reward(state_.mask);
+  current_performance_ = evaluator_->Reward(state_.mask, &carry_);
 }
 
 bool FeatureSelectionEnv::Done() const {
@@ -76,7 +76,7 @@ double FeatureSelectionEnv::Step(int action) {
   const double previous_performance = current_performance_;
   if (action == kActionSelect) {
     state_.mask[state_.position] = 1;
-    current_performance_ = evaluator_->Reward(state_.mask);
+    current_performance_ = evaluator_->Reward(state_.mask, &carry_);
   }
   // Deselect leaves the subset (and hence its performance) unchanged.
   ++state_.position;

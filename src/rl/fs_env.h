@@ -88,6 +88,11 @@ class FeatureSelectionEnv {
   int max_selectable_;
   EnvState state_;
   double current_performance_ = 0.0;
+  // The scan's first-layer reward sum (FirstLayerCarry): a reward miss after
+  // a select gathers only the columns selected since the previous miss. Each
+  // copy of the environment owns its carry, so concurrent episodes never
+  // share one; it is scratch and never checkpointed.
+  FirstLayerCarry carry_;
 };
 
 }  // namespace pafeat

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -85,6 +86,19 @@ TEST(ArffParseTest, RejectsMalformedInput) {
   EXPECT_FALSE(
       ParseArff("@relation x\n@attribute a numeric\n@data\n{5 1}\n")
           .has_value());  // sparse index out of range
+}
+
+TEST(ArffParseTest, RejectsNonFiniteAndOutOfRangeCells) {
+  const std::string header = "@relation x\n@attribute a numeric\n@data\n";
+  for (const char* cell : {"nan", "inf", "-inf", "1e39", "-1e39", "1e400"}) {
+    EXPECT_FALSE(ParseArff(header + cell + "\n").has_value()) << cell;
+    EXPECT_FALSE(ParseArff(header + "{0 " + cell + "}\n").has_value())
+        << "sparse " << cell;
+  }
+  // A missing value still maps to 0.
+  const auto document = ParseArff(header + "?\n");
+  ASSERT_TRUE(document.has_value());
+  EXPECT_EQ(document->values.At(0, 0), 0.0f);
 }
 
 TEST(ArffToTableTest, SplitsFeaturesAndLabels) {

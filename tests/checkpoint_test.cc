@@ -34,8 +34,12 @@ class CheckpointTest : public ::testing::Test {
     return GenerateSynthetic(spec);
   }
 
+  // One file per test: ctest runs the tests of this fixture as parallel
+  // processes, which must not overwrite each other's checkpoint.
   std::string TempPath() const {
-    return ::testing::TempDir() + "/pafeat_agent.ckpt";
+    return ::testing::TempDir() + "/pafeat_agent_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           ".ckpt";
   }
 
   SyntheticDataset dataset_;

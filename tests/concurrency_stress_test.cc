@@ -122,6 +122,9 @@ TEST(ConcurrencyStressTest, GlobalPoolGrowthRacesActiveJobs) {
     ThreadPool::EnsureGlobalWorkers(target);
     std::this_thread::yield();
   }
+  // On a loaded host the submitter may not have been scheduled yet; let it
+  // finish at least one job before stopping it.
+  while (total.load() == 0) std::this_thread::yield();
   stop.store(true, std::memory_order_release);
   submitter.join();
   EXPECT_GE(ThreadPool::Global()->num_workers(), 6);

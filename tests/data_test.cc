@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -341,6 +342,23 @@ TEST(CsvTest, RoundTripsTable) {
 
 TEST(CsvTest, MissingFileReturnsNullopt) {
   EXPECT_FALSE(ReadTableCsv("/nonexistent/never/file.csv").has_value());
+}
+
+TEST(CsvTest, RejectsNonFiniteAndOutOfRangeCells) {
+  const std::string path = ::testing::TempDir() + "/pafeat_bad_cell.csv";
+  for (const char* cell : {"nan", "inf", "-inf", "1e39", "-1e39", "1e400"}) {
+    for (bool in_label : {false, true}) {
+      {
+        std::ofstream out(path);
+        out << "f0,f1,label:y\n1,2,0\n";
+        out << (in_label ? "3,4," : "3,") << cell << (in_label ? "" : ",1")
+            << "\n";
+      }
+      EXPECT_FALSE(ReadTableCsv(path).has_value())
+          << cell << (in_label ? " as label" : " as feature");
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SyntheticTest, ShapesMatchSpec) {

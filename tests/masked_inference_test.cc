@@ -1,8 +1,9 @@
 // Tests for the masked-subset inference fast path (DESIGN.md "Inference
 // fast path"): column-gathered first-layer products must be bit-identical
-// to the full-width reference on zero-masked inputs, the reward evaluator
-// must dedup concurrent cache misses, and the per-thread inference arena
-// must stop allocating once warm.
+// to the full-width reference on zero-masked inputs, a reward miss that
+// carries its scan's first-layer sum must equal a fresh evaluation bit for
+// bit, the reward evaluator must dedup concurrent cache misses, and the
+// per-thread inference arena must stop allocating once warm.
 
 #include <atomic>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include "nn/mlp.h"
 #include "nn/workspace.h"
 #include "rl/dqn_agent.h"
+#include "rl/fs_env.h"
 #include "tensor/matrix.h"
 
 namespace pafeat {
@@ -93,9 +95,11 @@ TEST(MaskedInferenceTest, GatheredMatchesReferenceBitwise) {
 }
 
 MaskedDnnClassifier FitSmallClassifier(Matrix* features,
-                                       std::vector<float>* labels) {
+                                       std::vector<float>* labels,
+                                       int num_features = 17,
+                                       std::vector<int> hidden_dims = {64}) {
   Rng rng(0xc1a55);
-  *features = Matrix::RandomNormal(96, 17, 1.0f, &rng);
+  *features = Matrix::RandomNormal(96, num_features, 1.0f, &rng);
   labels->resize(96);
   for (int r = 0; r < 96; ++r) {
     (*labels)[r] = features->At(r, 2) + features->At(r, 9) > 0.0f ? 1.0f : 0.0f;
@@ -103,10 +107,195 @@ MaskedDnnClassifier FitSmallClassifier(Matrix* features,
   std::vector<int> rows(96);
   for (int r = 0; r < 96; ++r) rows[r] = r;
   MaskedDnnConfig config;
+  config.hidden_dims = std::move(hidden_dims);
   config.epochs = 3;
   MaskedDnnClassifier classifier(config);
   classifier.Fit(*features, *labels, rows, &rng);
   return classifier;
+}
+
+// 77 eval rows: not a multiple of the gather kernel's 4-row tile, so the
+// remainder-row path carries too.
+std::vector<int> CarryEvalRows() {
+  std::vector<int> eval_rows;
+  for (int r = 0; r < 96; ++r) {
+    if (r % 5 != 1) eval_rows.push_back(r);
+  }
+  return eval_rows;
+}
+
+TEST(MaskedInferenceTest, CarriedRewardMatchesFreshAlongScans) {
+  // Random left-to-right scans, each on a fresh evaluator: every mask of a
+  // scan is new, so every call misses and folds into the carry. Each reward
+  // must equal the fresh evaluation exactly, for a hidden trunk and for a
+  // single-layer classifier (whose first layer is the output).
+  const std::vector<std::vector<int>> hidden_configs = {{64}, {}};
+  for (const std::vector<int>& hidden : hidden_configs) {
+    Matrix features;
+    std::vector<float> labels;
+    const MaskedDnnClassifier classifier =
+        FitSmallClassifier(&features, &labels, 40, hidden);
+    const int m = features.cols();
+    Rng rng(0x5ca9);
+    const double select_probs[] = {0.1, 0.5, 0.9, 1.0};
+    for (double select_prob : select_probs) {
+      for (int scan = 0; scan < 3; ++scan) {
+        const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
+                                        &classifier);
+        FirstLayerCarry carry;
+        FeatureMask mask(m, 0);
+        // The first scan at each density opens with column 0.
+        for (int p = 0; p < m; ++p) {
+          const bool opens = scan == 0 && p == 0;
+          if (!opens && !rng.Bernoulli(select_prob)) continue;
+          mask[p] = 1;
+          const long long misses = evaluator.cache_misses();
+          const double carried = evaluator.Reward(mask, &carry);
+          ASSERT_EQ(evaluator.cache_misses(), misses + 1);
+          ASSERT_EQ(carried, evaluator.EvaluateUncached(mask))
+              << "hidden layers " << hidden.size() << " p=" << select_prob
+              << " scan " << scan << " column " << p;
+          ASSERT_EQ(carry.cols, MaskToIndices(mask));
+        }
+      }
+    }
+  }
+}
+
+TEST(MaskedInferenceTest, CarryLagsBehindCacheHits) {
+  // Every other subset of the scan is cached before the scan runs, so half
+  // the calls hit and leave the carry behind; the next miss folds in every
+  // column the carry skipped.
+  Matrix features;
+  std::vector<float> labels;
+  const MaskedDnnClassifier classifier =
+      FitSmallClassifier(&features, &labels, 40);
+  const int m = features.cols();
+  const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
+                                  &classifier);
+  Rng rng(0x1a95);
+  std::vector<FeatureMask> scan;
+  FeatureMask mask(m, 0);
+  for (int p = 0; p < m; ++p) {
+    if (!rng.Bernoulli(0.4)) continue;
+    mask[p] = 1;
+    scan.push_back(mask);
+  }
+  ASSERT_GE(scan.size(), 8u);
+  for (size_t i = 0; i < scan.size(); i += 2) evaluator.Reward(scan[i]);
+
+  FirstLayerCarry carry;
+  for (size_t i = 0; i < scan.size(); ++i) {
+    const long long hits = evaluator.cache_hits();
+    const std::vector<int> carried_before = carry.cols;
+    const double carried = evaluator.Reward(scan[i], &carry);
+    ASSERT_EQ(carried, evaluator.EvaluateUncached(scan[i])) << "step " << i;
+    if (i % 2 == 0) {
+      ASSERT_EQ(evaluator.cache_hits(), hits + 1);
+      ASSERT_EQ(carry.cols, carried_before);  // a hit leaves the carry behind
+    } else {
+      ASSERT_EQ(carry.cols, MaskToIndices(scan[i]));
+    }
+  }
+}
+
+TEST(MaskedInferenceTest, CarryRestartsOnNonExtendingMask) {
+  // A mask whose selected columns do not start with the carried ones — a
+  // shorter subset, a column inserted before the carried tail, a disjoint
+  // jump (an ITE ResetTo) — restarts the carry from zero.
+  Matrix features;
+  std::vector<float> labels;
+  const MaskedDnnClassifier classifier =
+      FitSmallClassifier(&features, &labels, 40);
+  const int m = features.cols();
+  const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
+                                  &classifier);
+  const std::vector<std::vector<int>> sequence = {
+      {2, 5, 9},         // fresh
+      {2, 5, 9, 17},     // extends
+      {2, 5},            // shorter: restart
+      {2, 3, 5, 9},      // a column inside the carried list: restart
+      {2, 3, 5, 9, 30},  // extends again
+      {1, 31, 39},       // disjoint jump: restart
+      {0, 1, 31, 39},    // a column before the carried list: restart
+  };
+  FirstLayerCarry carry;
+  for (const std::vector<int>& cols : sequence) {
+    const FeatureMask mask = IndicesToMask(cols, m);
+    ASSERT_EQ(evaluator.Reward(mask, &carry), evaluator.EvaluateUncached(mask))
+        << MaskToString(mask);
+    ASSERT_EQ(carry.cols, cols);
+  }
+}
+
+TEST(MaskedInferenceTest, CarryCoversEmptyAndAllOnesMasks) {
+  Matrix features;
+  std::vector<float> labels;
+  const MaskedDnnClassifier classifier =
+      FitSmallClassifier(&features, &labels, 40);
+  const int m = features.cols();
+  const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
+                                  &classifier);
+  FirstLayerCarry carry;
+  const FeatureMask empty(m, 0);
+  const FeatureMask all(m, 1);
+  FeatureMask first_only(m, 0);
+  first_only[0] = 1;
+  // Empty -> all-ones extends the empty carried list; all-ones -> {0} is a
+  // restart.
+  for (const FeatureMask& mask : {empty, all, first_only}) {
+    ASSERT_EQ(evaluator.Reward(mask, &carry), evaluator.EvaluateUncached(mask))
+        << MaskToString(mask);
+  }
+
+  // At the classifier: the implicit all-features mask (an empty vector)
+  // carries like the explicit one, and an all-zero mask restarts the carry
+  // down to nothing.
+  const Matrix block = features.SelectRows(CarryEvalRows());
+  FirstLayerCarry block_carry;
+  FeatureMask half(m, 0);
+  for (int c = 0; c < m / 2; ++c) half[c] = 1;
+  for (const FeatureMask& mask : {half, FeatureMask{}, empty}) {
+    EXPECT_EQ(classifier.PredictBlock(block, mask, &block_carry),
+              classifier.PredictBlockReference(block, mask))
+        << MaskToString(mask);
+    EXPECT_EQ(static_cast<int>(block_carry.cols.size()),
+              mask.empty() ? m : MaskCount(mask));
+  }
+}
+
+TEST(MaskedInferenceTest, CarryCopiedWithEnvStaysExact) {
+  // Episode drivers copy the environment, carry included. A copy taken
+  // mid-scan must continue exactly, and so must the original, each on its
+  // own carry.
+  Matrix features;
+  std::vector<float> labels;
+  const MaskedDnnClassifier classifier =
+      FitSmallClassifier(&features, &labels, 40);
+  const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
+                                  &classifier);
+  std::vector<float> representation(features.cols(), 0.5f);
+  FeatureSelectionEnv env(representation, &evaluator, /*max_feature_ratio=*/1.0);
+  auto expect_exact = [&](const FeatureSelectionEnv& e) {
+    ASSERT_EQ(e.current_performance(),
+              evaluator.EvaluateUncached(e.state().mask))
+        << MaskToString(e.state().mask);
+  };
+  for (int p = 0; p < 12; ++p) {
+    env.Step(p % 3 == 0 ? kActionSelect : kActionDeselect);
+    expect_exact(env);
+  }
+  FeatureSelectionEnv copy = env;
+  while (!env.Done()) {
+    env.Step(kActionSelect);
+    expect_exact(env);
+  }
+  // The copy scans the same columns with a different pattern, so its
+  // subsets are new misses on the carry it inherited.
+  for (int p = 0; !copy.Done(); ++p) {
+    copy.Step(p % 2 == 0 ? kActionDeselect : kActionSelect);
+    expect_exact(copy);
+  }
 }
 
 TEST(MaskedInferenceTest, ClassifierBlockFastMatchesReferenceBitwise) {

@@ -6,9 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/rng.h"
 #include "core/checkpoint.h"
@@ -267,7 +269,10 @@ TEST_F(QuantizedServingTest, Int8TierIsConsistentAcrossEntryPoints) {
 }
 
 TEST_F(QuantizedServingTest, FromFileBuildsQuantizedTierOnce) {
-  const std::string path = ::testing::TempDir() + "/pafeat_quant.ckpt";
+  // One file per process: the pafeat_simd_* legs run this test beside its
+  // own ctest entry, and they must not overwrite each other's checkpoint.
+  const std::string path = ::testing::TempDir() + "/pafeat_quant_" +
+                           std::to_string(getpid()) + ".ckpt";
   ASSERT_TRUE(SaveCheckpoint(MakeCheckpoint(*feat_), path));
   ServeConfig serve;
   serve.quantized = true;

@@ -85,5 +85,28 @@ TEST(ParseDoubleTest, ValidAndInvalid) {
   EXPECT_FALSE(ParseDouble("", &value));
 }
 
+TEST(ParseDoubleTest, RejectsNonFinite) {
+  double value = 7.0;
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                           "1e400", "-1e400"}) {
+    EXPECT_FALSE(ParseDouble(text, &value)) << text;
+  }
+  EXPECT_EQ(value, 7.0);  // untouched on failure
+  EXPECT_TRUE(ParseDouble("1e39", &value));  // finite as a double
+  EXPECT_EQ(value, 1e39);
+}
+
+TEST(ParseFloatTest, RejectsBeyondFloatRange) {
+  float value = 7.0f;
+  EXPECT_FALSE(ParseFloat("1e39", &value));
+  EXPECT_FALSE(ParseFloat("-1e39", &value));
+  EXPECT_FALSE(ParseFloat("nan", &value));
+  EXPECT_EQ(value, 7.0f);
+  EXPECT_TRUE(ParseFloat("3.4e38", &value));
+  EXPECT_EQ(value, 3.4e38f);
+  EXPECT_TRUE(ParseFloat(" -2.5 ", &value));
+  EXPECT_EQ(value, -2.5f);
+}
+
 }  // namespace
 }  // namespace pafeat
