@@ -337,44 +337,20 @@ void BM_AgentAct(benchmark::State& state) {
   DqnAgent agent(config, &rng);
   std::vector<float> observation(147);
   for (float& v : observation) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  Rng act_rng(42);
+  int action = -1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(agent.Act(observation, &act_rng, /*greedy=*/true));
+    agent.ActBatch(1, observation.data(), &action);
+    benchmark::DoNotOptimize(action);
   }
 }
 BENCHMARK(BM_AgentAct);
 
 // The per-step Q-query cost of the buffer-filling phase with 64 live
-// episodes, legacy vs batched: SingleRow issues 64 batch-of-one queries (the
-// blocking per-episode path retired by the batched inference plane), Batched
-// gathers the same 64 observations into one ActBatch forward pass. Both
-// produce bit-identical actions; the batched pass amortizes weight-matrix
-// traffic across rows (the 4-row interleave in the NT kernel). Sized at the
-// Emotions observation width (147) and the synthetic extreme (2043).
+// episodes: the same 64 observations gathered into one ActBatch forward
+// pass, which amortizes weight-matrix traffic across rows (the 4-row
+// interleave in the NT kernel). Sized at the Emotions observation width
+// (147) and the synthetic extreme (2043).
 constexpr int kStepInferenceRows = 64;
-
-void BM_StepInferenceSingleRow(benchmark::State& state) {
-  const int obs_dim = static_cast<int>(state.range(0));
-  Rng rng(43);
-  DqnConfig config;
-  config.net.input_dim = obs_dim;
-  DqnAgent agent(config, &rng);
-  std::vector<float> observations(
-      static_cast<size_t>(kStepInferenceRows) * obs_dim);
-  for (float& v : observations) {
-    v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  }
-  std::vector<int> actions(kStepInferenceRows);
-  for (auto _ : state) {
-    for (int r = 0; r < kStepInferenceRows; ++r) {
-      agent.ActBatch(1, observations.data() + static_cast<size_t>(r) * obs_dim,
-                     &actions[r]);
-    }
-    benchmark::DoNotOptimize(actions.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kStepInferenceRows);
-}
-BENCHMARK(BM_StepInferenceSingleRow)->Arg(147)->Arg(2043);
 
 void BM_StepInferenceBatched(benchmark::State& state) {
   const int obs_dim = static_cast<int>(state.range(0));
@@ -452,11 +428,9 @@ void BM_QuantizeCheckpoint(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizeCheckpoint)->Arg(147)->Arg(2043);
 
-// Full Algorithm-1 iterations end to end with the step-synchronous batched
-// collection on vs the legacy blocking path: same work, different execution
-// plan (this also pays environment steps, reward evaluations, and the
-// parameter-updating phase, so the delta here is diluted relative to the
-// pure step-inference pair above).
+// Full Algorithm-1 iterations end to end through the step-synchronous
+// collector (this also pays environment steps, reward evaluations, and the
+// parameter-updating phase).
 struct IterationFixture {
   IterationFixture() {
     SyntheticSpec spec;
@@ -474,26 +448,16 @@ struct IterationFixture {
   std::unique_ptr<FsProblem> problem;
 };
 
-void RunIterationBench(benchmark::State& state, bool batched) {
+void BM_IterationBatched(benchmark::State& state) {
   IterationFixture fixture;
   FeatConfig config = DefaultFeatOptions(60, 46).feat;
   config.envs_per_iteration = 8;
-  config.batched_inference = batched;
   Feat feat(fixture.problem.get(), fixture.dataset.SeenTaskIndices(), config);
   for (auto _ : state) {
     benchmark::DoNotOptimize(feat.RunIteration().episodes);
   }
 }
-
-void BM_IterationBatched(benchmark::State& state) {
-  RunIterationBench(state, /*batched=*/true);
-}
 BENCHMARK(BM_IterationBatched);
-
-void BM_IterationSingleRow(benchmark::State& state) {
-  RunIterationBench(state, /*batched=*/false);
-}
-BENCHMARK(BM_IterationSingleRow);
 
 // The sharded collector plane's scaling curve (DESIGN.md "Sharded training
 // plane"): num_threads is pinned to 1, so the 1-shard case is the serial

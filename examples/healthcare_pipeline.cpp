@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   config.feat = DefaultFeatOptions(iterations, 41).feat;
   config.feat.max_feature_ratio = mfr;
   PaFeat pafeat(&problem, hospital.SeenTaskIndices(), config);
-  const double iter_seconds = pafeat.Train(iterations);
+  const double iter_seconds = pafeat.Train(iterations).mean_iteration_seconds;
   std::printf("offline training: %d iterations, %.1f ms each\n\n", iterations,
               iter_seconds * 1e3);
 

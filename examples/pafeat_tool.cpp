@@ -129,7 +129,7 @@ int RunTrain(const Table& table, const std::string& labels_csv,
   PaFeat pafeat(&problem, seen, config);
   std::printf("training on %zu seen tasks, %d iterations...\n", seen.size(),
               iterations);
-  const double iter_seconds = pafeat.Train(iterations);
+  const double iter_seconds = pafeat.Train(iterations).mean_iteration_seconds;
   std::printf("done (%.1f ms/iteration)\n", iter_seconds * 1e3);
 
   if (!SaveCheckpoint(MakeCheckpoint(pafeat.feat()), out_path)) {

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   config.feat = DefaultFeatOptions(iterations, spec.seed + 2).feat;
   config.feat.max_feature_ratio = mfr;
   PaFeat pafeat(&problem, dataset.SeenTaskIndices(), config);
-  const double iter_seconds = pafeat.Train(iterations);
+  const double iter_seconds = pafeat.Train(iterations).mean_iteration_seconds;
   std::printf("trained %d iterations (%.1f ms/iteration)\n", iterations,
               iter_seconds * 1e3);
 

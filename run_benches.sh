@@ -55,9 +55,11 @@ build/bench/bench_micro \
 echo "===================================================================="
 echo "== Batched inference plane -> bench/baselines/BENCH_batch.json"
 echo "===================================================================="
-# Step-inference throughput of the batched plane vs the single-row legacy
-# path, plus full iterations with batched collection on/off; the seed's
-# single-row numbers are frozen in bench/baselines/BENCH_batch_seed.json.
+# Step-inference throughput of the batched plane plus full iterations
+# through the step-synchronous collector. The retired single-row benches
+# (BM_StepInferenceSingleRow, BM_IterationSingleRow) went with the blocking
+# collection path; their last numbers stay frozen in
+# bench/baselines/BENCH_batch.json and BENCH_batch_seed.json.
 build/bench/bench_micro \
   --benchmark_filter='BM_StepInference|BM_Iteration' \
   --benchmark_min_time=0.2 \
@@ -77,7 +79,8 @@ echo "===================================================================="
 # >= 1.3x on AVX-512 hosts — best quiet-machine windows measure ~396-412us,
 # contended windows regress to the memory-bandwidth floor ~590us shared with
 # AVX2) and BM_StepInferenceQuantized (~310-335us) vs fp32 step inference:
-# >= 2x against the frozen single-row path (1354.6us, ~4.4x) and ~1.3-1.7x
+# >= 2x against the frozen BM_StepInferenceSingleRow figure in
+# BENCH_batch_seed.json (1354.6us, ~4.4x) and ~1.3-1.7x
 # against the batched plane. Without AVX-512 VNNI the int8 dot products run
 # on the same two FMA ports as fp32, so the quantized tier's structural win
 # over the batched fp32 plane is halved memory traffic, not ALU throughput

@@ -32,7 +32,7 @@ double PaFeatSelector::Prepare(FsProblem* problem,
   config.use_ite = ablation_.use_ite;
   config.ite.policy_exploitation = ablation_.policy_exploitation;
   pafeat_ = std::make_unique<PaFeat>(problem, seen, config);
-  return pafeat_->Train(options_.train_iterations);
+  return pafeat_->Train(options_.train_iterations).mean_iteration_seconds;
 }
 
 FeatureMask PaFeatSelector::SelectForUnseen(FsProblem* problem,
@@ -54,7 +54,7 @@ double PopArtSelector::Prepare(FsProblem* problem,
   config.dqn.use_popart = true;
   config.dqn.net.extra_rescale_layer = true;
   feat_ = std::make_unique<Feat>(problem, seen, config);
-  return feat_->Train(options_.train_iterations);
+  return feat_->Train(options_.train_iterations).mean_iteration_seconds;
 }
 
 FeatureMask PopArtSelector::SelectForUnseen(FsProblem* problem,
@@ -141,7 +141,7 @@ double GoExploreSelector::Prepare(FsProblem* problem,
   feat_ = std::make_unique<Feat>(problem, seen, config);
   feat_->SetInitialStateProvider(std::make_unique<GoExploreProvider>(
       problem->num_features(), /*use_probability=*/0.7));
-  return feat_->Train(options_.train_iterations);
+  return feat_->Train(options_.train_iterations).mean_iteration_seconds;
 }
 
 FeatureMask GoExploreSelector::SelectForUnseen(FsProblem* problem,
@@ -183,7 +183,7 @@ double RewardRandomizationSelector::Prepare(FsProblem* problem,
   feat_ = std::make_unique<Feat>(problem, seen, config);
   feat_->SetRewardShaper(std::make_unique<RandomizedRewardShaper>(
       /*low=*/0.5, /*high=*/1.5, /*noise_stddev=*/0.02));
-  return feat_->Train(options_.train_iterations);
+  return feat_->Train(options_.train_iterations).mean_iteration_seconds;
 }
 
 FeatureMask RewardRandomizationSelector::SelectForUnseen(

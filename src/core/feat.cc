@@ -56,25 +56,13 @@ Feat::Feat(FsProblem* problem, std::vector<int> seen_label_indices,
   PF_CHECK(!seen_label_indices.empty());
 
   PF_CHECK_GE(config_.num_shards, 1);
-  PF_CHECK_GE(config_.shard_parallelism, 0);
   PF_CHECK_GE(config_.replay_shards, 1);
-  // The sharded collector runs each shard's own step-synchronous loop; the
-  // legacy blocking path has no rendezvous to shard.
-  PF_CHECK(config_.num_shards == 1 || config_.batched_inference);
 
   // Episode collection shares the persistent process-wide pool (no thread
   // spawn/join per iteration); make sure it can deliver the configured
-  // parallelism (the iteration's own thread is the extra executor). The
-  // shard fan-out wants one executor per shard unless shard_parallelism
-  // caps it lower.
-  int executors = config_.num_threads;
-  if (config_.num_shards > 1) {
-    const int shard_executors = config_.shard_parallelism > 0
-                                    ? std::min(config_.shard_parallelism,
-                                               config_.num_shards)
-                                    : config_.num_shards;
-    executors = std::max(executors, shard_executors);
-  }
+  // parallelism (the iteration's own thread is the extra executor): the
+  // environment steps of a single shard, or one executor per shard.
+  const int executors = std::max(config_.num_threads, config_.num_shards);
   if (executors > 1) {
     ThreadPool::EnsureGlobalWorkers(executors - 1);
   }
@@ -140,64 +128,15 @@ void Feat::SetRewardShaper(std::unique_ptr<RewardShaper> shaper) {
   reward_shaper_ = std::move(shaper);
 }
 
-Trajectory Feat::RunEpisode(const EpisodePlan& plan,
-                            std::vector<int>* full_actions) {
-  // Episodes run on a private environment copy (a representation vector,
-  // the state and the first-layer reward carry) so that concurrent episodes
-  // on the same task do not interfere; the reward cache behind the evaluator
-  // is shared and locked.
-  FeatureSelectionEnv env = *tasks_[plan.slot].env;
-  Rng rng = plan.rng;
-
-  bool random_policy = false;
-  full_actions->clear();
-  if (plan.start.has_value()) {
-    env.ResetTo(plan.start->state);
-    if (env.Done()) {
-      env.Reset();  // degenerate customized state; fall back to default
-    } else {
-      *full_actions = plan.start->prefix;
-      random_policy = plan.start->random_policy;
-    }
-  } else {
-    env.Reset();
-  }
-
-  Trajectory trajectory;
-  while (!env.Done()) {
-    const std::vector<float> observation = env.Observation();
-    const int action = random_policy
-                           ? rng.UniformInt(kNumActions)
-                           : agent_->Act(observation, &rng, /*greedy=*/false);
-    Transition transition;
-    transition.state = env.state();
-    transition.action = action;
-    const double raw_reward = env.Step(action);
-    transition.reward = static_cast<float>(
-        reward_shaper_ != nullptr
-            ? reward_shaper_->Shape(raw_reward, plan.slot, plan.shaper_context,
-                                    &rng)
-            : raw_reward);
-    transition.next_state = env.state();
-    transition.done = env.Done();
-    trajectory.transitions.push_back(std::move(transition));
-    full_actions->push_back(action);
-  }
-  // The E-Tree, the ITS and the difficulty diagnostics consume the final
-  // subset's true performance, regardless of reward mode or shaping.
-  trajectory.episode_return = env.current_performance();
-  return trajectory;
-}
-
-void Feat::CollectEpisodesBatched(
-    const std::vector<const EpisodePlan*>& plans, int num_threads,
-    std::vector<Trajectory>* trajectories,
-    std::vector<std::vector<int>>* episode_actions) {
+void Feat::CollectShard(const std::vector<const EpisodePlan*>& plans,
+                        int num_threads,
+                        std::vector<Trajectory>* trajectories,
+                        std::vector<std::vector<int>>* episode_actions) {
   const int num_episodes = static_cast<int>(plans.size());
   const int obs_dim = tasks_.front().env->observation_dim();
   // Epsilon is constant across the whole buffer-filling phase — gradient
   // steps (which advance the schedule) only happen in the updating phase —
-  // so it is sampled once, exactly like each blocking episode would see it.
+  // so it is sampled once per phase.
   const float epsilon = agent_->CurrentEpsilon();
 
   std::vector<EpisodeDriver> drivers;
@@ -260,8 +199,8 @@ void Feat::CollectEpisodesBatched(
     // Phase 3 (parallel): environment steps + reward shaping. Each worker
     // touches only its own driver; the reward cache behind the shared
     // evaluator is locked.
-    // Under CollectEpisodesSharded this runs inline on the shard's worker
-    // by design: determinism is per-shard, parallelism comes from the outer
+    // With several shards this runs inline on the shard's worker by
+    // design: determinism is per-shard, parallelism comes from the outer
     // shard loop (the blessed fan-out idiom).
     // lint: allow(pool-reentrancy): shard fan-out degrades inline by design
     ThreadPool::Global()->ParallelFor(
@@ -298,52 +237,46 @@ int Feat::ShardOfEpisode(uint64_t iteration, int episode_index,
   return static_cast<int>(z % static_cast<uint64_t>(num_shards));
 }
 
-void Feat::CollectEpisodesSharded(
-    const std::vector<EpisodePlan>& plans, int num_shards,
-    std::vector<Trajectory>* trajectories,
-    std::vector<std::vector<int>>* episode_actions) {
+void Feat::CollectEpisodes(const std::vector<EpisodePlan>& plans,
+                           int num_shards,
+                           std::vector<Trajectory>* trajectories,
+                           std::vector<std::vector<int>>* episode_actions) {
   // Partition by the fixed (iteration, episode) hash. The assignment is a
   // pure function of the plan's position, and planning itself already
   // happened serially on the root stream — so both the episode set and
   // every per-episode RNG stream are shard-count-invariant by construction.
-  std::vector<ShardPlan> shards(num_shards);
-  for (int s = 0; s < num_shards; ++s) shards[s].shard_id = s;
+  std::vector<std::vector<int>> shards(num_shards);
   for (int i = 0; i < static_cast<int>(plans.size()); ++i) {
-    const int shard = ShardOfEpisode(iteration_index_, i, num_shards);
-    shards[shard].plan_indices.push_back(i);
+    shards[ShardOfEpisode(iteration_index_, i, num_shards)].push_back(i);
   }
 
   // Shard-local accumulators, merged only after the fan-out barrier below —
   // the collect-then-deterministic-Build shape: no shard writes shared
   // state while collecting, so finish order cannot influence the merge.
+  // One shard runs on this thread and fans its environment steps out over
+  // num_threads; several shards are the fan-out themselves, and the nested
+  // ParallelFor inside each runs inline on its worker.
   std::vector<std::vector<Trajectory>> shard_trajectories(num_shards);
   std::vector<std::vector<std::vector<int>>> shard_actions(num_shards);
-  const int executors =
-      config_.shard_parallelism > 0
-          ? std::min(config_.shard_parallelism, num_shards)
-          : num_shards;
-  ThreadPool::Global()->ParallelFor(num_shards, executors, [&](int s) {
-    const ShardPlan& shard = shards[s];
-    const int count = static_cast<int>(shard.plan_indices.size());
+  const int step_threads = num_shards == 1 ? config_.num_threads : 1;
+  ThreadPool::Global()->ParallelFor(num_shards, num_shards, [&](int s) {
+    const int count = static_cast<int>(shards[s].size());
     shard_trajectories[s].resize(count);
     shard_actions[s].resize(count);
     if (count == 0) return;
     std::vector<const EpisodePlan*> shard_plans;
     shard_plans.reserve(count);
-    for (int index : shard.plan_indices) shard_plans.push_back(&plans[index]);
-    // Nested ParallelFor calls run inline on this worker, so within-shard
-    // parallelism is 1 by construction; the fan-out above is the
-    // parallelism.
-    CollectEpisodesBatched(shard_plans, /*num_threads=*/1,
-                           &shard_trajectories[s], &shard_actions[s]);
+    for (int index : shards[s]) shard_plans.push_back(&plans[index]);
+    CollectShard(shard_plans, step_threads, &shard_trajectories[s],
+                 &shard_actions[s]);
   });
 
   // Deterministic merge, (shard id, plan index) order: each shard's results
   // land back at their global plan indices, so the commit loop that follows
-  // sees exactly the single-shard layout.
+  // sees the plan-order layout.
   for (int s = 0; s < num_shards; ++s) {
-    for (int j = 0; j < static_cast<int>(shards[s].plan_indices.size()); ++j) {
-      const int index = shards[s].plan_indices[j];
+    for (int j = 0; j < static_cast<int>(shards[s].size()); ++j) {
+      const int index = shards[s][j];
       (*trajectories)[index] = std::move(shard_trajectories[s][j]);
       (*episode_actions)[index] = std::move(shard_actions[s][j]);
     }
@@ -423,28 +356,7 @@ IterationStats Feat::RunIteration() {
 
   std::vector<Trajectory> trajectories(num_episodes);
   std::vector<std::vector<int>> episode_actions(num_episodes);
-  const int num_threads =
-      std::max(1, std::min(config_.num_threads, num_episodes));
-  if (num_shards > 1) {
-    CollectEpisodesSharded(plans, num_shards, &trajectories,
-                           &episode_actions);
-  } else if (config_.batched_inference) {
-    std::vector<const EpisodePlan*> plan_ptrs;
-    plan_ptrs.reserve(num_episodes);
-    for (const EpisodePlan& plan : plans) plan_ptrs.push_back(&plan);
-    CollectEpisodesBatched(plan_ptrs, num_threads, &trajectories,
-                           &episode_actions);
-  } else {
-    // Legacy blocking path, kept as the reference for equivalence tests.
-    // The plans run on the persistent pool instead of spawned threads; the
-    // plan-then-commit structure above/below keeps results bit-identical
-    // regardless of which pool thread runs which episode. ParallelFor
-    // degrades to an inline loop at max_parallelism 1, so the serial case
-    // shares this code instead of a duplicated body.
-    ThreadPool::Global()->ParallelFor(num_episodes, num_threads, [&](int i) {
-      trajectories[i] = RunEpisode(plans[i], &episode_actions[i]);
-    });
-  }
+  CollectEpisodes(plans, num_shards, &trajectories, &episode_actions);
 
   for (int i = 0; i < num_episodes; ++i) {
     Trajectory& trajectory = trajectories[i];
@@ -545,11 +457,7 @@ IterationStats Feat::RunIteration() {
   return stats;
 }
 
-double Feat::Train(int iterations) {
-  return TrainWithStats(iterations).mean_iteration_seconds;
-}
-
-TrainingStats Feat::TrainWithStats(int iterations) {
+TrainingStats Feat::Train(int iterations) {
   PF_CHECK_GT(iterations, 0);
   TrainingStats totals;
   double loss_sum = 0.0;
@@ -580,31 +488,27 @@ namespace {
 constexpr uint32_t kTrainingStateMagic = 0x50465453;
 constexpr uint32_t kTrainingStateVersion = 1;
 
-// Anything larger than this is a corrupt length field, not data.
-constexpr uint64_t kMaxSaneCount = 1ull << 31;
+// True when the rest of the blob can hold `count` records of at least
+// `min_record_bytes` each. Every length field passes this before anything
+// is sized from it, so a corrupt count fails instead of allocating: the
+// loader allocates at most in proportion to its input.
+bool CountFits(const ByteReader& in, uint64_t count,
+               std::size_t min_record_bytes) {
+  return in.ok() && count <= in.remaining() / min_record_bytes;
+}
 
-void WriteF32Vector(ByteWriter* out, const std::vector<float>& values) {
+template <typename T>
+void WriteVector(ByteWriter* out, const std::vector<T>& values) {
   out->U64(values.size());
-  out->Raw(values.data(), values.size() * sizeof(float));
+  out->Raw(values.data(), values.size() * sizeof(T));
 }
 
-bool ReadF32Vector(ByteReader* in, std::vector<float>* out) {
+template <typename T>
+bool ReadVector(ByteReader* in, std::vector<T>* out) {
   const uint64_t count = in->U64();
-  if (!in->ok() || count > kMaxSaneCount) return false;
+  if (!CountFits(*in, count, sizeof(T))) return false;
   out->resize(count);
-  return count == 0 || in->Raw(out->data(), count * sizeof(float));
-}
-
-void WriteF64Vector(ByteWriter* out, const std::vector<double>& values) {
-  out->U64(values.size());
-  out->Raw(values.data(), values.size() * sizeof(double));
-}
-
-bool ReadF64Vector(ByteReader* in, std::vector<double>* out) {
-  const uint64_t count = in->U64();
-  if (!in->ok() || count > kMaxSaneCount) return false;
-  out->resize(count);
-  return count == 0 || in->Raw(out->data(), count * sizeof(double));
+  return count == 0 || in->Raw(out->data(), count * sizeof(T));
 }
 
 }  // namespace
@@ -617,12 +521,12 @@ void Feat::SerializeTrainingState(ByteWriter* out) const {
 
   const DqnAgent::AgentTrainingState agent = agent_->ExportTrainingState();
   out->I64(agent.train_steps);
-  WriteF32Vector(out, agent.target_params);
+  WriteVector(out, agent.target_params);
   out->I64(agent.adam_step);
-  WriteF32Vector(out, agent.adam_m);
-  WriteF32Vector(out, agent.adam_v);
-  WriteF64Vector(out, agent.popart_mean);
-  WriteF64Vector(out, agent.popart_sq);
+  WriteVector(out, agent.adam_m);
+  WriteVector(out, agent.adam_v);
+  WriteVector(out, agent.popart_mean);
+  WriteVector(out, agent.popart_sq);
   out->Raw(agent.popart_init.data(), agent.popart_init.size());
 
   const uint32_t num_features =
@@ -688,17 +592,17 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
 
   DqnAgent::AgentTrainingState agent;
   agent.train_steps = in->I64();
-  if (!ReadF32Vector(in, &agent.target_params)) {
-    return fail("truncated training state (target parameters)");
+  if (!ReadVector(in, &agent.target_params)) {
+    return fail("corrupt training state (target parameters)");
   }
   agent.adam_step = in->I64();
-  if (!ReadF32Vector(in, &agent.adam_m) ||
-      !ReadF32Vector(in, &agent.adam_v)) {
-    return fail("truncated training state (optimizer moments)");
+  if (!ReadVector(in, &agent.adam_m) ||
+      !ReadVector(in, &agent.adam_v)) {
+    return fail("corrupt training state (optimizer moments)");
   }
-  if (!ReadF64Vector(in, &agent.popart_mean) ||
-      !ReadF64Vector(in, &agent.popart_sq)) {
-    return fail("truncated training state (PopArt statistics)");
+  if (!ReadVector(in, &agent.popart_mean) ||
+      !ReadVector(in, &agent.popart_sq)) {
+    return fail("corrupt training state (PopArt statistics)");
   }
   agent.popart_init.resize(agent.popart_mean.size());
   if (!agent.popart_init.empty() &&
@@ -726,23 +630,30 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
       return fail("training state was saved for a different task order");
     }
     const uint32_t return_count = in->U32();
-    if (!in->ok() || return_count > kMaxSaneCount) {
+    if (!CountFits(*in, return_count, sizeof(double))) {
       return fail("corrupt training state (recent-return count)");
     }
     task.recent_returns.clear();
     for (uint32_t i = 0; i < return_count; ++i) {
       task.recent_returns.push_back(in->F64());
     }
+    // A trajectory record is at least its priority, return and transition
+    // count; a transition is two (position, mask) states, the action, the
+    // reward and the done byte.
     const uint32_t trajectory_count = in->U32();
-    if (!in->ok() || trajectory_count > kMaxSaneCount) {
+    if (!CountFits(*in, trajectory_count,
+                   2 * sizeof(double) + sizeof(uint32_t))) {
       return fail("corrupt training state (trajectory count)");
     }
+    const std::size_t transition_bytes =
+        2 * (sizeof(int32_t) + num_features) + sizeof(int32_t) +
+        sizeof(float) + sizeof(uint8_t);
     for (uint32_t t = 0; t < trajectory_count; ++t) {
       const double priority = in->F64();
       Trajectory trajectory;
       trajectory.episode_return = in->F64();
       const uint32_t transition_count = in->U32();
-      if (!in->ok() || transition_count > kMaxSaneCount) {
+      if (!CountFits(*in, transition_count, transition_bytes)) {
         return fail("corrupt training state (transition count)");
       }
       trajectory.transitions.resize(transition_count);
@@ -762,8 +673,10 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
     }
     const uint32_t entry_count = in->U32();
     const uint32_t saved_words = in->U32();
-    if (!in->ok() || entry_count > kMaxSaneCount || saved_words != words) {
-      return fail("corrupt training state (reward-cache header)");
+    if (!in->ok() || saved_words != words ||
+        !CountFits(*in, entry_count,
+                   words * sizeof(uint64_t) + sizeof(double))) {
+      return fail("corrupt training state (reward-cache entry count)");
     }
     for (uint32_t e = 0; e < entry_count; ++e) {
       PackedMask key(words);

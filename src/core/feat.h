@@ -35,30 +35,21 @@ struct FeatConfig {
   // (task choice, initial state, per-episode RNG), executed on the pool,
   // and committed in plan order.
   int num_threads = 1;
-  // Step-synchronous episode collection (DESIGN.md "Batched inference
-  // plane"): all live episodes advance in lock-step and their greedy Q
-  // queries are gathered into one batched forward pass per step instead of
-  // one single-row pass per episode per step. Bit-identical to the legacy
-  // blocking path (kept, off, as the reference for equivalence tests) —
-  // exploration draws happen in plan order on the per-episode streams and
-  // batched Q rows match single-row queries bit-for-bit.
-  bool batched_inference = true;
   // Sharded collector plane (DESIGN.md "Sharded training plane"): the
   // iteration's planned episodes are partitioned across `num_shards`
   // collector shards by a fixed hash of (iteration, episode index), each
-  // shard runs its own step-synchronous batched collection concurrently on
-  // the global pool, and the shard-local accumulators are merged in
-  // (shard id, plan index) order before the plan-order commit. Training is
-  // bit-identical at any shard count: planning stays serial on the root
-  // stream (the episode set and per-episode RNG streams never depend on the
-  // shard count), every draw during collection comes from an episode's own
-  // stream, and batched Q rows match at any batch composition by kernel
-  // construction. num_shards = 1 keeps the single-replica path
-  // byte-identical; num_shards > 1 requires batched_inference.
-  // shard_parallelism caps the executors of the shard fan-out
-  // (0 = one per shard); the constructor grows the pool accordingly.
+  // shard runs its own step-synchronous collection (DESIGN.md "Batched
+  // inference plane") concurrently on the global pool, and the shard-local
+  // accumulators are merged in (shard id, plan index) order before the
+  // plan-order commit. Training is bit-identical at any shard count:
+  // planning stays serial on the root stream (the episode set and
+  // per-episode RNG streams never depend on the shard count), every draw
+  // during collection comes from an episode's own stream, and batched Q rows
+  // match at any batch composition by kernel construction. num_shards = 1 is
+  // the degenerate partition: one shard, collected on the iterating thread
+  // with num_threads executors for its environment steps. The constructor
+  // grows the pool to one executor per shard.
   int num_shards = 1;
-  int shard_parallelism = 0;
   // Bounded experience-memory plane (DESIGN.md "Bounded memory plane"):
   // every task buffer B^k becomes a sharded trajectory store with
   // `replay_shards` shards (training is bit-identical at any shard count),
@@ -187,7 +178,7 @@ struct IterationStats {
   std::size_t replay_bytes = 0;
 };
 
-// Aggregate over a multi-iteration training run (Feat::TrainWithStats): the
+// Aggregate over a multi-iteration training run (Feat::Train): the
 // per-iteration IterationStats folded together so long runs are observable
 // without collecting every RunIteration result by hand.
 struct TrainingStats {
@@ -231,13 +222,9 @@ class Feat {
   // by the parameter-updating phase.
   IterationStats RunIteration();
 
-  // Runs `iterations` iterations; returns the mean iteration wall time.
-  double Train(int iterations);
-
-  // Runs `iterations` iterations and returns the aggregated statistics
-  // (Train keeps only mean seconds; this keeps episodes, losses and
-  // reward-cache traffic as well).
-  TrainingStats TrainWithStats(int iterations);
+  // Runs `iterations` iterations and returns their aggregated statistics;
+  // mean_iteration_seconds is Table II's "Iter".
+  TrainingStats Train(int iterations);
 
   // The collector shard an episode plan belongs to: a fixed avalanche hash
   // of (iteration, episode index), so the assignment is a pure function of
@@ -311,36 +298,21 @@ class Feat {
     Rng rng{0};
   };
 
-  // One collector shard of an iteration's buffer-filling phase: the subset
-  // of plan indices assigned by ShardOfEpisode. The per-shard RNG streams
-  // (forked from the root seed on the (iteration, shard id) path) are owned
-  // by RunIteration and handed to TaskScheduler::BeginIteration — e.g. the
-  // success-prioritized scheduler's exploration nominations — never to the
-  // collection itself.
-  struct ShardPlan {
-    int shard_id = 0;
-    std::vector<int> plan_indices;
-  };
-
-  Trajectory RunEpisode(const EpisodePlan& plan,
-                        std::vector<int>* full_actions);
-  // Step-synchronous execution of the given planned episodes: per step, a
+  // The buffer-filling phase: partitions `plans` by ShardOfEpisode, runs
+  // each shard's CollectShard concurrently on the global pool, then merges
+  // the shard-local results back to their plan indices in (shard id, plan
+  // index) order — byte-equal regardless of which shard finishes first,
+  // because no shard touches shared mutable state while collecting.
+  void CollectEpisodes(const std::vector<EpisodePlan>& plans, int num_shards,
+                       std::vector<Trajectory>* trajectories,
+                       std::vector<std::vector<int>>* episode_actions);
+  // Step-synchronous execution of one shard's planned episodes: per step, a
   // serial plan-order planning pass (exploration draws), one batched greedy
   // Q pass over every live driver, then a parallel environment-step pass.
   // Fills `trajectories` and `episode_actions` indexed like `plans`.
-  void CollectEpisodesBatched(const std::vector<const EpisodePlan*>& plans,
-                              int num_threads,
-                              std::vector<Trajectory>* trajectories,
-                              std::vector<std::vector<int>>* episode_actions);
-  // Sharded buffer-filling phase: partitions `plans` into ShardPlans, runs
-  // each shard's CollectEpisodesBatched concurrently on the global pool,
-  // then merges the shard-local accumulators in (shard id, plan index)
-  // order — results are byte-equal regardless of which shard finishes
-  // first because no shard touches shared mutable state while collecting.
-  void CollectEpisodesSharded(const std::vector<EpisodePlan>& plans,
-                              int num_shards,
-                              std::vector<Trajectory>* trajectories,
-                              std::vector<std::vector<int>>* episode_actions);
+  void CollectShard(const std::vector<const EpisodePlan*>& plans,
+                    int num_threads, std::vector<Trajectory>* trajectories,
+                    std::vector<std::vector<int>>* episode_actions);
   std::vector<BatchItem> MaterializeBatch(
       int slot, const std::vector<const Transition*>& sampled) const;
 

@@ -22,8 +22,6 @@ PaFeat::PaFeat(FsProblem* problem, std::vector<int> seen_label_indices,
   }
 }
 
-double PaFeat::Train(int iterations) { return feat_->Train(iterations); }
-
 std::vector<std::uint8_t> PaFeat::SerializeTrainingState() const {
   ByteWriter writer;
   feat_->SerializeTrainingState(&writer);
@@ -59,8 +57,11 @@ bool PaFeat::RestoreTrainingState(const std::vector<std::uint8_t>& blob,
   // parse the same way regardless of this instance's switches); only a
   // live explorer actually takes the nodes.
   for (int slot = 0; slot < feat_->num_tasks(); ++slot) {
+    // A node record is three int32 fields and a double.
     const std::uint32_t node_count = reader.U32();
-    if (!reader.ok() || node_count > (1u << 30)) {
+    if (!reader.ok() ||
+        node_count > reader.remaining() /
+                         (3 * sizeof(std::int32_t) + sizeof(double))) {
       return fail("corrupt training state (E-Tree node count)");
     }
     std::vector<ETree::NodeData> nodes(node_count);

@@ -33,15 +33,9 @@ class PaFeat {
   PaFeat(FsProblem* problem, std::vector<int> seen_label_indices,
          const PaFeatConfig& config);
 
-  // Trains for `iterations` Algorithm-1 iterations; returns mean iteration
-  // seconds (Table II's "Iter").
-  double Train(int iterations);
-
-  // Like Train, but returns the aggregated run statistics (episodes, mean
-  // loss, reward-cache hit rate) instead of only the mean wall time.
-  TrainingStats TrainWithStats(int iterations) {
-    return feat_->TrainWithStats(iterations);
-  }
+  // Trains for `iterations` Algorithm-1 iterations and returns the
+  // aggregated run statistics (mean_iteration_seconds is Table II's "Iter").
+  TrainingStats Train(int iterations) { return feat_->Train(iterations); }
 
   IterationStats RunIteration() { return feat_->RunIteration(); }
 

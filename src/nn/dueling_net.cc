@@ -62,14 +62,9 @@ Matrix DuelingNet::Forward(const Matrix& states) {
 
 Matrix DuelingNet::Predict(const Matrix& states) const {
   Matrix q(states.rows(), config_.num_actions);
-  PredictInto(states.rows(), states.data(), InferenceArena::ThreadLocal(),
-              q.data());
+  PredictImpl(states.rows(), states.data(), InferenceArena::ThreadLocal(),
+              q.data(), /*batched=*/false);
   return q;
-}
-
-void DuelingNet::PredictInto(int rows, const float* states,
-                             InferenceArena* arena, float* q_out) const {
-  PredictImpl(rows, states, arena, q_out, /*batched=*/false);
 }
 
 void DuelingNet::PredictBatchInto(int rows, const float* states,

@@ -31,20 +31,16 @@ class DuelingNet {
   // Training forward pass: (batch x input_dim) -> (batch x num_actions).
   Matrix Forward(const Matrix& states);
 
-  // Inference-only Q-values.
+  // Inference-only Q-values over whole matrices (the learner's TD targets).
   Matrix Predict(const Matrix& states) const;
 
-  // Allocation-free inference: writes the (rows x num_actions) Q-values to
-  // `q_out`, drawing all intermediate buffers (trunk features, value head)
-  // from `arena`. Bit-identical to Predict.
-  void PredictInto(int rows, const float* states, InferenceArena* arena,
-                   float* q_out) const;
-
   // Batched-inference forward pass (DESIGN.md "Batched inference plane"):
-  // same result shape as PredictInto, but trunk and heads run through
-  // Mlp::PredictBatchInto, so row r of the Q-matrix is bit-identical to
-  // PredictInto(1, row r) at any batch size. All step-synchronous Q queries
-  // (DqnAgent::ActBatch, the greedy execution path) funnel here.
+  // writes the (rows x num_actions) Q-values to `q_out`, drawing every
+  // intermediate buffer (trunk features, value head) from `arena`. Trunk and
+  // heads run through Mlp::PredictBatchInto, so row r of the Q-matrix is
+  // bit-identical to a one-row Predict of row r at any batch size. Every
+  // per-step Q query (DqnAgent::ActBatch, the greedy execution path)
+  // funnels here; no code outside the net issues a non-batched query.
   void PredictBatchInto(int rows, const float* states, InferenceArena* arena,
                         float* q_out) const;
 
@@ -66,8 +62,8 @@ class DuelingNet {
   // Splits V (batch x 1) and A (batch x num_actions) into Q.
   static Matrix Aggregate(const Matrix& value, const Matrix& advantage);
 
-  // Shared body of PredictInto / PredictBatchInto; `batched` routes the
-  // trunk and heads through the row-bit-stable batched kernels.
+  // Shared body of Predict / PredictBatchInto; `batched` routes the trunk
+  // and heads through the row-bit-stable batched kernels.
   void PredictImpl(int rows, const float* states, InferenceArena* arena,
                    float* q_out, bool batched) const;
 

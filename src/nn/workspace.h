@@ -8,12 +8,13 @@
 namespace pafeat {
 
 // Bump allocator over persistent slabs: the scratch space behind the
-// allocation-free inference paths (Mlp::PredictInto, DuelingNet::PredictInto,
-// DqnAgent::Act). Buffers are carved with Alloc and released in LIFO order by
-// rewinding to a Mark (usually via ArenaScope), so once the slabs have grown
-// to a call pattern's high-water mark, repeated inference performs no heap
-// allocations at all. Slabs never move or shrink — pointers from Alloc stay
-// valid until their scope is rewound even if a later Alloc grows the arena.
+// allocation-free inference paths (Mlp::PredictInto,
+// DuelingNet::PredictBatchInto, DqnAgent::ActBatch). Buffers are carved with
+// Alloc and released in LIFO order by rewinding to a Mark (usually via
+// ArenaScope), so once the slabs have grown to a call pattern's high-water
+// mark, repeated inference performs no heap allocations at all. Slabs never
+// move or shrink — pointers from Alloc stay valid until their scope is
+// rewound even if a later Alloc grows the arena.
 //
 // Not thread-safe; every thread uses its own arena (ThreadLocal), which is
 // how episode fan-out and pool-split kernels stay race-free without locks.

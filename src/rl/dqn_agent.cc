@@ -25,16 +25,6 @@ float DqnAgent::CurrentEpsilon() const {
                                         config_.epsilon_start));
 }
 
-int DqnAgent::Act(const std::vector<float>& observation, Rng* rng,
-                  bool greedy) const {
-  if (!greedy && rng->Bernoulli(CurrentEpsilon())) {
-    return rng->UniformInt(config_.net.num_actions);
-  }
-  int action = 0;
-  ActBatch(1, observation.data(), &action);
-  return action;
-}
-
 // Steady-state entry point of the batched inference plane: every per-step
 // greedy query in training and serving funnels through here, so it must
 // stay heap-quiet (arena scratch only) — enforced by pafeat-analyze
@@ -50,24 +40,13 @@ void DqnAgent::ActBatch(int rows, const float* observations,
   online_->PredictBatchInto(rows, observations, arena, q);
   for (int r = 0; r < rows; ++r) {
     const float* q_row = q + static_cast<std::size_t>(r) * num_actions;
-    // First-max tie-breaking, matching the historical single-row argmax.
+    // First-max tie-breaking.
     int best = 0;
     for (int a = 1; a < num_actions; ++a) {
       if (q_row[a] > q_row[best]) best = a;
     }
     actions[r] = best;
   }
-}
-
-std::vector<float> DqnAgent::QValues(
-    const std::vector<float>& observation) const {
-  std::vector<float> values(config_.net.num_actions);
-  QValuesInto(observation.data(), values.data());
-  return values;
-}
-
-void DqnAgent::QValuesInto(const float* observation, float* q_out) const {
-  QValuesBatchInto(1, observation, q_out);
 }
 
 void DqnAgent::QValuesBatchInto(int rows, const float* observations,

@@ -28,9 +28,9 @@ void EpisodeDriver::StartFrom(const EnvState& state,
 bool EpisodeDriver::PlanStep(float epsilon) {
   PF_DCHECK(!env_.Done());
   PF_DCHECK_LT(pending_action_, 0);
-  // Draw order matches the blocking path exactly: a random-policy rollout
-  // draws only the action; a policy step draws the epsilon Bernoulli and,
-  // when exploring, the random action — in that order, on this stream.
+  // A random-policy rollout draws only the action; a policy step draws the
+  // epsilon Bernoulli and, when exploring, the random action — in that
+  // order, on this stream.
   if (random_policy_) {
     pending_action_ = rng_.UniformInt(kNumActions);
     return false;

@@ -11,35 +11,33 @@
 namespace pafeat {
 
 // Resumable episode state machine for the batched inference plane (DESIGN.md
-// "Batched inference plane"). Where the legacy path ran one blocking episode
-// per worker — each step issuing its own single-row Q query — a driver holds
-// the episode's environment copy, its forked RNG stream, and its partial
-// trajectory, and is advanced one step at a time by the iteration loop:
+// "Batched inference plane"). A driver holds the episode's environment copy,
+// its forked RNG stream, and its partial trajectory, and is advanced one
+// step at a time by the iteration loop:
 //
 //   1. PlanStep(epsilon)   serial, in plan order: draws this step's
 //                          exploration decision from the episode stream
-//                          (exactly the Bernoulli/UniformInt sequence the
-//                          blocking RunEpisode drew in-episode) and returns
-//                          true when the step needs a greedy Q query;
+//                          and returns true when the step needs a greedy
+//                          Q query;
 //   2. WriteObservation /  the caller gathers all querying drivers'
 //      SetPlannedAction    observations into one batch, runs a single
 //                          DqnAgent::ActBatch, and hands each driver its
 //                          argmax;
 //   3. ApplyAction         parallel-safe: steps the private environment,
-//                          shapes the reward (the only other draw on the
-//                          episode stream, in the legacy order), and records
-//                          the transition.
+//                          shapes the reward, and records the transition.
 //
-// Because every random draw happens either in plan order (steps 1) or on the
-// episode's own stream in the legacy in-episode order (shaping in step 3),
-// and because batched Q rows are bit-identical to single-row queries, the
-// trajectory a driver produces is bit-identical to the blocking RunEpisode
-// for the same plan — at any thread count and any batch composition.
+// Draw order on the episode stream, per step: a random-policy rollout draws
+// its action (UniformInt); a policy step draws the epsilon Bernoulli and,
+// when exploring, the action (UniformInt) — both in PlanStep — and then the
+// reward shaper draws whatever it consumes in ApplyAction. Every draw comes
+// from the episode's own stream in that order, and batched Q rows carry the
+// bits of a one-row query, so a driver's trajectory is a function of its
+// plan alone — the same at any thread count and any batch composition.
 class EpisodeDriver {
  public:
   // Reward hook applied to the raw environment reward before it is stored;
-  // may draw from the episode stream (same order as the legacy in-episode
-  // Shape call). Empty = store the raw reward.
+  // may draw from the episode stream (after the step's PlanStep draws).
+  // Empty = store the raw reward.
   using RewardShapeFn = std::function<double(double raw_reward, Rng* rng)>;
 
   // Copies `env` (a representation vector, the state, and the first-layer
@@ -53,8 +51,7 @@ class EpisodeDriver {
   void StartDefault();
   // Customized initial state with its decision prefix and policy flag (the
   // ITE entry point). A degenerate state that is already terminal falls
-  // back to the default initial state, discarding prefix and flag — the
-  // same fallback the blocking path applied.
+  // back to the default initial state, discarding prefix and flag.
   void StartFrom(const EnvState& state, const std::vector<int>& prefix,
                  bool random_policy);
 

@@ -432,10 +432,6 @@ bool ParseSimdCapability(const char* name, SimdCapability* level) {
   return false;
 }
 
-bool UsingAvx2() {
-  return Impl().capability >= SimdCapability::kAvx2;
-}
-
 bool GemmNTRowwiseAt(SimdCapability level, int m, int n, int p,
                      const float* a, int lda, const float* b, int ldb,
                      float* c, int ldc) {

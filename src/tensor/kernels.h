@@ -123,10 +123,6 @@ const char* SimdCapabilityName(SimdCapability level);
 // untouched) on anything else.
 bool ParseSimdCapability(const char* name, SimdCapability* level);
 
-// True when the active level is at least AVX2 (legacy spelling, kept for
-// tests and bench labeling that predate the ladder).
-bool UsingAvx2();
-
 // Test-only direct entry points: run one capability level's single-threaded
 // core, bypassing dispatch and the thread-pool row split. Return false
 // without touching C when the level is unavailable on this host. These exist

@@ -1,11 +1,16 @@
-// Bitwise equivalence of the batched inference plane against the legacy
-// single-row path, at every layer of the stack (DESIGN.md "Batched inference
-// plane"): the row-wise GEMM core, DuelingNet::PredictBatchInto,
-// DqnAgent::ActBatch, the multi-task greedy scan, and full training
-// iterations with batched episode collection on and off. "Equal" here always
-// means bit-identical floats, not merely close.
+// The batched inference plane (DESIGN.md "Batched inference plane"): every
+// layer of the stack produces row bits that do not depend on the batch
+// composition — the row-wise GEMM core, DuelingNet::PredictBatchInto,
+// DqnAgent::ActBatch and the multi-task greedy scan — and full training
+// through the one episode-collection path reproduces frozen digests at any
+// thread and shard count. "Equal" here always means bit-identical floats,
+// not merely close.
 
+#include <cstdint>
 #include <cstring>
+#include <iomanip>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,12 +20,15 @@
 #include "core/defaults.h"
 #include "core/feat.h"
 #include "core/greedy_policy.h"
+#include "core/pafeat.h"
 #include "data/synthetic.h"
+#include "golden/training_digests.h"
 #include "nn/dueling_net.h"
 #include "nn/workspace.h"
 #include "rl/dqn_agent.h"
 #include "rl/fs_env.h"
 #include "tensor/kernels.h"
+#include "tensor/matrix.h"
 
 namespace pafeat {
 namespace {
@@ -88,6 +96,8 @@ DuelingNetConfig SmallNetConfig(int input_dim) {
   return config;
 }
 
+// The batched forward against the net's matrix path (Predict): row r of a
+// batch carries exactly the bits of a one-row Predict of that row.
 TEST(BatchedInferenceTest, PredictBatchIntoRowsMatchSingleRowPredictInto) {
   Rng rng(0xd0e);
   const int obs_dim = 23;
@@ -100,10 +110,10 @@ TEST(BatchedInferenceTest, PredictBatchIntoRowsMatchSingleRowPredictInto) {
     std::vector<float> batched(static_cast<size_t>(rows) * kNumActions);
     net.PredictBatchInto(rows, states.data(), arena, batched.data());
     for (int r = 0; r < rows; ++r) {
-      std::vector<float> single(kNumActions);
-      // lint: allow(single-row-q): legacy reference for the equivalence test
-      net.PredictInto(1, states.data() + static_cast<size_t>(r) * obs_dim,
-                      arena, single.data());
+      Matrix row(1, obs_dim);
+      std::memcpy(row.data(), states.data() + static_cast<size_t>(r) * obs_dim,
+                  sizeof(float) * obs_dim);
+      const Matrix single = net.Predict(row);
       ASSERT_EQ(std::memcmp(batched.data() + static_cast<size_t>(r) *
                                                  kNumActions,
                             single.data(), sizeof(float) * kNumActions),
@@ -124,21 +134,23 @@ TEST(BatchedInferenceTest, ActBatchMatchesGreedyActPerRow) {
       RandomVec(static_cast<size_t>(rows) * 23, &rng);
   std::vector<int> batched(rows);
   agent.ActBatch(rows, observations.data(), batched.data());
+  std::vector<float> batched_q(static_cast<size_t>(rows) * kNumActions);
+  agent.QValuesBatchInto(rows, observations.data(), batched_q.data());
   for (int r = 0; r < rows; ++r) {
-    const std::vector<float> observation(
-        observations.begin() + static_cast<size_t>(r) * 23,
-        observations.begin() + static_cast<size_t>(r + 1) * 23);
-    Rng unused(0);
-    EXPECT_EQ(batched[r], agent.Act(observation, &unused, /*greedy=*/true))
-        << "row " << r;
+    const float* observation =
+        observations.data() + static_cast<size_t>(r) * 23;
+    int single = -1;
+    agent.ActBatch(1, observation, &single);
+    EXPECT_EQ(batched[r], single) << "row " << r;
     // And the Q-values behind the argmax agree bit-for-bit with the batch.
-    std::vector<float> single(kNumActions);
-    agent.QValuesInto(observation.data(), single.data());
-    std::vector<float> from_batch(kNumActions);
-    agent.QValuesBatchInto(1, observation.data(), from_batch.data());
-    EXPECT_EQ(std::memcmp(single.data(), from_batch.data(),
+    std::vector<float> single_q(kNumActions);
+    agent.QValuesBatchInto(1, observation, single_q.data());
+    EXPECT_EQ(std::memcmp(single_q.data(),
+                          batched_q.data() + static_cast<size_t>(r) *
+                                                 kNumActions,
                           sizeof(float) * kNumActions),
-              0);
+              0)
+        << "row " << r;
   }
 }
 
@@ -170,11 +182,10 @@ SyntheticDataset SmallDataset() {
   return GenerateSynthetic(spec);
 }
 
-FeatConfig SmallFeatConfig(bool batched, int threads) {
+FeatConfig SmallFeatConfig(int threads) {
   FeatConfig config = DefaultFeatOptions(50, 23).feat;
   config.envs_per_iteration = 4;
   config.max_feature_ratio = 0.5;
-  config.batched_inference = batched;
   config.num_threads = threads;
   return config;
 }
@@ -222,48 +233,185 @@ void ExpectIdenticalTraining(Feat* a, Feat* b, const FsProblem& problem,
   }
 }
 
+// FNV-1a 64 over raw bytes: the training goldens' digest.
+class Fnv1a64 {
+ public:
+  void Bytes(const void* data, size_t size) {
+    const auto* bytes = static_cast<const uint8_t*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ = (hash_ ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  }
+  template <typename T>
+  void Scalar(T value) {
+    Bytes(&value, sizeof(value));
+  }
+  void Mask(const FeatureMask& mask) { Bytes(mask.data(), mask.size()); }
+  void State(const EnvState& state) {
+    Scalar<int32_t>(state.position);
+    Mask(state.mask);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// The two training configurations the goldens pin: plain FEAT (uniform
+// scheduler) and the full PaFeat method, whose ITS probabilities and ITE
+// initial states both feed back from the replay buffers.
+enum class GoldenMethod { kFeat, kPaFeat };
+
+struct GoldenRun {
+  GoldenMethod method;
+  int num_threads;
+  int num_shards;
+};
+
+std::string Describe(const GoldenRun& run) {
+  std::ostringstream out;
+  out << (run.method == GoldenMethod::kFeat
+              ? "Feat (DefaultFeatOptions(50, 23), 4 envs)"
+              : "PaFeat ITS+ITE (DefaultFeatOptions(60, 23), 8 envs)")
+      << " num_threads=" << run.num_threads
+      << " num_shards=" << run.num_shards << " simd="
+      << kernels::SimdCapabilityName(kernels::ActiveSimdCapability());
+  return out.str();
+}
+
+// Runs 10 training iterations and digests, in order: each iteration's mean
+// loss and episode count (plus its task probabilities when asked); the
+// online parameters; every stored trajectory's return and transitions
+// (positions, masks, action, reward bits, done); and each unseen task's
+// greedy selection.
+uint64_t DigestTraining(Feat* feat, const FsProblem& problem,
+                        const std::vector<int>& unseen,
+                        bool with_task_probabilities) {
+  Fnv1a64 digest;
+  for (int iteration = 0; iteration < 10; ++iteration) {
+    const IterationStats stats = feat->RunIteration();
+    digest.Scalar(stats.mean_loss);
+    digest.Scalar<int32_t>(stats.episodes);
+    if (with_task_probabilities) {
+      for (double p : stats.task_probabilities) digest.Scalar(p);
+    }
+  }
+  for (float parameter : feat->agent().online_net().SerializeParams()) {
+    digest.Scalar(parameter);
+  }
+  for (int slot = 0; slot < feat->num_tasks(); ++slot) {
+    feat->task_runtime(slot).buffer->ForEachStored(
+        [&](const Trajectory& trajectory, double) {
+          digest.Scalar(trajectory.episode_return);
+          for (const Transition& transition : trajectory.transitions) {
+            digest.State(transition.state);
+            digest.State(transition.next_state);
+            digest.Scalar<int32_t>(transition.action);
+            digest.Scalar(transition.reward);
+            digest.Scalar<uint8_t>(transition.done ? 1 : 0);
+          }
+        });
+  }
+  for (int label_index : unseen) {
+    digest.Mask(feat->SelectForRepresentation(
+        problem.ComputeTaskRepresentation(label_index)));
+  }
+  return digest.value();
+}
+
+// Trains the golden configuration on a fresh problem and digests it.
+uint64_t TrainingDigest(const GoldenRun& run) {
+  const SyntheticDataset dataset = SmallDataset();
+  FsProblem problem(dataset.table, DefaultProblemConfig(true), 19);
+  PaFeatConfig config;
+  if (run.method == GoldenMethod::kFeat) {
+    config.feat = SmallFeatConfig(run.num_threads);
+    config.use_its = false;
+    config.use_ite = false;
+  } else {
+    config.feat = DefaultFeatOptions(60, 23).feat;
+    config.feat.envs_per_iteration = 8;
+    config.feat.num_threads = run.num_threads;
+  }
+  config.feat.num_shards = run.num_shards;
+  PaFeat pafeat(&problem, dataset.SeenTaskIndices(), config);
+  return DigestTraining(&pafeat.feat(), problem, dataset.UnseenTaskIndices(),
+                        run.method == GoldenMethod::kPaFeat);
+}
+
+// The frozen value for the active SIMD level: generic has its own, and the
+// avx512 fp32 kernels replay avx2's operation sequence, so they share one.
+uint64_t ExpectedDigest(const golden::TrainingGolden& golden) {
+  return kernels::ActiveSimdCapability() >= kernels::SimdCapability::kAvx2
+             ? golden.avx2
+             : golden.generic;
+}
+
+void ExpectGolden(GoldenMethod method, const golden::TrainingGolden& golden) {
+  const uint64_t expected = ExpectedDigest(golden);
+  for (const GoldenRun run :
+       {GoldenRun{method, 1, 1}, GoldenRun{method, 8, 1},
+        GoldenRun{method, 1, 4}, GoldenRun{method, 8, 4}}) {
+    const uint64_t digest = TrainingDigest(run);
+    std::ostringstream hex;
+    hex << "0x" << std::hex << std::setw(16) << std::setfill('0') << digest;
+    EXPECT_EQ(digest, expected)
+        << "computed " << hex.str() << " for " << Describe(run);
+  }
+}
+
+// One collection path pinned by frozen digests: training at {1, 8}
+// threads x {1, 4} shards must reproduce the recorded run bit for bit.
+TEST(TrainingGoldenTest, FeatMatchesGolden) {
+  ExpectGolden(GoldenMethod::kFeat, golden::kFeatTraining);
+}
+
+TEST(TrainingGoldenTest, PaFeatMatchesGolden) {
+  ExpectGolden(GoldenMethod::kPaFeat, golden::kPaFeatTraining);
+}
+
 class BatchedTrainingTest : public ::testing::Test {
  protected:
   BatchedTrainingTest()
       : dataset_(SmallDataset()),
         problem_(dataset_.table, DefaultProblemConfig(true), 19) {}
 
+  // The legacy side is the Feat golden, recorded from the blocking
+  // reference loop at one thread (tests/golden/training_digests.h).
+  void ExpectMatchesLegacy(Feat* feat) {
+    const uint64_t digest = DigestTraining(
+        feat, problem_, dataset_.UnseenTaskIndices(),
+        /*with_task_probabilities=*/false);
+    EXPECT_EQ(digest, ExpectedDigest(golden::kFeatTraining))
+        << "num_threads=" << feat->config().num_threads;
+  }
+
   SyntheticDataset dataset_;
   FsProblem problem_;
 };
 
-// The tentpole guarantee: batched step-synchronous collection produces the
-// same trajectories, buffers, parameters, and selections as the legacy
-// blocking path — the batching is a pure execution-plan change.
+// Step-synchronous batched collection produces the same trajectories,
+// buffers, parameters, and selections as the blocking reference loop it
+// replaced — the batching is a pure execution-plan change.
 TEST_F(BatchedTrainingTest, BatchedMatchesLegacyBitwise) {
-  Feat batched(&problem_, dataset_.SeenTaskIndices(),
-               SmallFeatConfig(/*batched=*/true, /*threads=*/1));
-  Feat legacy(&problem_, dataset_.SeenTaskIndices(),
-              SmallFeatConfig(/*batched=*/false, /*threads=*/1));
-  ExpectIdenticalTraining(&batched, &legacy, problem_,
-                          dataset_.UnseenTaskIndices());
+  Feat batched(&problem_, dataset_.SeenTaskIndices(), SmallFeatConfig(1));
+  ExpectMatchesLegacy(&batched);
 }
 
 // And the thread-count half of the contract, through the batched plane: the
 // parallel environment-step phase must not reach results.
 TEST_F(BatchedTrainingTest, BatchedBitIdenticalAcrossThreadCounts) {
-  Feat serial(&problem_, dataset_.SeenTaskIndices(),
-              SmallFeatConfig(/*batched=*/true, /*threads=*/1));
-  Feat pooled(&problem_, dataset_.SeenTaskIndices(),
-              SmallFeatConfig(/*batched=*/true, /*threads=*/8));
+  Feat serial(&problem_, dataset_.SeenTaskIndices(), SmallFeatConfig(1));
+  Feat pooled(&problem_, dataset_.SeenTaskIndices(), SmallFeatConfig(8));
   ExpectIdenticalTraining(&serial, &pooled, problem_,
                           dataset_.UnseenTaskIndices());
 }
 
-// Cross shape: multi-threaded batched vs single-threaded legacy — the two
-// ends of the execution-plan space.
+// Cross shape: multi-threaded batched vs the single-threaded reference loop
+// — the two ends of the execution-plan space.
 TEST_F(BatchedTrainingTest, PooledBatchedMatchesSerialLegacy) {
-  Feat batched(&problem_, dataset_.SeenTaskIndices(),
-               SmallFeatConfig(/*batched=*/true, /*threads=*/8));
-  Feat legacy(&problem_, dataset_.SeenTaskIndices(),
-              SmallFeatConfig(/*batched=*/false, /*threads=*/1));
-  ExpectIdenticalTraining(&batched, &legacy, problem_,
-                          dataset_.UnseenTaskIndices());
+  Feat pooled(&problem_, dataset_.SeenTaskIndices(), SmallFeatConfig(8));
+  ExpectMatchesLegacy(&pooled);
 }
 
 }  // namespace

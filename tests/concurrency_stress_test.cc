@@ -234,13 +234,13 @@ TEST(ConcurrencyStressTest, SubsetEvaluatorStampedeStress) {
 
 // The batched inference plane's rendezvous under contention: every step
 // alternates a serial batched forward pass with a parallel environment-step
-// fan-out over the same drivers (core/feat.cc CollectEpisodesBatched). With
+// fan-out over the same drivers (core/feat.cc CollectShard). With
 // more episodes than the per-iteration default and more workers than
 // episodes, TSan sees the full hand-off pattern — driver state written on
 // the main thread (planned actions), read and advanced on pool workers,
-// then read again on the main thread next step. The serial/batched and
-// 1-vs-8-thread runs must also stay bit-identical through the stress
-// (the full field-by-field equivalence lives in batched_inference_test.cc).
+// then read again on the main thread next step. The 1-vs-8-thread runs must
+// also stay bit-identical through the stress (TrainingGoldenTest pins the
+// full field-by-field digests).
 TEST(ConcurrencyStressTest, BatchedCollectionRendezvousStress) {
   SyntheticSpec spec;
   spec.num_instances = 240;
@@ -254,7 +254,6 @@ TEST(ConcurrencyStressTest, BatchedCollectionRendezvousStress) {
   FeatConfig base = DefaultFeatOptions(60, 29).feat;
   base.envs_per_iteration = 8;  // wider batches than the small-test default
   base.max_feature_ratio = 0.5;
-  base.batched_inference = true;
 
   FeatConfig serial_config = base;
   serial_config.num_threads = 1;

@@ -275,8 +275,11 @@ TEST_F(FeatTest, TrainBitIdenticalAcrossThreadCounts) {
     // greedy selections must be bit-identical, not merely argmax-equal.
     std::vector<float> observation(2 * repr.size() + 3, 0.0f);
     std::copy(repr.begin(), repr.end(), observation.begin());
-    EXPECT_EQ(serial.agent().QValues(observation),
-              pooled.agent().QValues(observation));
+    std::vector<float> serial_q(kNumActions);
+    std::vector<float> pooled_q(kNumActions);
+    serial.agent().QValuesBatchInto(1, observation.data(), serial_q.data());
+    pooled.agent().QValuesBatchInto(1, observation.data(), pooled_q.data());
+    EXPECT_EQ(serial_q, pooled_q);
   }
 }
 
@@ -311,11 +314,11 @@ TEST_F(FeatTest, IterationStatsReportCacheTrafficDeltas) {
   EXPECT_GT(total_hits, 0);
 }
 
-TEST_F(FeatTest, TrainWithStatsAggregatesIterationStats) {
-  // Train() keeps only mean seconds; TrainWithStats must reconcile with the
-  // per-iteration stream it folds (episodes, losses, cache traffic).
+TEST_F(FeatTest, TrainAggregatesIterationStats) {
+  // Train's statistics must reconcile with the per-iteration stream it
+  // folds (episodes, losses, cache traffic).
   Feat feat(&problem_, dataset_.SeenTaskIndices(), SmallFeatConfig());
-  const TrainingStats totals = feat.TrainWithStats(6);
+  const TrainingStats totals = feat.Train(6);
   EXPECT_EQ(totals.iterations, 6);
   EXPECT_EQ(totals.episodes, 18);  // 6 iterations x 3 envs
   EXPECT_GT(totals.total_seconds, 0.0);
@@ -328,7 +331,7 @@ TEST_F(FeatTest, TrainWithStatsAggregatesIterationStats) {
   EXPECT_LT(rate, 1.0);  // misses above, so never exactly 1
 
   // Identical run: the aggregate must match a hand-folded RunIteration
-  // stream and Train()'s mean-seconds contract stays the aggregate's field.
+  // stream.
   Feat replay(&problem_, dataset_.SeenTaskIndices(), SmallFeatConfig());
   int episodes = 0;
   double loss_sum = 0.0;

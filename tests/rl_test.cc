@@ -273,6 +273,21 @@ DqnConfig SmallDqnConfig(int obs_dim) {
   return config;
 }
 
+// One observation through the batched plane as a batch of one.
+std::vector<float> QValuesOf(const DqnAgent& agent,
+                             const std::vector<float>& observation) {
+  std::vector<float> q(agent.config().net.num_actions);
+  agent.QValuesBatchInto(1, observation.data(), q.data());
+  return q;
+}
+
+int GreedyAction(const DqnAgent& agent,
+                 const std::vector<float>& observation) {
+  int action = -1;
+  agent.ActBatch(1, observation.data(), &action);
+  return action;
+}
+
 TEST(DqnAgentTest, EpsilonDecaysLinearly) {
   Rng rng(31);
   DqnAgent agent(SmallDqnConfig(4), &rng);
@@ -292,8 +307,8 @@ TEST(DqnAgentTest, GreedyActionIsArgmaxQ) {
   Rng rng(33);
   DqnAgent agent(SmallDqnConfig(4), &rng);
   const std::vector<float> obs = {0.5f, -0.3f, 0.1f, 0.9f};
-  const std::vector<float> q = agent.QValues(obs);
-  const int greedy = agent.Act(obs, &rng, /*greedy=*/true);
+  const std::vector<float> q = QValuesOf(agent, obs);
+  const int greedy = GreedyAction(agent, obs);
   EXPECT_EQ(greedy, q[1] > q[0] ? 1 : 0);
 }
 
@@ -314,10 +329,10 @@ TEST(DqnAgentTest, LearnsActionValuesOnBandit) {
     batch.push_back(item);
   }
   for (int step = 0; step < 300; ++step) agent.TrainBatch(batch);
-  const std::vector<float> q = agent.QValues({1.0f, 0.0f, 0.0f});
+  const std::vector<float> q = QValuesOf(agent, {1.0f, 0.0f, 0.0f});
   EXPECT_NEAR(q[1], 1.0f, 0.1f);
   EXPECT_NEAR(q[0], 0.0f, 0.1f);
-  EXPECT_EQ(agent.Act({1.0f, 0.0f, 0.0f}, &rng, true), 1);
+  EXPECT_EQ(GreedyAction(agent, {1.0f, 0.0f, 0.0f}), 1);
 }
 
 TEST(DqnAgentTest, BootstrapsThroughNonTerminalStates) {
@@ -356,8 +371,8 @@ TEST(DqnAgentTest, BootstrapsThroughNonTerminalStates) {
     batch.push_back(null_b);
   }
   for (int step = 0; step < 500; ++step) agent.TrainBatch(batch);
-  EXPECT_NEAR(agent.QValues({0.0f, 1.0f})[1], 1.0f, 0.15f);
-  EXPECT_NEAR(agent.QValues({1.0f, 0.0f})[1], 0.5f, 0.15f);
+  EXPECT_NEAR(QValuesOf(agent, {0.0f, 1.0f})[1], 1.0f, 0.15f);
+  EXPECT_NEAR(QValuesOf(agent, {1.0f, 0.0f})[1], 0.5f, 0.15f);
 }
 
 TEST(DqnAgentTest, TrainReducesLoss) {
@@ -398,7 +413,7 @@ TEST(DqnAgentTest, DoubleDqnLearnsBanditToo) {
     batch.push_back(item);
   }
   for (int step = 0; step < 300; ++step) agent.TrainBatch(batch);
-  const std::vector<float> q = agent.QValues({1.0f, 0.0f, 0.0f});
+  const std::vector<float> q = QValuesOf(agent, {1.0f, 0.0f, 0.0f});
   EXPECT_NEAR(q[1], 1.0f, 0.1f);
   EXPECT_NEAR(q[0], 0.0f, 0.1f);
 }
@@ -439,8 +454,8 @@ TEST(DqnAgentTest, DoubleDqnBootstrapsChain) {
     batch.push_back(null_b);
   }
   for (int step = 0; step < 500; ++step) agent.TrainBatch(batch);
-  EXPECT_NEAR(agent.QValues({0.0f, 1.0f})[1], 1.0f, 0.15f);
-  EXPECT_NEAR(agent.QValues({1.0f, 0.0f})[1], 0.5f, 0.15f);
+  EXPECT_NEAR(QValuesOf(agent, {0.0f, 1.0f})[1], 1.0f, 0.15f);
+  EXPECT_NEAR(QValuesOf(agent, {1.0f, 0.0f})[1], 0.5f, 0.15f);
 }
 
 TEST(DqnAgentTest, PopArtStatsTrackTargets) {

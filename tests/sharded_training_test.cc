@@ -185,26 +185,6 @@ TEST(ShardedTrainingTest, RewardShaperBitIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ShardedTrainingTest, ShardParallelismCapDoesNotChangeResults) {
-  // Capping the fan-out executors only changes which thread collects which
-  // shard, never the merge order.
-  const TrainOutcome base =
-      RunTraining(1, /*use_its=*/true, /*use_shaper=*/false, 8);
-  SyntheticDataset dataset = ShardDataset();
-  FsProblem problem(dataset.table, DefaultProblemConfig(true), 19);
-  FeatConfig config = ShardFeatConfig(8);
-  config.shard_parallelism = 2;
-  Feat feat(&problem, dataset.SeenTaskIndices(), config);
-  feat.SetScheduler(std::make_unique<ItsScheduler>(4));
-  TrainOutcome capped;
-  for (int i = 0; i < 8; ++i) capped.stats.push_back(feat.RunIteration());
-  capped.params = feat.agent().online_net().SerializeParams();
-  capped.buffers = DumpReplayBuffers(feat);
-  TrainOutcome trimmed = base;
-  trimmed.stats.resize(8);
-  ExpectSameOutcome(trimmed, capped, 8);
-}
-
 TEST(ShardedTrainingTest, PaFeatFullMethodMatchesSingleShard) {
   // The complete method (ITS + ITE initial states) through the PaFeat
   // facade: the Experience-Tree consumes trajectories in commit order, so a

@@ -5,6 +5,7 @@
 // still load (cold), and plain LoadCheckpoint ignores the v3 trailer.
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -20,6 +21,7 @@
 #include "core/defaults.h"
 #include "core/pafeat.h"
 #include "data/synthetic.h"
+#include "memory/persistence.h"
 
 namespace pafeat {
 namespace {
@@ -67,6 +69,61 @@ std::string DumpRun(Feat& feat) {
     });
   }
   return out.str();
+}
+
+// Where one length field of a serialized training state sits, and the
+// field name the loader's error must carry when the count is corrupt.
+struct LengthField {
+  const char* name;
+  std::size_t offset;
+  std::size_t width;  // 8 for the agent vectors' counts, else 4
+};
+
+// Walks a valid PaFeat training-state blob (Feat::SerializeTrainingState's
+// layout, then the E-Tree section at `feat_bytes`) and records every kind
+// of length field: the agent vectors, then the first task's recent
+// returns, trajectories, first trajectory's transitions and reward-cache
+// entries, and the first E-Tree's node count.
+std::vector<LengthField> LocateLengthFields(
+    const std::vector<std::uint8_t>& blob, std::size_t feat_bytes,
+    std::size_t num_features) {
+  ByteReader in(blob);
+  std::vector<std::uint8_t> sink;
+  const auto skip = [&](std::size_t bytes) {
+    sink.resize(bytes);
+    if (bytes > 0) in.Raw(sink.data(), bytes);
+  };
+  const auto offset = [&] { return blob.size() - in.remaining(); };
+  std::vector<LengthField> fields;
+  const auto vector_field = [&](const char* name, std::size_t element) {
+    fields.push_back({name, offset(), 8});
+    const std::uint64_t count = in.U64();
+    skip(count * element);
+    return count;
+  };
+  skip(4 + 4 + 6 * 8 + 8 + 8);  // magic, version, RNG, iteration, steps
+  vector_field("target parameters", sizeof(float));
+  skip(8);  // Adam step
+  vector_field("optimizer moments", sizeof(float));
+  vector_field("optimizer moments", sizeof(float));
+  const std::uint64_t popart_tasks =
+      vector_field("PopArt statistics", sizeof(double));
+  vector_field("PopArt statistics", sizeof(double));
+  skip(popart_tasks + 4 + 4 + 4);  // PopArt flags, features, tasks, label
+  fields.push_back({"recent-return count", offset(), 4});
+  skip(in.U32() * sizeof(double));
+  fields.push_back({"trajectory count", offset(), 4});
+  const std::uint32_t trajectories = in.U32();
+  for (std::uint32_t t = 0; t < trajectories; ++t) {
+    skip(2 * sizeof(double));  // priority, return
+    if (t == 0) fields.push_back({"transition count", offset(), 4});
+    skip(in.U32() * (2 * (4 + num_features) + 4 + 4 + 1));
+  }
+  fields.push_back({"reward-cache entry count", offset(), 4});
+  fields.push_back({"E-Tree node count", feat_bytes + 1, 4});
+  EXPECT_TRUE(in.ok());
+  EXPECT_GT(trajectories, 0u) << "the walk needs a stored trajectory";
+  return fields;
 }
 
 class WarmResumeTest : public ::testing::Test {
@@ -200,6 +257,44 @@ TEST_F(WarmResumeTest, TruncatedTrainingStateIsRejected) {
   EXPECT_FALSE(LoadTrainingCheckpoint(path, &error).has_value());
   EXPECT_FALSE(error.empty());
   std::remove(path.c_str());
+}
+
+TEST_F(WarmResumeTest, InflatedLengthFieldsAreRejectedBeforeAllocating) {
+  // Every count must fit in the bytes left, so an inflated count fails
+  // instead of sizing gigabytes of containers first. In the whole blob the
+  // field's own check fires and names it; in a blob cut right after the
+  // field the load must fail too (an enclosing count may trip first).
+  PaFeat pafeat(&problem_a_, dataset_.SeenTaskIndices(), ResumeConfig());
+  pafeat.Train(2);
+  const std::vector<std::uint8_t> blob = pafeat.SerializeTrainingState();
+  ByteWriter feat_state;
+  pafeat.feat().SerializeTrainingState(&feat_state);
+  const std::vector<LengthField> fields = LocateLengthFields(
+      blob, feat_state.data().size(), problem_a_.num_features());
+  ASSERT_EQ(fields.size(), 10u);
+  for (const LengthField& field : fields) {
+    std::vector<std::uint8_t> hostile = blob;
+    if (field.width == 8) {
+      const std::uint64_t count = 1ull << 30;
+      std::memcpy(&hostile[field.offset], &count, sizeof(count));
+    } else {
+      const std::uint32_t count = 0x7fffffff;
+      std::memcpy(&hostile[field.offset], &count, sizeof(count));
+    }
+    for (const bool cut : {false, true}) {
+      if (cut) hostile.resize(field.offset + field.width);
+      PaFeat target(&problem_b_, dataset_.SeenTaskIndices(), ResumeConfig());
+      std::string error;
+      EXPECT_FALSE(target.RestoreTrainingState(hostile, &error))
+          << field.name << (cut ? " (cut)" : "");
+      EXPECT_FALSE(error.empty()) << field.name;
+      if (!cut) {
+        EXPECT_NE(error.find(field.name), std::string::npos)
+            << "error \"" << error << "\" for the " << field.name
+            << " at byte " << field.offset;
+      }
+    }
+  }
 }
 
 TEST_F(WarmResumeTest, RestoreRejectsMismatchedTaskList) {

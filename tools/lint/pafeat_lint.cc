@@ -8,9 +8,6 @@
 //   raw-thread      all parallelism flows through src/common/thread_pool.*
 //   unordered-iter  no iteration-order dependence on unordered containers
 //   raw-alloc       no raw new[]/malloc outside the tensor/arena layers
-//   single-row-q    no PredictInto(1, ...) Q queries outside the batched
-//                   inference plane (src/nn/); everything else funnels
-//                   through ActBatch/PredictBatchInto
 //   intrinsics-only-in-kernel-tus
 //                   SIMD intrinsics (_mm*/__m128/__m256/__m512/__mmask*)
 //                   appear only in the per-capability kernel TUs
@@ -215,19 +212,6 @@ int SelfTest() {
       {"tensor-exempt", "src/tensor/matrix.cc",
        "float* p = new float[128];\n", {}},
       {"arena-exempt", "src/nn/workspace.cc", "float* p = new float[8];\n",
-       {}},
-      {"single-row-q", "src/core/feat.cc",
-       "net.PredictInto(1, obs.data(), arena, q);\n", {"single-row-q"}},
-      {"single-row-q-batched-ok", "src/core/feat.cc",
-       "net.PredictBatchInto(1, obs.data(), arena, q);\n"
-       "net.PredictInto(rows, obs.data(), arena, q);\n",
-       {}},
-      {"single-row-q-plane-exempt", "src/nn/dueling_net.cc",
-       "trunk_.PredictInto(1, states, arena, features);\n", {}},
-      {"single-row-q-pragma", "tests/foo_test.cc",
-       "// lint: allow(single-row-q): legacy reference for the equivalence "
-       "test\n"
-       "net.PredictInto(1, obs.data(), arena, q);\n",
        {}},
       {"intrinsic-call-outside-kernels", "src/nn/quantized_net.cc",
        "__m256i v = _mm256_loadu_si256(p);\n",

@@ -18,7 +18,6 @@ constexpr char kRawThread[] = "raw-thread";
 constexpr char kUnorderedIter[] = "unordered-iter";
 constexpr char kRawAlloc[] = "raw-alloc";
 constexpr char kIncludeGuard[] = "include-guard";
-constexpr char kSingleRowQ[] = "single-row-q";
 constexpr char kIntrinsics[] = "intrinsics-only-in-kernel-tus";
 constexpr char kLintPragma[] = "lint-pragma";
 
@@ -37,12 +36,6 @@ constexpr char kRawAllocHint[] =
     "use std::vector / std::make_unique, Matrix (src/tensor/), or "
     "InferenceArena scratch (src/nn/workspace.h) so ASan/checked builds see "
     "every buffer";
-constexpr char kSingleRowQHint[] =
-    "route Q queries through the batched inference plane — DqnAgent::ActBatch "
-    "/ QValuesBatchInto or DuelingNet::PredictBatchInto (DESIGN.md \"Batched "
-    "inference plane\"); batched rows are bit-identical to single-row "
-    "queries. Legacy-reference call sites (e.g. equivalence tests) need "
-    "// lint: allow(single-row-q): <why>";
 constexpr char kIntrinsicsHint[] =
     "SIMD intrinsics live only in the per-capability kernel TUs "
     "(src/tensor/kernels_*.cc) selected by the SimdCapability dispatch "
@@ -73,11 +66,6 @@ bool RawThreadAllowed(const std::string& path) {
 }
 bool RawAllocAllowed(const std::string& path) {
   return Contains(path, "src/tensor/") || Contains(path, "src/nn/workspace.");
-}
-// The plane's own implementation (src/nn/) legitimately contains the
-// single-row delegation.
-bool SingleRowQAllowed(const std::string& path) {
-  return Contains(path, "src/nn/");
 }
 // Per-capability kernel TUs (kernels_generic.cc / kernels_avx2.cc /
 // kernels_avx512.cc and the shared kernels_impl.inl) own all intrinsics.
@@ -301,28 +289,7 @@ void CheckRawAlloc(const Ctx& ctx) {
   }
 }
 
-// --- R5: single-row Q queries ----------------------------------------------
-
-// Every Q query outside the plane's implementation must go through the
-// batched entry points; a literal `PredictInto(1, ...)` call re-opens the
-// per-step single-row path the batched plane retired.
-void CheckSingleRowQ(const Ctx& ctx) {
-  if (SingleRowQAllowed(ctx.file->norm_path)) return;
-  const std::vector<Token>& toks = *ctx.toks;
-  for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokKind::kIdentifier || t.text != "PredictInto") continue;
-    if (toks[i + 1].text != "(") continue;
-    if (toks[i + 2].text == "1" && toks[i + 3].text == ",") {
-      Report(ctx, t.line, kSingleRowQ,
-             "single-row PredictInto(1, ...) outside the batched inference "
-             "plane",
-             kSingleRowQHint);
-    }
-  }
-}
-
-// --- R6: SIMD intrinsics confined to kernel TUs ----------------------------
+// --- R5: SIMD intrinsics confined to kernel TUs ----------------------------
 
 // Vector intrinsic calls (_mm_* / _mm256_* / _mm512_*) and register types
 // (__m128* / __m256* / __m512* / __mmask*). Matching on the identifier prefix
@@ -354,7 +321,7 @@ void CheckIntrinsics(const Ctx& ctx) {
   }
 }
 
-// --- R7: include guards (the compile-alone half runs in CMake) -------------
+// --- R6: include guards (the compile-alone half runs in CMake) -------------
 
 std::string ExpectedGuard(const std::string& norm_path) {
   // src/common/rng.h -> PAFEAT_COMMON_RNG_H_ ; other top-level dirs keep
@@ -434,10 +401,10 @@ const std::vector<std::string>& KnownRules() {
   // known here so their `lint: allow` pragmas pass pragma hygiene when the
   // token stage lints a file that carries analyzer suppressions.
   static const std::vector<std::string> kRules = {
-      kRandomness,    kRawThread,       kUnorderedIter,
-      kRawAlloc,      kSingleRowQ,      kIntrinsics,
-      kIncludeGuard,  kLintPragma,      "rng-escape",
-      "borrow-across-mutation", "hot-path-alloc", "pool-reentrancy"};
+      kRandomness,   kRawThread,    kUnorderedIter,
+      kRawAlloc,     kIntrinsics,   kIncludeGuard,
+      kLintPragma,   "rng-escape",  "borrow-across-mutation",
+      "hot-path-alloc", "pool-reentrancy"};
   return kRules;
 }
 
@@ -449,7 +416,6 @@ std::vector<Finding> RunRules(const FileInput& file) {
   CheckRawThread(ctx);
   CheckUnorderedIter(ctx);
   CheckRawAlloc(ctx);
-  CheckSingleRowQ(ctx);
   CheckIntrinsics(ctx);
   CheckIncludeGuard(ctx);
 
@@ -478,9 +444,8 @@ std::vector<Finding> RunRules(const FileInput& file) {
           file.display_path, p.line, kLintPragma,
           "pragma names unknown rule '" + p.rule + "'",
           "known rules: randomness, raw-thread, unordered-iter, raw-alloc, "
-          "single-row-q, intrinsics-only-in-kernel-tus, include-guard, "
-          "rng-escape, borrow-across-mutation, hot-path-alloc, "
-          "pool-reentrancy"});
+          "intrinsics-only-in-kernel-tus, include-guard, rng-escape, "
+          "borrow-across-mutation, hot-path-alloc, pool-reentrancy"});
     } else if (p.justification.empty()) {
       kept.push_back(Finding{
           file.display_path, p.line, kLintPragma,
