@@ -14,7 +14,6 @@
 #include "core/feat.h"
 #include "data/stats.h"
 #include "data/synthetic.h"
-#include "memory/replay_store.h"
 #include "memory/reward_cache.h"
 #include "ml/masked_dnn.h"
 #include "ml/metrics.h"
@@ -26,6 +25,7 @@
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
 #include "rl/fs_env.h"
+#include "rl/replay_buffer.h"
 #include "tensor/kernels.h"
 
 namespace pafeat {
@@ -538,13 +538,10 @@ void BM_RewardCacheEpochSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_RewardCacheEpochSweep);
 
-// Trajectory append through the sharded store at several shard counts,
-// including the FIFO capacity eviction it triggers once full.
+// Trajectory append into a task's replay buffer, including the FIFO
+// capacity eviction it triggers once full.
 void BM_ReplayStoreAdd(benchmark::State& state) {
-  ReplayConfig config;
-  config.num_shards = static_cast<int>(state.range(0));
-  config.capacity_transitions = 4096;
-  ShardedTrajectoryStore store(config);
+  ReplayBuffer buffer(/*capacity_transitions=*/4096);
   Trajectory trajectory;
   trajectory.episode_return = 0.5;
   for (int t = 0; t < 16; ++t) {
@@ -555,11 +552,11 @@ void BM_ReplayStoreAdd(benchmark::State& state) {
     trajectory.transitions.push_back(std::move(transition));
   }
   for (auto _ : state) {
-    store.Add(trajectory, 0.5);
+    buffer.AddTrajectory(trajectory, 0.5);
   }
   state.SetItemsProcessed(state.iterations() * 16);
 }
-BENCHMARK(BM_ReplayStoreAdd)->Arg(1)->Arg(4);
+BENCHMARK(BM_ReplayStoreAdd);
 
 // Fig7-scale training iterations under tight cache + replay budgets: the
 // whole bounded plane end to end. 40 warmup iterations run untimed so the

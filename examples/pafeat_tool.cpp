@@ -16,6 +16,7 @@
 // "label:"), or ARFF (Mulan) via --arff_labels N (last-N-attributes
 // convention).
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -80,9 +81,9 @@ int RunDemo(const std::string& data_path) {
   return 0;
 }
 
-// Converts a --max_cache_mb / --replay_budget_mb flag value to the budget
-// convention of memory/budget.h: negative leaves the resolution chain
-// untouched, 0 is an explicit "unlimited", positive is megabytes.
+// Converts a --max_cache_mb flag value to the budget convention of
+// memory/budget.h: negative leaves the resolution chain untouched, 0 is an
+// explicit "unlimited", positive is megabytes.
 long long BudgetMbToBytes(int mb) {
   if (mb < 0) return kMemoryBudgetDefault;
   if (mb == 0) return kMemoryBudgetUnlimited;
@@ -115,7 +116,10 @@ int RunTrain(const Table& table, const std::string& labels_csv,
   config.feat = DefaultFeatOptions(iterations,
                                    static_cast<uint64_t>(seed) + 1).feat;
   config.feat.max_feature_ratio = mfr;
-  config.feat.replay_budget_bytes = BudgetMbToBytes(replay_budget_mb);
+  if (replay_budget_mb > 0) {
+    config.feat.replay_budget_bytes =
+        static_cast<std::size_t>(replay_budget_mb) * 1024 * 1024;
+  }
   if (num_threads < 1) {
     std::fprintf(stderr, "--num_threads must be >= 1\n");
     return 1;
@@ -252,8 +256,8 @@ int main(int argc, char** argv) {
                "train: per-task reward-cache budget in MB (0 = unlimited, "
                "-1 = default chain; results are identical at any budget)");
   flags.AddInt("replay_budget_mb", &replay_budget_mb,
-               "train: per-task replay-buffer budget in MB (0 = unlimited, "
-               "-1 = default chain)");
+               "train: per-task replay-buffer budget in MB (0 or less = "
+               "unlimited)");
   flags.AddInt("arff_labels", &arff_labels,
                "ARFF: number of trailing label attributes");
   flags.AddBool("quantized", &quantized,

@@ -34,6 +34,16 @@ bool ReadScalar(std::istream& in, T* value) {
   return static_cast<bool>(in);
 }
 
+// Bytes between the read position and the end of the file: the bound every
+// count read from a header must fit before anything is sized by it.
+uint64_t BytesLeft(std::istream& in) {
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff left = in.tellg() - here;
+  in.seekg(here);
+  return in && left > 0 ? static_cast<uint64_t>(left) : 0;
+}
+
 // Shared agent section of every format version. `why` receives the
 // unprefixed failure reason (callers add the path).
 void WriteAgentSection(std::ostream& out, const AgentCheckpoint& checkpoint,
@@ -127,6 +137,13 @@ std::optional<AgentCheckpoint> ParseAgentSection(std::istream& in,
   if (!ReadScalar(in, &param_count) || param_count == 0 ||
       param_count > (1ull << 31)) {
     return fail("truncated or corrupt checkpoint (parameter count)");
+  }
+  const uint64_t bytes_left = BytesLeft(in);
+  if (param_count > bytes_left / sizeof(float)) {
+    return fail("truncated checkpoint payload (parameter count " +
+                std::to_string(param_count) + " needs " +
+                std::to_string(param_count * sizeof(float)) + " bytes, " +
+                std::to_string(bytes_left) + " left)");
   }
   checkpoint.parameters.resize(param_count);
   in.read(reinterpret_cast<char*>(checkpoint.parameters.data()),
@@ -228,7 +245,7 @@ std::optional<TrainingCheckpoint> LoadTrainingCheckpoint(
     }
     return checkpoint;
   }
-  if (blob_size == 0 || blob_size > (1ull << 33)) {
+  if (blob_size == 0 || blob_size > BytesLeft(in)) {
     return fail("truncated or corrupt checkpoint (training-state size)");
   }
   checkpoint.training_state.resize(blob_size);
@@ -278,13 +295,18 @@ std::string CheckpointConsistencyError(const AgentCheckpoint& checkpoint) {
       checkpoint.max_feature_ratio > 1.0) {
     return "max feature ratio outside (0, 1]";
   }
-  // The parameter vector must exactly fit the architecture.
-  Rng probe_rng(0);
-  DuelingNet probe(net, &probe_rng);
-  if (probe.NumParams() != static_cast<int>(checkpoint.parameters.size())) {
+  // The parameter vector must exactly fit the architecture, counted without
+  // building it: a hostile header must not size a net.
+  const std::optional<int> expected = DuelingNet::CountParams(net);
+  if (!expected.has_value()) {
+    return "architecture too large: input dim " +
+           std::to_string(net.input_dim) +
+           " and the trunk widths need more than 2^31 - 1 parameters";
+  }
+  if (static_cast<std::size_t>(*expected) != checkpoint.parameters.size()) {
     return "parameter count " + std::to_string(checkpoint.parameters.size()) +
            " does not fit the architecture (expected " +
-           std::to_string(probe.NumParams()) + ")";
+           std::to_string(*expected) + ")";
   }
   return "";
 }

@@ -56,7 +56,6 @@ Feat::Feat(FsProblem* problem, std::vector<int> seen_label_indices,
   PF_CHECK(!seen_label_indices.empty());
 
   PF_CHECK_GE(config_.num_shards, 1);
-  PF_CHECK_GE(config_.replay_shards, 1);
 
   // Episode collection shares the persistent process-wide pool (no thread
   // spawn/join per iteration); make sure it can deliver the configured
@@ -90,12 +89,8 @@ int Feat::AddTask(int label_index) {
   runtime.env = std::make_unique<FeatureSelectionEnv>(
       context.representation, context.evaluator.get(),
       config_.max_feature_ratio, config_.reward_mode);
-  ReplayConfig replay;
-  replay.capacity_transitions = config_.replay_capacity;
-  replay.num_shards = config_.replay_shards;
-  replay.prioritized = config_.prioritized_replay;
-  replay.byte_budget = ResolveReplayBudgetBytes(config_.replay_budget_bytes);
-  runtime.buffer = std::make_unique<ReplayBuffer>(replay);
+  runtime.buffer = std::make_unique<ReplayBuffer>(
+      config_.replay_capacity, config_.replay_budget_bytes);
   tasks_.push_back(std::move(runtime));
   // The training loop drives cache epochs from its own serial point, and
   // the per-iteration deltas are drained windows: discard whatever traffic

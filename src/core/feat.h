@@ -50,15 +50,10 @@ struct FeatConfig {
   // with num_threads executors for its environment steps. The constructor
   // grows the pool to one executor per shard.
   int num_shards = 1;
-  // Bounded experience-memory plane (DESIGN.md "Bounded memory plane"):
-  // every task buffer B^k becomes a sharded trajectory store with
-  // `replay_shards` shards (training is bit-identical at any shard count),
-  // optionally priority-weighted sampling by episode return, and a byte
-  // budget resolved through ResolveReplayBudgetBytes (> 0 bytes, 0 explicit
-  // unlimited, < 0 the process-default chain; --replay_budget_mb).
-  int replay_shards = 1;
-  bool prioritized_replay = false;
-  long long replay_budget_bytes = kMemoryBudgetDefault;
+  // Byte budget of every task buffer B^k (DESIGN.md "Bounded memory
+  // plane"); 0 = unlimited. Over budget, the lowest-return trajectories are
+  // evicted first.
+  std::size_t replay_budget_bytes = 0;
   // Success-induced task prioritization (arXiv 2301.00691) as the scheduler
   // default instead of uniform: tasks whose recent success rate moved the
   // most get more episodes, with exploration nominations drawn from the

@@ -40,7 +40,7 @@ struct FsProblemConfig {
   int classifier_train_rows_cap = 2000;
   // Byte budget for each task's subset-reward cache; resolves through
   // ResolveCacheBudgetBytes (> 0 bytes, 0 explicit unlimited, < 0 the
-  // process-default / PAFEAT_CACHE_BUDGET chain). The CLI surfaces this as
+  // PAFEAT_CACHE_BUDGET chain). example_pafeat_tool surfaces this as
   // --max_cache_mb.
   long long reward_cache_budget_bytes = kMemoryBudgetDefault;
 };

@@ -1,49 +1,18 @@
 #include "memory/budget.h"
 
-#include <atomic>
 #include <cstdlib>
 
 namespace pafeat {
-namespace {
 
-// Process defaults; < 0 means "not set".
-std::atomic<long long> process_cache_budget{-1};
-std::atomic<long long> process_replay_budget{-1};
-
-std::size_t EnvCacheBudgetBytes() {
+std::size_t ResolveCacheBudgetBytes(long long configured) {
+  if (configured > 0) return static_cast<std::size_t>(configured);
+  if (configured == kMemoryBudgetUnlimited) return 0;
   const char* env = std::getenv("PAFEAT_CACHE_BUDGET");
   if (env == nullptr || *env == '\0') return 0;
   char* end = nullptr;
   const long long bytes = std::strtoll(env, &end, 10);
   if (end == env || bytes <= 0) return 0;
   return static_cast<std::size_t>(bytes);
-}
-
-std::size_t Resolve(long long configured, const std::atomic<long long>& fallback,
-                    std::size_t env_bytes) {
-  if (configured > 0) return static_cast<std::size_t>(configured);
-  if (configured == kMemoryBudgetUnlimited) return 0;
-  const long long process_default = fallback.load(std::memory_order_relaxed);
-  if (process_default >= 0) return static_cast<std::size_t>(process_default);
-  return env_bytes;
-}
-
-}  // namespace
-
-std::size_t ResolveCacheBudgetBytes(long long configured) {
-  return Resolve(configured, process_cache_budget, EnvCacheBudgetBytes());
-}
-
-std::size_t ResolveReplayBudgetBytes(long long configured) {
-  return Resolve(configured, process_replay_budget, 0);
-}
-
-void SetProcessCacheBudgetBytes(long long bytes) {
-  process_cache_budget.store(bytes, std::memory_order_relaxed);
-}
-
-void SetProcessReplayBudgetBytes(long long bytes) {
-  process_replay_budget.store(bytes, std::memory_order_relaxed);
 }
 
 }  // namespace pafeat

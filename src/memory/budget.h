@@ -5,29 +5,22 @@
 
 namespace pafeat {
 
-// Byte budgets of the bounded experience-memory plane (DESIGN.md "Bounded
-// memory plane"). Every bounded component (the tiered reward cache, the
-// sharded replay store) takes its budget through one resolution chain so
-// tools and CI can bound a whole process without touching call sites:
+// Byte budget of the reward cache (DESIGN.md "Bounded memory plane"),
+// resolved through one chain so CI can bound every cache in a process
+// without touching call sites:
 //
-//   per-component config  >  process default (set by --max_cache_mb /
-//   --replay_budget_mb)   >  PAFEAT_CACHE_BUDGET environment variable
-//   (reward cache only; bytes)  >  unlimited.
+//   configured value  >  PAFEAT_CACHE_BUDGET environment variable (bytes)
+//   >  unlimited.
 //
 // A configured value > 0 is a byte count; exactly 0 is an explicit
 // "unlimited" that stops the chain; any negative value means "resolve the
 // default chain". The resolved value is std::size_t bytes with 0 meaning
-// unlimited.
+// unlimited. (The replay buffer's budget is plain bytes: FeatConfig::
+// replay_budget_bytes.)
 inline constexpr long long kMemoryBudgetDefault = -1;
 inline constexpr long long kMemoryBudgetUnlimited = 0;
 
 std::size_t ResolveCacheBudgetBytes(long long configured);
-std::size_t ResolveReplayBudgetBytes(long long configured);
-
-// Process-wide defaults consulted by the chains above. Negative clears the
-// default (falls through to the environment / unlimited).
-void SetProcessCacheBudgetBytes(long long bytes);
-void SetProcessReplayBudgetBytes(long long bytes);
 
 // Traffic counters of one telemetry window. Windows are drained at serial
 // points (TakeTraffic-style APIs), so every hit/miss/eviction lands in

@@ -29,9 +29,9 @@ namespace pafeat {
 //
 // The cache behind Reward is a bounded TieredRewardCache (DESIGN.md "Bounded
 // memory plane"): the byte budget resolves through ResolveCacheBudgetBytes
-// (config > process default > PAFEAT_CACHE_BUDGET > unlimited), rewards are
-// computed outside the cache lock, and concurrent misses on one mask dedup
-// through the in-flight set — the first thread computes, later arrivals wait
+// (config > PAFEAT_CACHE_BUDGET > unlimited), rewards are computed outside
+// the cache lock, and concurrent misses on one mask dedup through the
+// in-flight set — the first thread computes, later arrivals wait
 // and read the cached value (counted as hits). Eviction cannot change any
 // reward value (the cache is a pure memo), only the traffic counters; the
 // cache evicts only at epoch boundaries, so counters too are deterministic

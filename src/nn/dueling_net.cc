@@ -1,5 +1,7 @@
 #include "nn/dueling_net.h"
 
+#include <limits>
+
 #include "common/logging.h"
 
 namespace pafeat {
@@ -175,6 +177,32 @@ bool DuelingNet::DeserializeParams(const std::vector<float>& flat) {
 int DuelingNet::NumParams() const {
   return trunk_.NumParams() + value_head_.NumParams() +
          advantage_head_.NumParams();
+}
+
+std::optional<int> DuelingNet::CountParams(const DuelingNetConfig& config) {
+  if (config.input_dim <= 0 || config.num_actions <= 0 ||
+      config.trunk_hidden.empty()) {
+    return std::nullopt;
+  }
+  // Every width is at most INT_MAX and the running total stays at most
+  // INT_MAX, so each step fits in 64 bits.
+  long long total = 0;
+  const auto add_layer = [&total](long long fan_in, long long fan_out) {
+    total += (fan_in + 1) * fan_out;  // weights plus biases
+    return total <= std::numeric_limits<int>::max();
+  };
+  long long width = config.input_dim;
+  for (const int hidden : config.trunk_hidden) {
+    if (hidden <= 0 || !add_layer(width, hidden)) return std::nullopt;
+    width = hidden;
+  }
+  if (config.extra_rescale_layer && !add_layer(width, width)) {
+    return std::nullopt;
+  }
+  if (!add_layer(width, 1) || !add_layer(width, config.num_actions)) {
+    return std::nullopt;
+  }
+  return static_cast<int>(total);
 }
 
 }  // namespace pafeat

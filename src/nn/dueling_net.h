@@ -2,6 +2,7 @@
 #define PAFEAT_NN_DUELING_NET_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -56,6 +57,11 @@ class DuelingNet {
   bool DeserializeParams(const std::vector<float>& flat);
 
   int NumParams() const;
+  // NumParams() of a net built from `config`, counted arithmetically with
+  // overflow checks instead of allocating one; nullopt when a dimension is
+  // not positive, the trunk is empty, or the count exceeds INT_MAX. The
+  // guard a loader runs before trusting a header's architecture.
+  static std::optional<int> CountParams(const DuelingNetConfig& config);
   const DuelingNetConfig& config() const { return config_; }
 
  private:

@@ -1,29 +1,37 @@
 #include "rl/replay_buffer.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace pafeat {
 namespace {
 
-ReplayConfig LegacyConfig(int capacity_transitions) {
-  ReplayConfig config;
-  config.capacity_transitions = capacity_transitions;
-  return config;
+// Fixed per-trajectory charge of the byte accounting (a record header of
+// 56 B on LP64). A constant rather than sizeof(Record), so resident-byte
+// counts, and with them every budget eviction, stay put when the record
+// layout changes.
+constexpr std::size_t kTrajectoryChargeBytes = 56;
+
+std::size_t TrajectoryBytes(const Trajectory& trajectory) {
+  std::size_t bytes = kTrajectoryChargeBytes;
+  for (const Transition& transition : trajectory.transitions) {
+    bytes += sizeof(Transition) + transition.state.mask.size() +
+             transition.next_state.mask.size();
+  }
+  return bytes;
 }
 
 }  // namespace
 
-ReplayBuffer::ReplayBuffer(int capacity_transitions)
-    : store_(LegacyConfig(capacity_transitions)) {}
-
-ReplayBuffer::ReplayBuffer(const ReplayConfig& config) : store_(config) {}
+ReplayBuffer::ReplayBuffer(int capacity_transitions, std::size_t byte_budget)
+    : capacity_transitions_(capacity_transitions), byte_budget_(byte_budget) {
+  PF_CHECK_GT(capacity_transitions, 0);
+}
 
 void ReplayBuffer::AddTrajectory(Trajectory trajectory) {
-  // The final subset's true performance is the success signal the
-  // prioritized sampler weights by (recorded even when sampling uniformly,
-  // so flipping the switch mid-run needs no backfill).
   const double priority = trajectory.episode_return;
   AddTrajectory(std::move(trajectory), priority);
 }
@@ -33,13 +41,39 @@ void ReplayBuffer::AddTrajectory(Trajectory trajectory, double priority) {
   // transitions the reader still points into.
   PF_DCHECK_EQ(readers_, 0);
   if (trajectory.transitions.empty()) return;
-  store_.Add(std::move(trajectory), priority);
-  if (store_.config().byte_budget > 0) EvictToBudget();
+  Record record;
+  record.bytes = TrajectoryBytes(trajectory);
+  record.priority = priority;
+  num_transitions_ += static_cast<int>(trajectory.transitions.size());
+  bytes_ += record.bytes;
+  record.trajectory = std::move(trajectory);
+  records_.push_back(std::move(record));
+  while (num_transitions_ > capacity_transitions_ && records_.size() > 1) {
+    RemoveAt(0);
+  }
+  EvictToBudget();
 }
 
 void ReplayBuffer::EvictToBudget() {
   PF_DCHECK_EQ(readers_, 0);
-  store_.EvictToBudget();
+  while (byte_budget_ > 0 && bytes_ > byte_budget_ && records_.size() > 1) {
+    // Lowest priority first; among equal priorities the oldest (the first
+    // in insertion order, since only a strictly lower priority displaces
+    // the current victim).
+    std::size_t victim = 0;
+    for (std::size_t i = 1; i < records_.size(); ++i) {
+      if (records_[i].priority < records_[victim].priority) victim = i;
+    }
+    RemoveAt(victim);
+  }
+}
+
+void ReplayBuffer::RemoveAt(std::size_t index) {
+  num_transitions_ -=
+      static_cast<int>(records_[index].trajectory.transitions.size());
+  bytes_ -= records_[index].bytes;
+  records_.erase(records_.begin() + static_cast<std::ptrdiff_t>(index));
+  ++evictions_;
 }
 
 std::vector<const Transition*> ReplayBuffer::SampleTransitions(
@@ -47,62 +81,18 @@ std::vector<const Transition*> ReplayBuffer::SampleTransitions(
   PF_CHECK(!empty());
   std::vector<const Transition*> sampled;
   sampled.reserve(count);
-  if (!store_.config().prioritized) {
-    // Uniform two-level pick weighted by trajectory length, walking the
-    // insertion order — draw-for-draw identical to the historical
-    // single-deque buffer at any shard count.
-    for (int i = 0; i < count; ++i) {
-      int index = rng->UniformInt(store_.num_transitions());
-      for (const ShardedTrajectoryStore::Ref& ref : store_.order()) {
-        const Trajectory& trajectory = store_.at(ref).trajectory;
-        const int len = static_cast<int>(trajectory.transitions.size());
-        if (index < len) {
-          sampled.push_back(&trajectory.transitions[index]);
-          break;
-        }
-        index -= len;
-      }
-    }
-    PF_CHECK_EQ(static_cast<int>(sampled.size()), count);
-    return sampled;
-  }
-
-  // Prioritized sampling: trajectory weight = length * (priority + floor),
-  // walked in (priority desc, sequence asc) order so the accumulation — and
-  // therefore every draw — is a pure function of the stored set, invariant
-  // to the shard count. Two draws per sample: the weighted trajectory pick,
-  // then a uniform transition within it.
-  std::vector<const ShardedTrajectoryStore::StoredTrajectory*> ranked;
-  ranked.reserve(store_.order().size());
-  for (const ShardedTrajectoryStore::Ref& ref : store_.order()) {
-    ranked.push_back(&store_.at(ref));
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const ShardedTrajectoryStore::StoredTrajectory* a,
-               const ShardedTrajectoryStore::StoredTrajectory* b) {
-              if (a->priority != b->priority) return a->priority > b->priority;
-              return a->sequence < b->sequence;
-            });
-  const double floor = store_.config().priority_floor;
-  double total_weight = 0.0;
-  for (const auto* stored : ranked) {
-    total_weight += stored->trajectory.transitions.size() *
-                    (std::max(stored->priority, 0.0) + floor);
-  }
-  PF_CHECK_GT(total_weight, 0.0);
+  // Two-level pick weighted by trajectory length: one draw over all stored
+  // transitions, then a walk in insertion order to the owning trajectory.
   for (int i = 0; i < count; ++i) {
-    double r = rng->Uniform() * total_weight;
-    const ShardedTrajectoryStore::StoredTrajectory* picked = ranked.back();
-    for (const auto* stored : ranked) {
-      r -= stored->trajectory.transitions.size() *
-           (std::max(stored->priority, 0.0) + floor);
-      if (r < 0.0) {
-        picked = stored;
+    int index = rng->UniformInt(num_transitions_);
+    for (const Record& record : records_) {
+      const int len = static_cast<int>(record.trajectory.transitions.size());
+      if (index < len) {
+        sampled.push_back(&record.trajectory.transitions[index]);
         break;
       }
+      index -= len;
     }
-    const int len = static_cast<int>(picked->trajectory.transitions.size());
-    sampled.push_back(&picked->trajectory.transitions[rng->UniformInt(len)]);
   }
   PF_CHECK_EQ(static_cast<int>(sampled.size()), count);
   return sampled;
@@ -111,20 +101,17 @@ std::vector<const Transition*> ReplayBuffer::SampleTransitions(
 std::vector<const Trajectory*> ReplayBuffer::RecentTrajectories(
     int count) const {
   std::vector<const Trajectory*> recent;
-  const int available = store_.num_trajectories();
+  const int available = num_trajectories();
   const int take = std::min(count, available);
   for (int i = available - take; i < available; ++i) {
-    recent.push_back(&store_.at(store_.order()[i]).trajectory);
+    recent.push_back(&records_[i].trajectory);
   }
   return recent;
 }
 
 void ReplayBuffer::ForEachStored(
     const std::function<void(const Trajectory&, double priority)>& fn) const {
-  for (const ShardedTrajectoryStore::Ref& ref : store_.order()) {
-    const ShardedTrajectoryStore::StoredTrajectory& stored = store_.at(ref);
-    fn(stored.trajectory, stored.priority);
-  }
+  for (const Record& record : records_) fn(record.trajectory, record.priority);
 }
 
 }  // namespace pafeat

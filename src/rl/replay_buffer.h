@@ -2,23 +2,22 @@
 #define PAFEAT_RL_REPLAY_BUFFER_H_
 
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "memory/replay_store.h"
 #include "rl/types.h"
 
 namespace pafeat {
 
-// Bounded replay buffer of whole trajectories (Algorithm 1 keeps one buffer
-// B^k per seen task), re-cut over the sharded trajectory store of the
-// bounded memory plane (DESIGN.md "Bounded memory plane"). Default sampling
-// is uniform over stored transitions and bit-identical to the historical
-// single-deque buffer (same rng draws, same walk order); ReplayConfig opts
-// into priority-weighted sampling and a byte budget. The ITS reads the most
-// recent trajectories (Eqn 4a's load module).
+// Bounded FIFO replay buffer of whole trajectories (Algorithm 1 keeps one
+// buffer B^k per seen task), sampled uniformly over stored transitions.
+// Each trajectory is stored with a priority and a byte charge; under a byte
+// budget (DESIGN.md "Bounded memory plane") the lowest-(priority, insertion
+// order) trajectories are evicted first. The ITS reads the most recent
+// trajectories (Eqn 4a's load module).
 //
 // Borrow contract: SampleTransitions / RecentTrajectories return raw
 // pointers into the stored trajectories, and both mutation entry points —
@@ -32,8 +31,9 @@ namespace pafeat {
 // and destroyed on the thread that owns the buffer.
 class ReplayBuffer {
  public:
-  explicit ReplayBuffer(int capacity_transitions);
-  explicit ReplayBuffer(const ReplayConfig& config);
+  // `byte_budget` = 0 is unbounded.
+  explicit ReplayBuffer(int capacity_transitions,
+                        std::size_t byte_budget = 0);
 
   // RAII registration of a borrow window over the buffer's internal
   // storage. Movable so windows can be collected in a vector spanning
@@ -64,22 +64,21 @@ class ReplayBuffer {
     const ReplayBuffer* buffer_;
   };
 
-  // Stores a trajectory; its priority defaults to the episode return (the
-  // success signal the prioritized sampler weights by). Runs the FIFO
-  // capacity eviction and, under a byte budget, EvictToBudget.
+  // Stores a trajectory (empty ones are dropped); its priority defaults to
+  // the episode return, so budget eviction keeps the best subsets longest.
+  // Evicts the oldest trajectories while over the transition capacity
+  // (always keeping at least one), then runs EvictToBudget.
   void AddTrajectory(Trajectory trajectory);
   void AddTrajectory(Trajectory trajectory, double priority);
 
-  // Evicts lowest-(priority, sequence) trajectories until the byte budget
-  // fits (no-op when unbounded). A mutation entry point under the borrow
-  // contract, exactly like AddTrajectory.
+  // Evicts lowest-(priority, insertion order) trajectories until bytes()
+  // fits the byte budget, always keeping at least one (no-op when
+  // unbounded). A mutation entry point under the borrow contract, exactly
+  // like AddTrajectory.
   void EvictToBudget();
 
-  // Samples `count` transitions (with replacement): uniform over stored
-  // transitions by default, priority-weighted under ReplayConfig::
-  // prioritized (weights walk the (priority desc, sequence asc) order, so
-  // draws are deterministic at any shard count). The pointers are only
-  // stable until the next mutation — see the borrow contract.
+  // Samples `count` transitions uniformly (with replacement). The pointers
+  // are only stable until the next mutation — see the borrow contract.
   std::vector<const Transition*> SampleTransitions(int count, Rng* rng) const;
 
   // The most recent `count` trajectories, newest last (fewer if not enough).
@@ -97,18 +96,33 @@ class ReplayBuffer {
   void ForEachStored(
       const std::function<void(const Trajectory&, double priority)>& fn) const;
 
-  int num_transitions() const { return store_.num_transitions(); }
-  int num_trajectories() const { return store_.num_trajectories(); }
-  bool empty() const { return store_.num_transitions() == 0; }
-  std::size_t bytes() const { return store_.bytes(); }
-  long long evictions() const { return store_.evictions(); }
-  const ReplayConfig& config() const { return store_.config(); }
+  int num_transitions() const { return num_transitions_; }
+  int num_trajectories() const { return static_cast<int>(records_.size()); }
+  bool empty() const { return num_transitions_ == 0; }
+  // Resident bytes: a fixed per-trajectory charge plus, per transition, the
+  // Transition and both state masks.
+  std::size_t bytes() const { return bytes_; }
+  // Running total of trajectories evicted (FIFO capacity + byte budget).
+  long long evictions() const { return evictions_; }
 
  private:
+  struct Record {
+    Trajectory trajectory;
+    double priority = 0.0;
+    std::size_t bytes = 0;
+  };
+
+  void RemoveAt(std::size_t index);
+
+  int capacity_transitions_;
+  std::size_t byte_budget_;
+  std::deque<Record> records_;  // insertion order, oldest first
+  int num_transitions_ = 0;
+  std::size_t bytes_ = 0;
+  long long evictions_ = 0;
   // Outstanding borrow windows (checked builds only assert on it); mutable
   // because registering a read is logically const.
   mutable int readers_ = 0;
-  ShardedTrajectoryStore store_;
 };
 
 }  // namespace pafeat

@@ -98,8 +98,7 @@ struct Dispatch {
   SimdCapability capability = SimdCapability::kGeneric;
 };
 
-// Highest level both compiled in and supported by this CPU. kNeon is a
-// reserved rung: no aarch64 TU exists yet, so it never probes true.
+// Highest level both compiled in and supported by this CPU.
 SimdCapability ProbeBestCapability() {
 #ifdef PAFEAT_HAVE_AVX2_TU
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
@@ -395,8 +394,6 @@ bool SimdCapabilityAvailable(SimdCapability level) {
   switch (level) {
     case SimdCapability::kGeneric:
       return true;
-    case SimdCapability::kNeon:
-      return false;  // reserved rung, no TU yet
     case SimdCapability::kAvx2:
       return ProbeBestCapability() >= SimdCapability::kAvx2;
     case SimdCapability::kAvx512:
@@ -409,8 +406,6 @@ const char* SimdCapabilityName(SimdCapability level) {
   switch (level) {
     case SimdCapability::kGeneric:
       return "generic";
-    case SimdCapability::kNeon:
-      return "neon";
     case SimdCapability::kAvx2:
       return "avx2";
     case SimdCapability::kAvx512:
@@ -422,8 +417,8 @@ const char* SimdCapabilityName(SimdCapability level) {
 bool ParseSimdCapability(const char* name, SimdCapability* level) {
   if (name == nullptr || level == nullptr) return false;
   for (SimdCapability candidate :
-       {SimdCapability::kGeneric, SimdCapability::kNeon,
-        SimdCapability::kAvx2, SimdCapability::kAvx512}) {
+       {SimdCapability::kGeneric, SimdCapability::kAvx2,
+        SimdCapability::kAvx512}) {
     if (std::strcmp(name, SimdCapabilityName(candidate)) == 0) {
       *level = candidate;
       return true;

@@ -103,9 +103,8 @@ void QuantizeRowsInt8(int rows, int n, const float* x, int ldx,
 // binary at every level the host supports.
 enum class SimdCapability : int {
   kGeneric = 0,
-  kNeon = 1,  // reserved: an aarch64 TU slots in here, below the x86 levels
-  kAvx2 = 2,
-  kAvx512 = 3,
+  kAvx2 = 1,
+  kAvx512 = 2,
 };
 
 // The level every kernel above dispatches to (probed once per process).
@@ -115,7 +114,7 @@ SimdCapability ActiveSimdCapability();
 // always available). Independent of the PAFEAT_SIMD clamp.
 bool SimdCapabilityAvailable(SimdCapability level);
 
-// Stable lower-case name ("generic", "neon", "avx2", "avx512") — the tokens
+// Stable lower-case name ("generic", "avx2", "avx512") — the tokens
 // PAFEAT_SIMD accepts and the bench/JSON tag.
 const char* SimdCapabilityName(SimdCapability level);
 

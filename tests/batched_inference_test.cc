@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -233,30 +232,6 @@ void ExpectIdenticalTraining(Feat* a, Feat* b, const FsProblem& problem,
   }
 }
 
-// FNV-1a 64 over raw bytes: the training goldens' digest.
-class Fnv1a64 {
- public:
-  void Bytes(const void* data, size_t size) {
-    const auto* bytes = static_cast<const uint8_t*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      hash_ = (hash_ ^ bytes[i]) * 0x100000001b3ULL;
-    }
-  }
-  template <typename T>
-  void Scalar(T value) {
-    Bytes(&value, sizeof(value));
-  }
-  void Mask(const FeatureMask& mask) { Bytes(mask.data(), mask.size()); }
-  void State(const EnvState& state) {
-    Scalar<int32_t>(state.position);
-    Mask(state.mask);
-  }
-  uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
 // The two training configurations the goldens pin: plain FEAT (uniform
 // scheduler) and the full PaFeat method, whose ITS probabilities and ITE
 // initial states both feed back from the replay buffers.
@@ -274,8 +249,7 @@ std::string Describe(const GoldenRun& run) {
               ? "Feat (DefaultFeatOptions(50, 23), 4 envs)"
               : "PaFeat ITS+ITE (DefaultFeatOptions(60, 23), 8 envs)")
       << " num_threads=" << run.num_threads
-      << " num_shards=" << run.num_shards << " simd="
-      << kernels::SimdCapabilityName(kernels::ActiveSimdCapability());
+      << " num_shards=" << run.num_shards;
   return out.str();
 }
 
@@ -287,7 +261,7 @@ std::string Describe(const GoldenRun& run) {
 uint64_t DigestTraining(Feat* feat, const FsProblem& problem,
                         const std::vector<int>& unseen,
                         bool with_task_probabilities) {
-  Fnv1a64 digest;
+  golden::Fnv1a64 digest;
   for (int iteration = 0; iteration < 10; ++iteration) {
     const IterationStats stats = feat->RunIteration();
     digest.Scalar(stats.mean_loss);
@@ -302,14 +276,7 @@ uint64_t DigestTraining(Feat* feat, const FsProblem& problem,
   for (int slot = 0; slot < feat->num_tasks(); ++slot) {
     feat->task_runtime(slot).buffer->ForEachStored(
         [&](const Trajectory& trajectory, double) {
-          digest.Scalar(trajectory.episode_return);
-          for (const Transition& transition : trajectory.transitions) {
-            digest.State(transition.state);
-            digest.State(transition.next_state);
-            digest.Scalar<int32_t>(transition.action);
-            digest.Scalar(transition.reward);
-            digest.Scalar<uint8_t>(transition.done ? 1 : 0);
-          }
+          digest.StoredTrajectory(trajectory);
         });
   }
   for (int label_index : unseen) {
@@ -339,24 +306,14 @@ uint64_t TrainingDigest(const GoldenRun& run) {
                         run.method == GoldenMethod::kPaFeat);
 }
 
-// The frozen value for the active SIMD level: generic has its own, and the
-// avx512 fp32 kernels replay avx2's operation sequence, so they share one.
-uint64_t ExpectedDigest(const golden::TrainingGolden& golden) {
-  return kernels::ActiveSimdCapability() >= kernels::SimdCapability::kAvx2
-             ? golden.avx2
-             : golden.generic;
-}
-
 void ExpectGolden(GoldenMethod method, const golden::TrainingGolden& golden) {
-  const uint64_t expected = ExpectedDigest(golden);
+  const uint64_t expected = golden::ExpectedDigest(golden);
   for (const GoldenRun run :
        {GoldenRun{method, 1, 1}, GoldenRun{method, 8, 1},
         GoldenRun{method, 1, 4}, GoldenRun{method, 8, 4}}) {
     const uint64_t digest = TrainingDigest(run);
-    std::ostringstream hex;
-    hex << "0x" << std::hex << std::setw(16) << std::setfill('0') << digest;
     EXPECT_EQ(digest, expected)
-        << "computed " << hex.str() << " for " << Describe(run);
+        << golden::DescribeComputed(digest) << " for " << Describe(run);
   }
 }
 
@@ -382,7 +339,7 @@ class BatchedTrainingTest : public ::testing::Test {
     const uint64_t digest = DigestTraining(
         feat, problem_, dataset_.UnseenTaskIndices(),
         /*with_task_probabilities=*/false);
-    EXPECT_EQ(digest, ExpectedDigest(golden::kFeatTraining))
+    EXPECT_EQ(digest, golden::ExpectedDigest(golden::kFeatTraining))
         << "num_threads=" << feat->config().num_threads;
   }
 

@@ -1,13 +1,20 @@
 #include "core/checkpoint.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/defaults.h"
 #include "core/multi_run.h"
 #include "data/synthetic.h"
+#include "nn/dueling_net.h"
+#include "rl/fs_env.h"
+#include "serve/selection_server.h"
 
 namespace pafeat {
 namespace {
@@ -213,6 +220,127 @@ TEST_F(CheckpointTest, ConsistencyErrorScreensServingMisuse) {
   EXPECT_NE(
       CheckpointConsistencyError(bad_ratio).find("max feature ratio"),
       std::string::npos);
+}
+
+// --- hostile files ----------------------------------------------------------
+// A header may claim any architecture and any count; the loader must reject
+// what the file cannot back before sizing anything by it. ctest
+// pafeat_hostile_input_capped reruns these under `ulimit -v 1500000`, where
+// a container sized by such a field dies with std::bad_alloc.
+
+// A v2 agent header with one 64-wide trunk layer, then `param_count` and
+// `floats` zero payload values.
+std::string AgentHeader(int32_t input_dim, uint64_t param_count, int floats) {
+  std::string bytes;
+  const auto put = [&bytes](auto value) {
+    bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(uint32_t{0x50414643});  // "PAFC"
+  put(uint32_t{2});           // format version
+  put(input_dim);
+  put(int32_t{kNumActions});
+  put(uint8_t{0});  // no rescale layer
+  put(int32_t{1});  // trunk layer count
+  put(int32_t{64});
+  put(kWeightFormatFp32);
+  put(0.5);  // max feature ratio
+  put(param_count);
+  for (int i = 0; i < floats; ++i) put(0.0f);
+  return bytes;
+}
+
+std::string HostilePath() {
+  return ::testing::TempDir() + "/pafeat_hostile_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".ckpt";
+}
+
+// A consistent untrained checkpoint over m = 10 features.
+AgentCheckpoint SmallCheckpoint() {
+  AgentCheckpoint checkpoint;
+  checkpoint.net_config.input_dim = 23;
+  checkpoint.net_config.num_actions = kNumActions;
+  checkpoint.net_config.trunk_hidden = {64};
+  Rng rng(5);
+  checkpoint.parameters = DuelingNet(checkpoint.net_config, &rng)
+                              .SerializeParams();
+  return checkpoint;
+}
+
+TEST(HostileCheckpointTest, OversizedArchitectureIsRejected) {
+  // 46 bytes: a 2^31-wide input layer, backed by one parameter.
+  const std::string path = HostilePath();
+  WriteAll(path, AgentHeader(2147483645, 1, 1));
+  ASSERT_EQ(ReadAll(path).size(), 46u);
+  std::string error;
+  EXPECT_FALSE(LoadCheckpoint(path, &error).has_value());
+  EXPECT_NE(error.find("input dim 2147483645"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+TEST(HostileCheckpointTest, InflatedParameterCountIsRejectedBeforeAllocating) {
+  // 42 bytes: a valid small header claiming 2^31 parameters, no payload.
+  const std::string path = HostilePath();
+  WriteAll(path, AgentHeader(23, 1ull << 31, 0));
+  ASSERT_EQ(ReadAll(path).size(), 42u);
+  std::string error;
+  EXPECT_FALSE(LoadCheckpoint(path, &error).has_value());
+  EXPECT_NE(error.find("parameter count 2147483648"), std::string::npos)
+      << error;
+  std::remove(path.c_str());
+}
+
+TEST(HostileCheckpointTest,
+     InflatedTrainingStateSizeIsRejectedBeforeAllocating) {
+  // A v3 file whose training-state size claims 8 GiB, with no blob.
+  TrainingCheckpoint training;
+  training.agent = SmallCheckpoint();
+  training.training_state = {1};
+  const std::string path = HostilePath();
+  ASSERT_TRUE(SaveTrainingCheckpoint(training, path));
+  std::string bytes = ReadAll(path);
+  bytes.pop_back();  // the blob
+  const uint64_t inflated = 1ull << 33;
+  bytes.replace(bytes.size() - sizeof(inflated), sizeof(inflated),
+                reinterpret_cast<const char*>(&inflated), sizeof(inflated));
+  WriteAll(path, bytes);
+  std::string error;
+  EXPECT_FALSE(LoadTrainingCheckpoint(path, &error).has_value());
+  EXPECT_NE(error.find("training-state size"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+TEST(HostileCheckpointTest, PublishRejectsOversizedArchitecture) {
+  SelectionServer server(SmallCheckpoint());
+  AgentCheckpoint hostile = SmallCheckpoint();
+  hostile.net_config.input_dim = 2147483645;
+  hostile.parameters = {0.0f};
+  std::string error;
+  EXPECT_FALSE(server.PublishCheckpoint(hostile, &error));
+  EXPECT_NE(error.find("input dim 2147483645"), std::string::npos) << error;
+  EXPECT_EQ(server.net_version(), 1u);
+}
+
+TEST(HostileCheckpointTest, CountParamsMatchesBuiltNet) {
+  const std::vector<std::vector<int>> trunks = {{7}, {7, 5}, {7, 5, 3}};
+  for (const bool extra_rescale_layer : {false, true}) {
+    for (const std::vector<int>& trunk : trunks) {
+      DuelingNetConfig config;
+      config.input_dim = 13;
+      config.num_actions = kNumActions;
+      config.trunk_hidden = trunk;
+      config.extra_rescale_layer = extra_rescale_layer;
+      Rng rng(3);
+      const DuelingNet net(config, &rng);
+      EXPECT_EQ(DuelingNet::CountParams(config), net.NumParams())
+          << trunk.size() << " trunk layers, rescale "
+          << extra_rescale_layer;
+    }
+  }
+  DuelingNetConfig huge;
+  huge.input_dim = std::numeric_limits<int>::max();
+  huge.trunk_hidden = {64};
+  EXPECT_FALSE(DuelingNet::CountParams(huge).has_value());
 }
 
 TEST(MultiRunTest, SummarizeBasics) {

@@ -1,12 +1,11 @@
 // The bounded experience-memory plane (DESIGN.md "Bounded memory plane"):
-// the tiered reward cache's budget/eviction/telemetry contracts, the sharded
-// trajectory store's shard-count invariance, and the end-to-end determinism
-// claim — training under a forced-eviction budget is bit-identical at any
-// thread count and any replay shard count.
+// the tiered reward cache's budget/eviction/telemetry contracts, the replay
+// buffer's budget eviction order, and the end-to-end determinism claim —
+// training under a forced-eviction budget reproduces a frozen digest and is
+// bit-identical at any thread and collector shard count.
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -17,7 +16,7 @@
 #include "core/defaults.h"
 #include "core/feat.h"
 #include "data/synthetic.h"
-#include "memory/replay_store.h"
+#include "golden/training_digests.h"
 #include "memory/reward_cache.h"
 #include "rl/replay_buffer.h"
 
@@ -204,125 +203,48 @@ Trajectory MakeTrajectory(int transitions, double episode_return,
   return trajectory;
 }
 
-TEST(ShardedTrajectoryStoreTest, ShardOfSequenceIsAStableTotalFunction) {
-  for (uint64_t sequence : {0ULL, 1ULL, 7ULL, 123456789ULL}) {
-    for (int num_shards : {1, 2, 4, 8}) {
-      const int shard =
-          ShardedTrajectoryStore::ShardOfSequence(sequence, num_shards);
-      EXPECT_GE(shard, 0);
-      EXPECT_LT(shard, num_shards);
-      EXPECT_EQ(shard,
-                ShardedTrajectoryStore::ShardOfSequence(sequence, num_shards));
-    }
-  }
-}
-
-// Text image of the store in insertion order; string equality across shard
-// counts is the invariance claim.
-std::string DumpStore(const ShardedTrajectoryStore& store) {
+// Text image of a buffer in insertion order: priority, length and return
+// of every stored trajectory.
+std::string DumpBuffer(const ReplayBuffer& buffer) {
   std::ostringstream out;
-  for (const auto& ref : store.order()) {
-    const auto& stored = store.at(ref);
-    out << stored.sequence << ':' << stored.priority << ':'
-        << stored.trajectory.transitions.size() << ':'
-        << stored.trajectory.episode_return << '\n';
-  }
+  buffer.ForEachStored([&](const Trajectory& trajectory, double priority) {
+    out << priority << ':' << trajectory.transitions.size() << ':'
+        << trajectory.episode_return << '\n';
+  });
   return out.str();
 }
 
-TEST(ShardedTrajectoryStoreTest, EvictionOrderIsShardCountInvariant) {
-  ReplayConfig one;
-  one.num_shards = 1;
-  ReplayConfig four;
-  four.num_shards = 4;
-  ShardedTrajectoryStore store1(one);
-  ShardedTrajectoryStore store4(four);
-
-  // Priorities collide on purpose so the sequence tie-break matters.
+TEST(ReplayBufferTest, BudgetEvictsLowestPriorityOldestFirst) {
+  // Priorities collide on purpose so the insertion-order tie-break matters;
+  // each trajectory's return is its arrival index.
   const double priorities[] = {0.5, 0.2, 0.5, 0.9, 0.2, 0.7, 0.1, 0.5};
-  std::size_t bytes_total = 0;
-  for (double priority : priorities) {
-    Trajectory t = MakeTrajectory(4, priority);
-    store1.Add(MakeTrajectory(4, priority), priority);
-    store4.Add(std::move(t), priority);
-    bytes_total = store1.bytes();
+  ReplayBuffer probe(/*capacity_transitions=*/4096);
+  probe.AddTrajectory(MakeTrajectory(4, 0.0));
+  // Room for exactly four equal-size trajectories.
+  ReplayBuffer buffer(/*capacity_transitions=*/4096, 4 * probe.bytes());
+  for (int i = 0; i < 8; ++i) {
+    buffer.AddTrajectory(MakeTrajectory(4, i), priorities[i]);
   }
-  ASSERT_EQ(DumpStore(store1), DumpStore(store4));
-
-  // Shrink both to roughly half; the surviving set (and its order) must be
-  // identical — the victims are the lowest (priority, sequence) pairs no
-  // matter how the slots are sharded.
-  ReplayConfig one_b = one;
-  one_b.byte_budget = bytes_total / 2;
-  ReplayConfig four_b = four;
-  four_b.byte_budget = bytes_total / 2;
-  ShardedTrajectoryStore bounded1(one_b);
-  ShardedTrajectoryStore bounded4(four_b);
-  for (double priority : priorities) {
-    bounded1.Add(MakeTrajectory(4, priority), priority);
-    bounded4.Add(MakeTrajectory(4, priority), priority);
-  }
-  EXPECT_EQ(bounded1.EvictToBudget(), bounded4.EvictToBudget());
-  const std::string survivors = DumpStore(bounded1);
-  EXPECT_EQ(survivors, DumpStore(bounded4));
-
-  // The lowest-priority trajectory (priority 0.1, sequence 6) dies first.
-  EXPECT_EQ(survivors.find("6:0.1:"), std::string::npos);
-  EXPECT_LE(bounded1.bytes(), bytes_total / 2);
+  // Each add past the fourth evicts one victim: 1 (the older 0.2), 4 (the
+  // other 0.2), 6 (the newcomer's 0.1 is the lowest) and 0 (the oldest of
+  // the three 0.5s).
+  EXPECT_EQ(DumpBuffer(buffer), "0.5:4:2\n0.9:4:3\n0.7:4:5\n0.5:4:7\n");
+  EXPECT_EQ(buffer.evictions(), 4);
+  EXPECT_EQ(buffer.bytes(), 4 * probe.bytes());
+  EXPECT_EQ(buffer.num_transitions(), 16);
 }
 
-TEST(ShardedTrajectoryStoreTest, BudgetEvictionKeepsAtLeastOne) {
-  ReplayConfig config;
-  config.byte_budget = 1;  // impossibly tight
-  ShardedTrajectoryStore store(config);
+TEST(ReplayBufferTest, BudgetEvictionKeepsAtLeastOne) {
+  ReplayBuffer buffer(/*capacity_transitions=*/4096,
+                      /*byte_budget=*/1);  // impossibly tight
   for (int i = 0; i < 4; ++i) {
-    store.Add(MakeTrajectory(3, i), /*priority=*/i);
+    buffer.AddTrajectory(MakeTrajectory(3, i), /*priority=*/i);
   }
-  store.EvictToBudget();
-  EXPECT_EQ(store.num_trajectories(), 1);
-  // The survivor is the highest-(priority, sequence) trajectory.
-  EXPECT_EQ(store.at(store.order().front()).priority, 3.0);
-}
-
-TEST(ReplayBufferTest, PrioritizedSamplingFavorsHighPriority) {
-  ReplayConfig config;
-  config.prioritized = true;
-  ReplayBuffer buffer(config);
-  buffer.AddTrajectory(MakeTrajectory(8, /*episode_return=*/0.01));
-  buffer.AddTrajectory(MakeTrajectory(8, /*episode_return=*/50.0));
-
-  Rng rng(123);
-  int from_high = 0;
-  const int draws = 400;
-  const auto sampled = buffer.SampleTransitions(draws, &rng);
-  for (const Transition* t : sampled) {
-    if (t->reward > 1.0f) ++from_high;
-  }
-  EXPECT_GT(from_high, draws / 2);
-}
-
-TEST(ReplayBufferTest, PrioritizedSamplingIsShardCountInvariant) {
-  auto build = [](int num_shards) {
-    ReplayConfig config;
-    config.prioritized = true;
-    config.num_shards = num_shards;
-    auto buffer = std::make_unique<ReplayBuffer>(config);
-    for (int i = 0; i < 12; ++i) {
-      buffer->AddTrajectory(MakeTrajectory(5, 0.1 * (i % 4)));
-    }
-    return buffer;
-  };
-  const auto buffer1 = build(1);
-  const auto buffer4 = build(4);
-  Rng rng1(99);
-  Rng rng4(99);
-  const auto sampled1 = buffer1->SampleTransitions(64, &rng1);
-  const auto sampled4 = buffer4->SampleTransitions(64, &rng4);
-  ASSERT_EQ(sampled1.size(), sampled4.size());
-  for (std::size_t i = 0; i < sampled1.size(); ++i) {
-    EXPECT_EQ(sampled1[i]->reward, sampled4[i]->reward) << "draw " << i;
-    EXPECT_EQ(sampled1[i]->state.position, sampled4[i]->state.position);
-  }
+  EXPECT_EQ(buffer.num_trajectories(), 1);
+  // The survivor is the highest-(priority, insertion order) trajectory.
+  EXPECT_EQ(DumpBuffer(buffer), "3:3:3\n");
+  buffer.EvictToBudget();
+  EXPECT_EQ(buffer.num_trajectories(), 1);
 }
 
 // --- end-to-end: forced-eviction training determinism ----------------------
@@ -360,10 +282,40 @@ struct BoundedOutcome {
   std::vector<float> params;
   std::string buffers;
   std::vector<IterationStats> stats;
+  uint64_t digest = 0;  // the bounded golden's FNV-1a 64 (DigestBounded)
 };
 
-BoundedOutcome RunBoundedTraining(int num_threads, int replay_shards,
-                                  int collector_shards) {
+// The bounded golden's recipe, in order: each iteration's mean loss, episode
+// count, cache hits/misses/evictions/bytes, replay evictions and replay
+// bytes; the online parameters; every stored trajectory with its priority
+// in ForEachStored order.
+uint64_t DigestBounded(const Feat& feat,
+                       const std::vector<IterationStats>& stats) {
+  golden::Fnv1a64 digest;
+  for (const IterationStats& iteration : stats) {
+    digest.Scalar(iteration.mean_loss);
+    digest.Scalar<int32_t>(iteration.episodes);
+    digest.Scalar<int64_t>(iteration.cache_hits);
+    digest.Scalar<int64_t>(iteration.cache_misses);
+    digest.Scalar<int64_t>(iteration.cache_evictions);
+    digest.Scalar<uint64_t>(iteration.cache_bytes);
+    digest.Scalar<int64_t>(iteration.replay_evictions);
+    digest.Scalar<uint64_t>(iteration.replay_bytes);
+  }
+  for (float parameter : feat.agent().online_net().SerializeParams()) {
+    digest.Scalar(parameter);
+  }
+  for (int slot = 0; slot < feat.num_tasks(); ++slot) {
+    feat.task_runtime(slot).buffer->ForEachStored(
+        [&](const Trajectory& trajectory, double priority) {
+          digest.StoredTrajectory(trajectory);
+          digest.Scalar(priority);
+        });
+  }
+  return digest.value();
+}
+
+BoundedOutcome RunBoundedTraining(int num_threads, int collector_shards) {
   SyntheticDataset dataset = MemoryDataset();
   FsProblemConfig problem_config = DefaultProblemConfig(true);
   // Tight enough that both planes evict continuously at this scale.
@@ -373,7 +325,6 @@ BoundedOutcome RunBoundedTraining(int num_threads, int replay_shards,
   config.envs_per_iteration = 8;
   config.num_threads = num_threads;
   config.num_shards = collector_shards;
-  config.replay_shards = replay_shards;
   config.replay_budget_bytes = 8192;
   Feat feat(&problem, dataset.SeenTaskIndices(), config);
   BoundedOutcome outcome;
@@ -382,6 +333,7 @@ BoundedOutcome RunBoundedTraining(int num_threads, int replay_shards,
   }
   outcome.params = feat.agent().online_net().SerializeParams();
   outcome.buffers = DumpBuffers(feat);
+  outcome.digest = DigestBounded(feat, outcome.stats);
   return outcome;
 }
 
@@ -413,8 +365,8 @@ void ExpectSameBoundedOutcome(const BoundedOutcome& base,
 }
 
 TEST(BoundedTrainingTest, ForcedEvictionIsThreadAndShardCountInvariant) {
-  const BoundedOutcome base = RunBoundedTraining(
-      /*num_threads=*/1, /*replay_shards=*/1, /*collector_shards=*/1);
+  const BoundedOutcome base =
+      RunBoundedTraining(/*num_threads=*/1, /*collector_shards=*/1);
 
   // The budgets must actually bind, or this test proves nothing.
   long long cache_evictions = 0;
@@ -426,12 +378,38 @@ TEST(BoundedTrainingTest, ForcedEvictionIsThreadAndShardCountInvariant) {
   ASSERT_GT(cache_evictions, 0) << "cache budget did not bind";
   ASSERT_GT(replay_evictions, 0) << "replay budget did not bind";
 
-  ExpectSameBoundedOutcome(
-      base, RunBoundedTraining(8, 1, 1), "8 threads");
-  ExpectSameBoundedOutcome(
-      base, RunBoundedTraining(1, 4, 1), "4 replay shards");
-  ExpectSameBoundedOutcome(
-      base, RunBoundedTraining(8, 4, 4), "8 threads, 4x4 shards");
+  ExpectSameBoundedOutcome(base, RunBoundedTraining(8, 1), "8 threads");
+  ExpectSameBoundedOutcome(base, RunBoundedTraining(8, 4),
+                           "8 threads, 4 collector shards");
+}
+
+// Training under binding budgets at {1, 8} threads x {1, 4} collector shards
+// reproduces the frozen bounded digest: every replay draw, eviction and
+// resident-byte count as recorded.
+TEST(TrainingGoldenTest, BoundedFeatMatchesGolden) {
+  const uint64_t expected =
+      golden::ExpectedDigest(golden::kBoundedFeatTraining);
+  for (const int num_threads : {1, 8}) {
+    for (const int collector_shards : {1, 4}) {
+      const BoundedOutcome outcome =
+          RunBoundedTraining(num_threads, collector_shards);
+      long long cache_evictions = 0;
+      long long replay_evictions = 0;
+      for (const IterationStats& stats : outcome.stats) {
+        cache_evictions += stats.cache_evictions;
+        replay_evictions += stats.replay_evictions;
+      }
+      const std::string config =
+          "num_threads=" + std::to_string(num_threads) +
+          " collector_shards=" + std::to_string(collector_shards);
+      EXPECT_GT(cache_evictions, 0) << "cache budget did not bind, " << config;
+      EXPECT_GT(replay_evictions, 0)
+          << "replay budget did not bind, " << config;
+      EXPECT_EQ(outcome.digest, expected)
+          << golden::DescribeComputed(outcome.digest) << " for bounded Feat "
+          << config;
+    }
+  }
 }
 
 TEST(BoundedTrainingTest, SuccessPrioritizedSchedulingIsDeterministic) {

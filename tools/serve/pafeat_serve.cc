@@ -27,7 +27,6 @@
 #include "common/table_printer.h"
 #include "common/timer.h"
 #include "core/checkpoint.h"
-#include "memory/budget.h"
 #include "nn/dueling_net.h"
 #include "rl/fs_env.h"
 #include "serve/selection_server.h"
@@ -106,8 +105,6 @@ int Main(int argc, char** argv) {
   int max_batch = 64;
   int max_queue = 256;
   int max_wait_us = 200;
-  int max_cache_mb = -1;
-  int replay_budget_mb = -1;
 
   FlagSet flags;
   flags.AddString("checkpoint", &checkpoint_path,
@@ -130,24 +127,7 @@ int Main(int argc, char** argv) {
                "admission bound on in-flight requests");
   flags.AddInt("max_wait_us", &max_wait_us,
                "how long a lone arrival waits for peers to coalesce");
-  flags.AddInt("max_cache_mb", &max_cache_mb,
-               "process-wide reward-cache budget in MB for any in-process "
-               "training/evaluation (0 = unlimited, -1 = default chain)");
-  flags.AddInt("replay_budget_mb", &replay_budget_mb,
-               "process-wide replay-buffer budget in MB for any in-process "
-               "training (0 = unlimited, -1 = default chain)");
   if (!flags.Parse(argc, argv)) return 1;
-  // Budgets land as process defaults so every component built later in this
-  // process — including training colocated with serving — inherits them
-  // through the memory/budget.h resolution chain.
-  if (max_cache_mb >= 0) {
-    SetProcessCacheBudgetBytes(static_cast<long long>(max_cache_mb) * 1024 *
-                               1024);
-  }
-  if (replay_budget_mb >= 0) {
-    SetProcessReplayBudgetBytes(static_cast<long long>(replay_budget_mb) *
-                                1024 * 1024);
-  }
   if (checkpoint_path.empty() && !demo) {
     std::cerr << "pafeat-serve: pass --checkpoint=<path> or --demo\n\n"
               << flags.Usage();
