@@ -459,23 +459,20 @@ void BM_IterationBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_IterationBatched);
 
-// The sharded collector plane's scaling curve (DESIGN.md "Sharded training
-// plane"): num_threads is pinned to 1, so the 1-shard case is the serial
-// collector and each added shard is an added replica — the scale-out shape,
-// not intra-step splitting. 32 episodes/iteration leaves every shard count
-// real work. Shards only add wall-clock concurrency when the host has cores
-// to run them on: on a multi-core host the collection phase scales with the
-// shard count, while a single-core host measures the fan-out overhead
-// (shards run back-to-back on one core) and the curve is flat by
-// construction — the "simd"/"num_cpus" context keys recorded in the JSON
-// baselines say which case a run measured.
+// The collector plane's scaling curve (DESIGN.md "Sharded training plane"):
+// num_threads = N deals the 32 episodes round-robin to N collectors, so 1 is
+// the serial collector and each added thread is an added replica — the
+// scale-out shape. 32 episodes/iteration leaves every collector real work.
+// Collectors only add wall-clock concurrency when the host has cores to run
+// them on: on a multi-core host the collection phase scales with the thread
+// count, while a single-core host measures the fan-out overhead and the
+// curve is flat by construction — the "simd"/"num_cpus" context keys
+// recorded in the JSON baselines say which case a run measured.
 void BM_IterationSharded(benchmark::State& state) {
-  const int num_shards = static_cast<int>(state.range(0));
   IterationFixture fixture;
   FeatConfig config = DefaultFeatOptions(60, 46).feat;
   config.envs_per_iteration = 32;
-  config.num_threads = 1;
-  config.num_shards = num_shards;
+  config.num_threads = static_cast<int>(state.range(0));
   Feat feat(fixture.problem.get(), fixture.dataset.SeenTaskIndices(), config);
   for (auto _ : state) {
     benchmark::DoNotOptimize(feat.RunIteration().episodes);

@@ -92,8 +92,20 @@ long long BudgetMbToBytes(int mb) {
 
 int RunTrain(const Table& table, const std::string& labels_csv,
              const std::string& out_path, int iterations, double mfr,
-             int seed, int num_threads, int num_shards, int max_cache_mb,
+             int seed, int num_threads, int max_cache_mb,
              int replay_budget_mb) {
+  if (iterations < 1) {
+    std::fprintf(stderr, "--iterations must be >= 1\n");
+    return 1;
+  }
+  if (!(mfr > 0.0 && mfr <= 1.0)) {
+    std::fprintf(stderr, "--mfr must be in (0, 1]\n");
+    return 1;
+  }
+  if (num_threads < 1) {
+    std::fprintf(stderr, "--num_threads must be >= 1\n");
+    return 1;
+  }
   std::vector<int> seen;
   for (const std::string& raw : Split(labels_csv, ',')) {
     const int index = LabelIndexByName(table, Trim(raw));
@@ -120,16 +132,7 @@ int RunTrain(const Table& table, const std::string& labels_csv,
     config.feat.replay_budget_bytes =
         static_cast<std::size_t>(replay_budget_mb) * 1024 * 1024;
   }
-  if (num_threads < 1) {
-    std::fprintf(stderr, "--num_threads must be >= 1\n");
-    return 1;
-  }
   config.feat.num_threads = num_threads;
-  if (num_shards < 1) {
-    std::fprintf(stderr, "--num_shards must be >= 1\n");
-    return 1;
-  }
-  config.feat.num_shards = num_shards;
   PaFeat pafeat(&problem, seen, config);
   std::printf("training on %zu seen tasks, %d iterations...\n", seen.size(),
               iterations);
@@ -234,7 +237,6 @@ int main(int argc, char** argv) {
   double mfr = 0.5;
   int seed = 7;
   int num_threads = 1;
-  int num_shards = 1;
   int max_cache_mb = -1;
   int replay_budget_mb = -1;
   int arff_labels = 1;
@@ -250,8 +252,6 @@ int main(int argc, char** argv) {
   flags.AddInt("seed", &seed, "random seed");
   flags.AddInt("num_threads", &num_threads,
                "train: episode threads (results are identical at any value)");
-  flags.AddInt("num_shards", &num_shards,
-               "train: collector shards (results are identical at any value)");
   flags.AddInt("max_cache_mb", &max_cache_mb,
                "train: per-task reward-cache budget in MB (0 = unlimited, "
                "-1 = default chain; results are identical at any budget)");
@@ -273,9 +273,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot load dataset from %s\n", data.c_str());
     return 1;
   }
+  if ((command == "train" || command == "select") &&
+      table->num_rows() < kMinProblemRows) {
+    std::fprintf(stderr, "%s has %d data rows; %s needs at least %d\n",
+                 data.c_str(), table->num_rows(), command.c_str(),
+                 kMinProblemRows);
+    return 1;
+  }
   if (command == "train") {
     return RunTrain(*table, labels, out, iterations, mfr, seed, num_threads,
-                    num_shards, max_cache_mb, replay_budget_mb);
+                    max_cache_mb, replay_budget_mb);
   }
   if (command == "select") {
     return RunSelect(*table, label, agent, seed, quantized);

@@ -96,19 +96,18 @@ build/bench/bench_micro \
 echo "===================================================================="
 echo "== Sharded training plane -> bench/baselines/BENCH_shard.json"
 echo "===================================================================="
-# BM_IterationSharded/N: one training iteration with the collector plane
-# split into N shards (num_threads pinned to 1, so shards are the only
-# parallelism — the scale-out curve). Interpreting the curve requires the
-# JSON's num_cpus context key: shards only buy wall-clock on hosts with
-# cores to run them; on a single-core host every shard executes back-to-back
-# on one core and the curve measures the fan-out/merge overhead instead
-# (DESIGN.md "Sharded training plane"). The acceptance target — >= 1.5x
-# iteration throughput at 4 shards — is a multi-core criterion; the frozen
-# num_cpus=1 baseline measures wall 3.88ms -> 3.74ms (1.04x, i.e. the
-# fan-out+merge costs less than the rendezvous overhead it replaces even
-# with zero extra cores) while per-iteration main-thread CPU drops 3.80ms
-# -> 1.49ms (2.6x offloaded to pool workers). The first run's numbers are
-# frozen in bench/baselines/BENCH_shard_seed.json.
+# BM_IterationSharded/N: one training iteration at num_threads = N, whose 32
+# episodes are dealt round-robin to N collectors (the scale-out curve).
+# Interpreting the curve requires the JSON's num_cpus context key:
+# collectors only buy wall-clock on hosts with cores to run them; on a
+# single-core host they execute back-to-back on one core and the curve
+# measures the fan-out overhead instead (DESIGN.md "Sharded training
+# plane"). The acceptance target — >= 1.5x iteration throughput at 4 — is a
+# multi-core criterion. The frozen BENCH_shard.json (num_cpus=1, recorded
+# when N counted collector shards at one thread) reads real time 4.19ms at
+# 1 -> 3.62ms at 4 (1.16x), while per-iteration main-thread CPU drops
+# 4.07ms -> 1.37ms (3.0x offloaded to pool workers). The first run's
+# numbers are frozen in bench/baselines/BENCH_shard_seed.json.
 build/bench/bench_micro \
   --benchmark_filter='BM_IterationSharded' \
   --benchmark_min_time=0.2 \

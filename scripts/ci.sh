@@ -25,11 +25,9 @@
 #             set an explicit budget runs under a binding ~64KB ceiling —
 #             the clock-sweep eviction and slab-reuse paths churn
 #             continuously while ASan watches the freed slots
-#   tsan      scripts/check.sh tsan  (ThreadSanitizer), with
-#             PAFEAT_SHARD_STRESS_SHARDS=4 so the shard rendezvous stress
-#             runs the sharded collector fan-out at num_shards=4 — several
-#             shards racing on the pool and the shared reward-cache locks
-#             is exactly the traffic TSan should see
+#   tsan      scripts/check.sh tsan  (ThreadSanitizer): the collection
+#             rendezvous stress runs 8 collectors racing on the pool and the
+#             shared reward-cache locks, exactly the traffic TSan should see
 #   benchmark benchmark/run_benchmark.sh --test: builds the benchmark
 #             harness (its own tree, .bench_build/) and runs the comparator
 #             self-test plus every workload at a tiny size, so a change to
@@ -95,13 +93,7 @@ run_step "release+lint+werror" release_step
 run_step "analyze (semantic)" analyze_step
 run_step "release simd=generic" forced_generic_step
 run_step "asan+ubsan+checked" asan_step
-# TSan leg with the sharded collector stress pinned to a 4-shard fan-out
-# (ShardedCollectionRendezvousStress reads the override).
-tsan_step() {
-  PAFEAT_SHARD_STRESS_SHARDS=4 scripts/check.sh tsan
-}
-
-run_step "tsan" tsan_step
+run_step "tsan" scripts/check.sh tsan
 
 benchmark_step() {
   bash benchmark/run_benchmark.sh --test

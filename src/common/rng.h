@@ -58,7 +58,7 @@ class Rng {
   // of this generator's current state and `stream_id`.
   Rng Fork(uint64_t stream_id);
 
-  // Forks on a two-component path, e.g. (iteration, shard): the components
+  // Forks on a two-component path, e.g. (iteration, stream): the components
   // are hash-combined through SplitMix64 before forking, so neighbouring
   // paths land on well-separated streams and (a, b) never collides with
   // (b, a) the way a plain XOR of the keys would.

@@ -60,8 +60,14 @@ bool ParseInt(std::string_view text, int* out) {
   std::string owned = Trim(text);
   if (owned.empty()) return false;
   char* end = nullptr;
-  long value = std::strtol(owned.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
+  // strtoll saturates past the long long range, so anything it returns
+  // outside int range is out of range here.
+  const long long value = std::strtoll(owned.c_str(), &end, 10);
+  if (end == nullptr || *end != '\0' ||
+      value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return false;
+  }
   *out = static_cast<int>(value);
   return true;
 }

@@ -23,6 +23,7 @@ std::string FormatDouble(double value, int digits);
 bool StartsWith(std::string_view text, std::string_view prefix);
 
 // Parses helpers returning false on malformed input instead of throwing.
+// ParseInt rejects values outside int range rather than wrapping them;
 // ParseDouble rejects non-finite values ("nan", "inf", overflow such as
 // "1e400"); ParseFloat also rejects finite values beyond float range.
 bool ParseInt(std::string_view text, int* out);

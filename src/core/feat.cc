@@ -55,15 +55,11 @@ Feat::Feat(FsProblem* problem, std::vector<int> seen_label_indices,
   PF_CHECK(problem != nullptr);
   PF_CHECK(!seen_label_indices.empty());
 
-  PF_CHECK_GE(config_.num_shards, 1);
-
   // Episode collection shares the persistent process-wide pool (no thread
-  // spawn/join per iteration); make sure it can deliver the configured
-  // parallelism (the iteration's own thread is the extra executor): the
-  // environment steps of a single shard, or one executor per shard.
-  const int executors = std::max(config_.num_threads, config_.num_shards);
-  if (executors > 1) {
-    ThreadPool::EnsureGlobalWorkers(executors - 1);
+  // spawn/join per iteration); make sure it can deliver one executor per
+  // collector (the iteration's own thread is the extra executor).
+  if (config_.num_threads > 1) {
+    ThreadPool::EnsureGlobalWorkers(config_.num_threads - 1);
   }
 
   for (int label_index : seen_label_indices) AddTask(label_index);
@@ -123,22 +119,28 @@ void Feat::SetRewardShaper(std::unique_ptr<RewardShaper> shaper) {
   reward_shaper_ = std::move(shaper);
 }
 
-void Feat::CollectShard(const std::vector<const EpisodePlan*>& plans,
-                        int num_threads,
+void Feat::CollectShard(const std::vector<EpisodePlan>& plans, int collector,
+                        int num_collectors,
                         std::vector<Trajectory>* trajectories,
                         std::vector<std::vector<int>>* episode_actions) {
-  const int num_episodes = static_cast<int>(plans.size());
   const int obs_dim = tasks_.front().env->observation_dim();
   // Epsilon is constant across the whole buffer-filling phase — gradient
   // steps (which advance the schedule) only happen in the updating phase —
   // so it is sampled once per phase.
   const float epsilon = agent_->CurrentEpsilon();
 
+  // This collector's plan indices, in plan order.
+  std::vector<int> mine;
+  for (int i = collector; i < static_cast<int>(plans.size());
+       i += num_collectors) {
+    mine.push_back(i);
+  }
+  const int num_episodes = static_cast<int>(mine.size());
   std::vector<EpisodeDriver> drivers;
   drivers.reserve(num_episodes);
   std::vector<EpisodeDriver::RewardShapeFn> shapers(num_episodes);
   for (int i = 0; i < num_episodes; ++i) {
-    const EpisodePlan& plan = *plans[i];
+    const EpisodePlan& plan = plans[mine[i]];
     drivers.emplace_back(*tasks_[plan.slot].env, plan.rng);
     if (plan.start.has_value()) {
       drivers.back().StartFrom(plan.start->state, plan.start->prefix,
@@ -156,9 +158,10 @@ void Feat::CollectShard(const std::vector<const EpisodePlan*>& plans,
     }
   }
 
-  // Live set in plan order: the serial planning pass below must draw from
-  // the episode streams in a fixed order so runs stay bit-identical at any
-  // thread count and any retirement pattern.
+  // Live set in plan order. A driver draws only from its own episode stream
+  // and a batched Q row does not depend on its batch mates, so which
+  // collector runs an episode, beside which others, never reaches its
+  // result.
   std::vector<int> live;
   live.reserve(num_episodes);
   for (int i = 0; i < num_episodes; ++i) {
@@ -169,7 +172,7 @@ void Feat::CollectShard(const std::vector<const EpisodePlan*>& plans,
   std::vector<int> greedy;
   std::vector<int> greedy_actions;
   while (!live.empty()) {
-    // Phase 1 (serial, plan order): exploration decisions for this step.
+    // Phase 1 (plan order): exploration decisions for this step.
     greedy.clear();
     for (int index : live) {
       if (drivers[index].PlanStep(epsilon)) greedy.push_back(index);
@@ -191,17 +194,9 @@ void Feat::CollectShard(const std::vector<const EpisodePlan*>& plans,
         drivers[greedy[r]].SetPlannedAction(greedy_actions[r]);
       }
     }
-    // Phase 3 (parallel): environment steps + reward shaping. Each worker
-    // touches only its own driver; the reward cache behind the shared
-    // evaluator is locked.
-    // With several shards this runs inline on the shard's worker by
-    // design: determinism is per-shard, parallelism comes from the outer
-    // shard loop (the blessed fan-out idiom).
-    // lint: allow(pool-reentrancy): shard fan-out degrades inline by design
-    ThreadPool::Global()->ParallelFor(
-        static_cast<int>(live.size()), num_threads, [&](int i) {
-          drivers[live[i]].ApplyAction(shapers[live[i]]);
-        });
+    // Phase 3 (plan order): environment steps + reward shaping; the reward
+    // cache behind the shared evaluator is locked.
+    for (int index : live) drivers[index].ApplyAction(shapers[index]);
     // Phase 4: retire finished episodes, preserving plan order.
     live.erase(std::remove_if(live.begin(), live.end(),
                               [&](int index) {
@@ -211,70 +206,8 @@ void Feat::CollectShard(const std::vector<const EpisodePlan*>& plans,
   }
 
   for (int i = 0; i < num_episodes; ++i) {
-    (*trajectories)[i] = drivers[i].TakeTrajectory();
-    (*episode_actions)[i] = drivers[i].actions();
-  }
-}
-
-int Feat::ShardOfEpisode(uint64_t iteration, int episode_index,
-                         int num_shards) {
-  PF_CHECK_GT(num_shards, 0);
-  // SplitMix64-style avalanche of the (iteration, episode) pair. A plain
-  // `episode % num_shards` would also be deterministic, but it would give
-  // every shard a contiguous stride of the plan — the hash spreads any
-  // scheduler bias across shards and matches how a distributed partitioner
-  // would key episodes.
-  uint64_t z = iteration * 0x9e3779b97f4a7c15ULL +
-               static_cast<uint64_t>(episode_index) + 0x632be59bd9b4e019ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  return static_cast<int>(z % static_cast<uint64_t>(num_shards));
-}
-
-void Feat::CollectEpisodes(const std::vector<EpisodePlan>& plans,
-                           int num_shards,
-                           std::vector<Trajectory>* trajectories,
-                           std::vector<std::vector<int>>* episode_actions) {
-  // Partition by the fixed (iteration, episode) hash. The assignment is a
-  // pure function of the plan's position, and planning itself already
-  // happened serially on the root stream — so both the episode set and
-  // every per-episode RNG stream are shard-count-invariant by construction.
-  std::vector<std::vector<int>> shards(num_shards);
-  for (int i = 0; i < static_cast<int>(plans.size()); ++i) {
-    shards[ShardOfEpisode(iteration_index_, i, num_shards)].push_back(i);
-  }
-
-  // Shard-local accumulators, merged only after the fan-out barrier below —
-  // the collect-then-deterministic-Build shape: no shard writes shared
-  // state while collecting, so finish order cannot influence the merge.
-  // One shard runs on this thread and fans its environment steps out over
-  // num_threads; several shards are the fan-out themselves, and the nested
-  // ParallelFor inside each runs inline on its worker.
-  std::vector<std::vector<Trajectory>> shard_trajectories(num_shards);
-  std::vector<std::vector<std::vector<int>>> shard_actions(num_shards);
-  const int step_threads = num_shards == 1 ? config_.num_threads : 1;
-  ThreadPool::Global()->ParallelFor(num_shards, num_shards, [&](int s) {
-    const int count = static_cast<int>(shards[s].size());
-    shard_trajectories[s].resize(count);
-    shard_actions[s].resize(count);
-    if (count == 0) return;
-    std::vector<const EpisodePlan*> shard_plans;
-    shard_plans.reserve(count);
-    for (int index : shards[s]) shard_plans.push_back(&plans[index]);
-    CollectShard(shard_plans, step_threads, &shard_trajectories[s],
-                 &shard_actions[s]);
-  });
-
-  // Deterministic merge, (shard id, plan index) order: each shard's results
-  // land back at their global plan indices, so the commit loop that follows
-  // sees the plan-order layout.
-  for (int s = 0; s < num_shards; ++s) {
-    for (int j = 0; j < static_cast<int>(shards[s].size()); ++j) {
-      const int index = shards[s][j];
-      (*trajectories)[index] = std::move(shard_trajectories[s][j]);
-      (*episode_actions)[index] = std::move(shard_actions[s][j]);
-    }
+    (*trajectories)[mine[i]] = drivers[i].TakeTrajectory();
+    (*episode_actions)[mine[i]] = drivers[i].actions();
   }
 }
 
@@ -301,40 +234,27 @@ IterationStats Feat::RunIteration() {
   IterationStats stats;
 
   // --- Buffer Filling Phase (Algorithm 1 lines 4-18) ---
-  // The per-shard RNG streams fork off a fresh root-seeded generator (not
-  // rng_) on the (iteration, shard) path: scheduler draws must not advance
-  // the planning stream, or num_shards would leak into later iterations'
-  // plans. The clamp matches the collection fan-out below, so a scheduler
-  // sees exactly the streams the shards it schedules for will use.
   const int num_episodes = config_.envs_per_iteration;
-  const int num_shards =
-      std::max(1, std::min(config_.num_shards, num_episodes));
-  std::vector<Rng> shard_streams;
-  shard_streams.reserve(num_shards);
-  Rng shard_root(config_.seed);
-  for (int s = 0; s < num_shards; ++s) {
-    shard_streams.push_back(
-        shard_root.Fork(iteration_index_, static_cast<uint64_t>(s)));
-  }
-
   if (focus_slot_ >= 0) {
     PF_CHECK_LT(focus_slot_, num_tasks());
     last_probabilities_.assign(tasks_.size(), 0.0);
     last_probabilities_[focus_slot_] = 1.0;
   } else {
-    std::vector<Rng*> stream_ptrs;
-    stream_ptrs.reserve(shard_streams.size());
-    for (Rng& stream : shard_streams) stream_ptrs.push_back(&stream);
-    scheduler_->BeginIteration(stream_ptrs);
+    // The scheduler stream forks off a fresh root-seeded generator (not
+    // rng_) on the (iteration, 0) path: scheduler draws must not advance
+    // the planning stream.
+    Rng scheduler_stream = Rng(config_.seed).Fork(iteration_index_, 0);
+    scheduler_->BeginIteration(&scheduler_stream);
     last_probabilities_ = scheduler_->Probabilities(tasks_);
   }
   PF_CHECK_EQ(last_probabilities_.size(), tasks_.size());
   stats.task_probabilities = last_probabilities_;
 
   // Plan all N episodes on this thread (task choice, customized initial
-  // state, per-episode RNG, reward-shaper context), then execute them —
-  // possibly on worker threads — and commit the results in plan order.
-  // This keeps runs bit-identical for a fixed seed at any thread count.
+  // state, per-episode RNG, reward-shaper context), then deal them
+  // round-robin to the collectors — one per executor, inline when there is
+  // one — and commit the results in plan order. This keeps runs
+  // bit-identical for a fixed seed at any thread count.
   std::vector<EpisodePlan> plans(num_episodes);
   for (int i = 0; i < num_episodes; ++i) {
     EpisodePlan& plan = plans[i];
@@ -351,7 +271,11 @@ IterationStats Feat::RunIteration() {
 
   std::vector<Trajectory> trajectories(num_episodes);
   std::vector<std::vector<int>> episode_actions(num_episodes);
-  CollectEpisodes(plans, num_shards, &trajectories, &episode_actions);
+  const int collectors = std::max(1, std::min(config_.num_threads,
+                                              num_episodes));
+  ThreadPool::Global()->ParallelFor(collectors, collectors, [&](int c) {
+    CollectShard(plans, c, collectors, &trajectories, &episode_actions);
+  });
 
   for (int i = 0; i < num_episodes; ++i) {
     Trajectory& trajectory = trajectories[i];
@@ -402,11 +326,8 @@ IterationStats Feat::RunIteration() {
       updates.push_back(std::move(update));
     }
   }
-  const int learner_threads =
-      std::max(1, std::min(std::max(config_.num_threads, num_shards),
-                           static_cast<int>(updates.size())));
   ThreadPool::Global()->ParallelFor(
-      static_cast<int>(updates.size()), learner_threads, [&](int u) {
+      static_cast<int>(updates.size()), config_.num_threads, [&](int u) {
         updates[u].batch = MaterializeBatch(updates[u].slot,
                                             updates[u].sampled);
       });
@@ -424,7 +345,7 @@ IterationStats Feat::RunIteration() {
   // windows: the epoch's publishes graduate into the eviction slab in
   // sorted-key order and the budget sweep runs, so its evictions land in
   // this iteration's counters and the whole sequence is deterministic at
-  // any thread or shard count.
+  // any thread count.
   for (const SeenTaskRuntime& task : tasks_) {
     task.context->evaluator->AdvanceCacheEpoch();
     const MemoryTraffic traffic = task.context->evaluator->TakeCacheTraffic();

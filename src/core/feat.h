@@ -27,37 +27,27 @@ struct FeatConfig {
   RewardMode reward_mode = RewardMode::kDelta;
   int replay_capacity = 4096;    // transitions per task buffer B^k
   // Executors for the buffer-filling phase (the paper's N parallel
-  // environments / "Resources"). Episodes run on the persistent
-  // process-wide ThreadPool — the Feat constructor grows it to at least
-  // num_threads - 1 workers (the iterating thread participates), so this is
-  // also the pool-size wiring. Results are deterministic for a fixed seed
-  // regardless of the thread count: episodes are planned sequentially
-  // (task choice, initial state, per-episode RNG), executed on the pool,
-  // and committed in plan order.
+  // environments / "Resources"), and the only parallelism setting. The
+  // iteration's planned episodes are dealt round-robin (plan i to collector
+  // i mod C) to C = min(num_threads, envs_per_iteration) collectors, each
+  // running its own step-synchronous loop (DESIGN.md "Batched inference
+  // plane") on one executor of the persistent process-wide ThreadPool; one
+  // collector runs inline on the iterating thread. The Feat constructor
+  // grows the pool to at least num_threads - 1 workers (the iterating thread
+  // participates). Results are bit-identical for a fixed seed at any thread
+  // count: episodes are planned serially on the root stream, every draw
+  // during collection comes from an episode's own stream, batched Q rows
+  // match at any batch composition by kernel construction, and results are
+  // committed in plan order.
   int num_threads = 1;
-  // Sharded collector plane (DESIGN.md "Sharded training plane"): the
-  // iteration's planned episodes are partitioned across `num_shards`
-  // collector shards by a fixed hash of (iteration, episode index), each
-  // shard runs its own step-synchronous collection (DESIGN.md "Batched
-  // inference plane") concurrently on the global pool, and the shard-local
-  // accumulators are merged in (shard id, plan index) order before the
-  // plan-order commit. Training is bit-identical at any shard count:
-  // planning stays serial on the root stream (the episode set and
-  // per-episode RNG streams never depend on the shard count), every draw
-  // during collection comes from an episode's own stream, and batched Q rows
-  // match at any batch composition by kernel construction. num_shards = 1 is
-  // the degenerate partition: one shard, collected on the iterating thread
-  // with num_threads executors for its environment steps. The constructor
-  // grows the pool to one executor per shard.
-  int num_shards = 1;
   // Byte budget of every task buffer B^k (DESIGN.md "Bounded memory
   // plane"); 0 = unlimited. Over budget, the lowest-return trajectories are
   // evicted first.
   std::size_t replay_budget_bytes = 0;
   // Success-induced task prioritization (arXiv 2301.00691) as the scheduler
   // default instead of uniform: tasks whose recent success rate moved the
-  // most get more episodes, with exploration nominations drawn from the
-  // reserved per-shard RNG streams. An ablation alternative to the ITS —
+  // most get more episodes, with an exploration nomination drawn from the
+  // reserved scheduler RNG stream. An ablation alternative to the ITS —
   // PaFeatConfig::use_its still overrides whatever the Feat default is.
   bool success_prioritized_scheduling = false;
   int recent_returns_window = 32;
@@ -86,14 +76,11 @@ class TaskScheduler {
  public:
   virtual ~TaskScheduler() = default;
   // Called once per iteration before Probabilities (skipped in focus mode)
-  // with the iteration's reserved per-shard RNG streams — forked on the
-  // (iteration, shard) path off a fresh root-seeded generator, so a
-  // scheduler that draws from them cannot perturb the planning stream.
-  // Streams a scheduler does not consume leave training bit-identical to a
-  // run without the hook. The default consumes nothing.
-  virtual void BeginIteration(const std::vector<Rng*>& shard_streams) {
-    (void)shard_streams;
-  }
+  // with the iteration's reserved scheduler RNG stream — forked on the
+  // (iteration, 0) path off a fresh root-seeded generator, so a scheduler
+  // that draws from it cannot perturb the planning stream, and its draws
+  // never depend on the thread count. The default consumes nothing.
+  virtual void BeginIteration(Rng* stream) { (void)stream; }
   virtual std::vector<double> Probabilities(
       const std::vector<SeenTaskRuntime>& tasks) = 0;
 };
@@ -221,13 +208,6 @@ class Feat {
   // mean_iteration_seconds is Table II's "Iter".
   TrainingStats Train(int iterations);
 
-  // The collector shard an episode plan belongs to: a fixed avalanche hash
-  // of (iteration, episode index), so the assignment is a pure function of
-  // the plan's position — never of shard timing, RNG state, or the shard
-  // count used by previous iterations. Exposed for tests.
-  static int ShardOfEpisode(uint64_t iteration, int episode_index,
-                            int num_shards);
-
   // Fast feature selection for an unseen task (Algorithm 1 lines 22-24):
   // computes the task representation and executes one greedy episode. The
   // wall time of exactly this path is the paper's "execution time".
@@ -293,20 +273,16 @@ class Feat {
     Rng rng{0};
   };
 
-  // The buffer-filling phase: partitions `plans` by ShardOfEpisode, runs
-  // each shard's CollectShard concurrently on the global pool, then merges
-  // the shard-local results back to their plan indices in (shard id, plan
-  // index) order — byte-equal regardless of which shard finishes first,
-  // because no shard touches shared mutable state while collecting.
-  void CollectEpisodes(const std::vector<EpisodePlan>& plans, int num_shards,
-                       std::vector<Trajectory>* trajectories,
-                       std::vector<std::vector<int>>* episode_actions);
-  // Step-synchronous execution of one shard's planned episodes: per step, a
-  // serial plan-order planning pass (exploration draws), one batched greedy
-  // Q pass over every live driver, then a parallel environment-step pass.
-  // Fills `trajectories` and `episode_actions` indexed like `plans`.
-  void CollectShard(const std::vector<const EpisodePlan*>& plans,
-                    int num_threads, std::vector<Trajectory>* trajectories,
+  // Step-synchronous execution of the plans dealt to one collector (plan
+  // indices collector, collector + num_collectors, ...): per step, a serial
+  // plan-order planning pass (exploration draws), one batched greedy Q pass
+  // over every live driver, then each live driver's environment step in
+  // plan order. Writes each plan's trajectory and decision path straight
+  // into its slot of `trajectories` and `episode_actions`; collectors touch
+  // disjoint slots and no other shared mutable state but the locked reward
+  // cache.
+  void CollectShard(const std::vector<EpisodePlan>& plans, int collector,
+                    int num_collectors, std::vector<Trajectory>* trajectories,
                     std::vector<std::vector<int>>* episode_actions);
   std::vector<BatchItem> MaterializeBatch(
       int slot, const std::vector<const Transition*>& sampled) const;
@@ -324,8 +300,8 @@ class Feat {
   std::unique_ptr<RewardShaper> reward_shaper_;
   std::vector<double> last_probabilities_;
   int focus_slot_ = -1;
-  // 0-based index of the next RunIteration call; keys the shard-assignment
-  // hash and the per-shard RNG fork path.
+  // 0-based index of the next RunIteration call; keys the scheduler
+  // stream's fork path.
   uint64_t iteration_index_ = 0;
   // Running replay-eviction total at the end of the previous iteration
   // (buffers only expose running counters; cache traffic drains windows).

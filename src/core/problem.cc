@@ -9,7 +9,7 @@ namespace pafeat {
 
 FsProblem::FsProblem(Table table, const FsProblemConfig& config, uint64_t seed)
     : table_(std::move(table)), config_(config), rng_(seed) {
-  PF_CHECK_GT(table_.num_rows(), 3);
+  PF_CHECK_GE(table_.num_rows(), kMinProblemRows);
   PF_CHECK_GT(table_.num_labels(), 0);
   split_ = MakeSplit(table_.num_rows(), config.train_fraction, &rng_);
   standardizer_.Fit(table_.features(), split_.train_rows);

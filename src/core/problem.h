@@ -45,6 +45,10 @@ struct FsProblemConfig {
   long long reward_cache_budget_bytes = kMemoryBudgetDefault;
 };
 
+// Fewest table rows an FsProblem accepts (a constructor precondition): the
+// train/test split and the reward-evaluation carve-out need this many.
+inline constexpr int kMinProblemRows = 4;
+
 // A fast-feature-selection problem instance: one structured-data table with
 // a shared feature space, a train/test split, standardized features, and
 // lazily-built per-task contexts.

@@ -7,16 +7,11 @@
 
 namespace pafeat {
 
-void SitpScheduler::BeginIteration(const std::vector<Rng*>& shard_streams) {
-  // Take the raw draws now (the streams are owned by the running iteration);
-  // they resolve to task nominations in Probabilities, where the task count
-  // is known. One draw per shard keeps the consumption — and therefore the
-  // nomination sequence — a pure function of (seed, iteration, shard count).
-  nomination_draws_.clear();
-  nomination_draws_.reserve(shard_streams.size());
-  for (Rng* stream : shard_streams) {
-    nomination_draws_.push_back(stream->Next());
-  }
+void SitpScheduler::BeginIteration(Rng* stream) {
+  // Take the raw draw now (the stream is owned by the running iteration); it
+  // resolves to a task nomination in Probabilities, where the task count is
+  // known.
+  nomination_draw_ = stream->Next();
 }
 
 std::vector<double> SitpScheduler::Probabilities(
@@ -46,17 +41,13 @@ std::vector<double> SitpScheduler::Probabilities(
     score[k] = seen_before ? std::abs(success[k] - prev_success_[k]) : 1.0;
   }
 
-  // Exploration nominations from the reserved shard streams: each draw
-  // nominates one task, splitting the bonus evenly so the total exploration
-  // mass is shard-count independent.
-  if (!nomination_draws_.empty() && config_.exploration_bonus > 0.0) {
-    const double bonus =
-        config_.exploration_bonus / nomination_draws_.size();
-    for (const std::uint64_t draw : nomination_draws_) {
-      score[draw % static_cast<std::uint64_t>(n)] += bonus;
-    }
+  // Exploration nomination from the reserved scheduler stream: the draw
+  // nominates one task for the bonus.
+  if (nomination_draw_.has_value() && config_.exploration_bonus > 0.0) {
+    score[*nomination_draw_ % static_cast<std::uint64_t>(n)] +=
+        config_.exploration_bonus;
   }
-  nomination_draws_.clear();
+  nomination_draw_.reset();
   prev_success_ = success;
   if (n == 1) return {1.0};
 

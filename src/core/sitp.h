@@ -2,6 +2,7 @@
 #define PAFEAT_CORE_SITP_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/feat.h"
@@ -22,25 +23,25 @@ struct SitpConfig {
   // Every task keeps at least this fraction of the uniform share, so a
   // plateaued task is throttled, never starved.
   double min_share_of_uniform = 0.5;
-  // Weight of the per-shard exploration nominations: each reserved shard
-  // stream nominates one task per iteration, giving plateaued tasks a
+  // Weight of the exploration nomination: the reserved scheduler stream
+  // nominates one task per iteration, giving plateaued tasks a
   // deterministic, seed-driven chance to re-enter the rotation.
   double exploration_bonus = 0.25;
 };
 
 // TaskScheduler implementing SITP. BeginIteration consumes one draw from
-// every reserved per-shard RNG stream (the streams are forked on the
-// (iteration, shard) path off a root-seeded generator, so the nomination
-// sequence is a pure function of seed, iteration and shard count — never of
-// timing). Probabilities then scores each task by the absolute change of
-// its success rate (average recent episode return over the full-feature
-// baseline) since the previous iteration, adds the nomination bonus, and
-// runs the ITS-style normalize / softmax / min-share pipeline.
+// the reserved scheduler stream (forked on the (iteration, 0) path off a
+// root-seeded generator, so the nomination sequence is a pure function of
+// seed and iteration — never of timing or the thread count). Probabilities
+// then scores each task by the absolute change of its success rate
+// (average recent episode return over the full-feature baseline) since the
+// previous iteration, adds the nomination bonus, and runs the ITS-style
+// normalize / softmax / min-share pipeline.
 class SitpScheduler : public TaskScheduler {
  public:
   explicit SitpScheduler(const SitpConfig& config = {}) : config_(config) {}
 
-  void BeginIteration(const std::vector<Rng*>& shard_streams) override;
+  void BeginIteration(Rng* stream) override;
   std::vector<double> Probabilities(
       const std::vector<SeenTaskRuntime>& tasks) override;
 
@@ -48,10 +49,10 @@ class SitpScheduler : public TaskScheduler {
 
  private:
   SitpConfig config_;
-  // Raw draws taken in BeginIteration (one per shard stream); resolved
-  // against the task count at Probabilities time. Stored as values, not
-  // stream pointers — the streams die with the iteration.
-  std::vector<std::uint64_t> nomination_draws_;
+  // Raw draw taken in BeginIteration; resolved against the task count at
+  // Probabilities time. Stored as a value, not a stream pointer — the
+  // stream dies with the iteration.
+  std::optional<std::uint64_t> nomination_draw_;
   // Success rate per task slot at the previous scheduling decision; tasks
   // beyond the recorded size (newly added) score maximal progress.
   std::vector<double> prev_success_;

@@ -90,7 +90,7 @@ void TieredRewardCache::AdvanceEpochLocked() {
     // Graduate the epoch's publishes in sorted-key order: the publish *set*
     // per epoch is deterministic, the completion order is not — sorting
     // makes slot assignment (and every later eviction decision that depends
-    // on it) thread- and shard-count invariant.
+    // on it) thread-count invariant.
     std::vector<std::uint32_t> order(pending_.size());
     std::iota(order.begin(), order.end(), 0u);
     std::sort(order.begin(), order.end(),

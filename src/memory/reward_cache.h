@@ -33,7 +33,7 @@ namespace pafeat {
 // the slab sorted by key. Publish *order* under concurrent misses is
 // timing-dependent, but the per-epoch hit set and publish set are not — so
 // slab layout, the hand position, the free-slot stack and therefore the
-// whole eviction sequence are identical at any thread or shard count.
+// whole eviction sequence are identical at any thread count.
 //
 // Concurrency: one mutex guards all state; reward values are computed
 // outside the lock by the caller. The in-flight key set dedups concurrent

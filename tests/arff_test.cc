@@ -86,6 +86,9 @@ TEST(ArffParseTest, RejectsMalformedInput) {
   EXPECT_FALSE(
       ParseArff("@relation x\n@attribute a numeric\n@data\n{5 1}\n")
           .has_value());  // sparse index out of range
+  EXPECT_FALSE(ParseArff("@relation x\n@attribute a numeric\n@data\n"
+                         "{4294967296 5.0}\n")
+                   .has_value());  // beyond int range, not wrapped to 0
 }
 
 TEST(ArffParseTest, RejectsNonFiniteAndOutOfRangeCells) {

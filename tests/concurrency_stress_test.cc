@@ -4,7 +4,6 @@
 // SubsetEvaluator stampede over a shared mask working set.
 
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -232,16 +231,15 @@ TEST(ConcurrencyStressTest, SubsetEvaluatorStampedeStress) {
   }
 }
 
-// The batched inference plane's rendezvous under contention: every step
-// alternates a serial batched forward pass with a parallel environment-step
-// fan-out over the same drivers (core/feat.cc CollectShard). With
-// more episodes than the per-iteration default and more workers than
-// episodes, TSan sees the full hand-off pattern — driver state written on
-// the main thread (planned actions), read and advanced on pool workers,
-// then read again on the main thread next step. The 1-vs-8-thread runs must
-// also stay bit-identical through the stress (TrainingGoldenTest pins the
-// full field-by-field digests).
-TEST(ConcurrencyStressTest, BatchedCollectionRendezvousStress) {
+// The collector plane's rendezvous under contention: RunIteration deals
+// the 8 episodes round-robin to min(num_threads, 8) collectors, each
+// running its own step-synchronous loop (core/feat.cc CollectShard) on a
+// pool executor — batched forward passes through the shared agent, then
+// environment steps — while all of them race on the shared reward-cache
+// locks. Per-iteration results, parameters and buffers must stay
+// bit-identical to the one-thread run through the stress
+// (TrainingGoldenTest pins the full field-by-field digests).
+void ExpectCollectorsMatchOneThread(int num_threads) {
   SyntheticSpec spec;
   spec.num_instances = 240;
   spec.num_features = 12;
@@ -258,7 +256,7 @@ TEST(ConcurrencyStressTest, BatchedCollectionRendezvousStress) {
   FeatConfig serial_config = base;
   serial_config.num_threads = 1;
   FeatConfig pooled_config = base;
-  pooled_config.num_threads = 8;
+  pooled_config.num_threads = num_threads;
 
   Feat serial(&problem, dataset.SeenTaskIndices(), serial_config);
   Feat pooled(&problem, dataset.SeenTaskIndices(), pooled_config);
@@ -266,61 +264,29 @@ TEST(ConcurrencyStressTest, BatchedCollectionRendezvousStress) {
     const IterationStats serial_stats = serial.RunIteration();
     const IterationStats pooled_stats = pooled.RunIteration();
     ASSERT_EQ(serial_stats.mean_loss, pooled_stats.mean_loss)
-        << "iteration " << iteration;
+        << "iteration " << iteration << " num_threads " << num_threads;
     ASSERT_EQ(serial_stats.episodes, pooled_stats.episodes);
+    ASSERT_EQ(serial_stats.task_probabilities,
+              pooled_stats.task_probabilities);
   }
   EXPECT_EQ(serial.agent().online_net().SerializeParams(),
             pooled.agent().online_net().SerializeParams());
-}
-
-TEST(ConcurrencyStressTest, ShardedCollectionRendezvousStress) {
-  // The sharded collector fan-out under contention: each shard runs its own
-  // step-synchronous loop on a pool worker while all of them hammer the
-  // shared reward cache, and the merge must still be byte-deterministic.
-  // The tsan CI leg widens the fan-out via PAFEAT_SHARD_STRESS_SHARDS=4
-  // (any value in [1, 16] is honored — under TSan the interesting traffic
-  // is several shards racing on the evaluator locks).
-  int num_shards = 4;
-  if (const char* env = std::getenv("PAFEAT_SHARD_STRESS_SHARDS")) {
-    const int parsed = std::atoi(env);
-    if (parsed >= 1 && parsed <= 16) num_shards = parsed;
-  }
-
-  SyntheticSpec spec;
-  spec.num_instances = 240;
-  spec.num_features = 12;
-  spec.num_seen_tasks = 3;
-  spec.num_unseen_tasks = 1;
-  spec.seed = 29;
-  SyntheticDataset dataset = GenerateSynthetic(spec);
-  FsProblem problem(dataset.table, DefaultProblemConfig(true), 31);
-
-  FeatConfig base = DefaultFeatOptions(60, 29).feat;
-  base.envs_per_iteration = 8;
-  base.max_feature_ratio = 0.5;
-
-  FeatConfig single_config = base;
-  FeatConfig sharded_config = base;
-  sharded_config.num_shards = num_shards;
-
-  Feat single(&problem, dataset.SeenTaskIndices(), single_config);
-  Feat sharded(&problem, dataset.SeenTaskIndices(), sharded_config);
-  for (int iteration = 0; iteration < 6; ++iteration) {
-    const IterationStats single_stats = single.RunIteration();
-    const IterationStats sharded_stats = sharded.RunIteration();
-    ASSERT_EQ(single_stats.mean_loss, sharded_stats.mean_loss)
-        << "iteration " << iteration << " num_shards " << num_shards;
-    ASSERT_EQ(single_stats.episodes, sharded_stats.episodes);
-    ASSERT_EQ(single_stats.task_probabilities,
-              sharded_stats.task_probabilities);
-  }
-  EXPECT_EQ(single.agent().online_net().SerializeParams(),
-            sharded.agent().online_net().SerializeParams());
-  for (int slot = 0; slot < single.num_tasks(); ++slot) {
-    EXPECT_EQ(single.task_runtime(slot).buffer->num_transitions(),
-              sharded.task_runtime(slot).buffer->num_transitions())
+  for (int slot = 0; slot < serial.num_tasks(); ++slot) {
+    EXPECT_EQ(serial.task_runtime(slot).buffer->num_transitions(),
+              pooled.task_runtime(slot).buffer->num_transitions())
         << "slot " << slot;
   }
+}
+
+// One episode per collector: 8 collectors race, each batch is one row.
+TEST(ConcurrencyStressTest, BatchedCollectionRendezvousStress) {
+  ExpectCollectorsMatchOneThread(8);
+}
+
+// Unequal shares: 3 collectors get 3/3/2 episodes, so each batches several
+// rows per step and the collectors finish their loops at different steps.
+TEST(ConcurrencyStressTest, ShardedCollectionRendezvousStress) {
+  ExpectCollectorsMatchOneThread(3);
 }
 
 AgentCheckpoint MakeServingStressCheckpoint(int m, uint64_t seed) {

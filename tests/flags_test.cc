@@ -79,6 +79,15 @@ TEST(FlagsTest, MalformedIntFails) {
   EXPECT_FALSE(flags.Parse(args.argc(), args.argv()));
 }
 
+TEST(FlagsTest, OutOfRangeIntFails) {
+  FlagSet flags;
+  int x = 3;
+  flags.AddInt("x", &x, "");
+  ArgvBuilder args({"--x=4294967297"});  // 2^32 + 1 would wrap to 1
+  EXPECT_FALSE(flags.Parse(args.argc(), args.argv()));
+  EXPECT_EQ(x, 3);
+}
+
 TEST(FlagsTest, MissingValueFails) {
   FlagSet flags;
   int x = 0;

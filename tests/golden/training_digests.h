@@ -15,8 +15,12 @@
 // threads as the batched collector at {1, 8} threads x {1, 4} shards. The
 // bounded value was recorded at commit 62028bc, where the replay buffer sat
 // on a sharded trajectory store and gave the same digest at 1 and 4 storage
-// shards at {1, 8} threads x {1, 4} collector shards. A deliberate
-// re-record copies the "computed" value the failing test prints.
+// shards at {1, 8} threads x {1, 4} collector shards. The SITP value was
+// recorded at commit 696a6b9 with num_shards = 1 at 1 and 8 threads; there
+// the SITP digest differed at 4 shards, where each shard drew its own
+// exploration nomination; Feat hands every scheduler that single-shard
+// stream, Rng(seed).Fork(iteration, 0). A deliberate re-record copies the
+// "computed" value the failing test prints.
 
 #include <cstddef>
 #include <cstdint>
@@ -47,6 +51,11 @@ inline constexpr TrainingGolden kPaFeatTraining = {0x134321b5449a42d3ULL,
 // 8 envs, 8 iterations.
 inline constexpr TrainingGolden kBoundedFeatTraining = {0xd7bb29645801e272ULL,
                                                         0x33836e619aec4d5dULL};
+// FEAT with the SITP scheduler (FeatConfig::success_prioritized_scheduling):
+// MemoryDataset, DefaultFeatOptions(50, 23), 6 envs, 6 iterations; the
+// bounded recipe plus each iteration's task probabilities.
+inline constexpr TrainingGolden kSitpFeatTraining = {0x331c68210d7ee7f0ULL,
+                                                     0xe5af7554d29dc10fULL};
 
 // FNV-1a 64 over raw bytes: the goldens' digest.
 class Fnv1a64 {

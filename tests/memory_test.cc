@@ -2,7 +2,7 @@
 // the tiered reward cache's budget/eviction/telemetry contracts, the replay
 // buffer's budget eviction order, and the end-to-end determinism claim —
 // training under a forced-eviction budget reproduces a frozen digest and is
-// bit-identical at any thread and collector shard count.
+// bit-identical at any thread count.
 
 #include <cstdint>
 #include <cstring>
@@ -287,10 +287,11 @@ struct BoundedOutcome {
 
 // The bounded golden's recipe, in order: each iteration's mean loss, episode
 // count, cache hits/misses/evictions/bytes, replay evictions and replay
-// bytes; the online parameters; every stored trajectory with its priority
-// in ForEachStored order.
+// bytes (then its task probabilities when asked); the online parameters;
+// every stored trajectory with its priority in ForEachStored order.
 uint64_t DigestBounded(const Feat& feat,
-                       const std::vector<IterationStats>& stats) {
+                       const std::vector<IterationStats>& stats,
+                       bool with_task_probabilities = false) {
   golden::Fnv1a64 digest;
   for (const IterationStats& iteration : stats) {
     digest.Scalar(iteration.mean_loss);
@@ -301,6 +302,9 @@ uint64_t DigestBounded(const Feat& feat,
     digest.Scalar<uint64_t>(iteration.cache_bytes);
     digest.Scalar<int64_t>(iteration.replay_evictions);
     digest.Scalar<uint64_t>(iteration.replay_bytes);
+    if (with_task_probabilities) {
+      for (double p : iteration.task_probabilities) digest.Scalar(p);
+    }
   }
   for (float parameter : feat.agent().online_net().SerializeParams()) {
     digest.Scalar(parameter);
@@ -315,7 +319,7 @@ uint64_t DigestBounded(const Feat& feat,
   return digest.value();
 }
 
-BoundedOutcome RunBoundedTraining(int num_threads, int collector_shards) {
+BoundedOutcome RunBoundedTraining(int num_threads) {
   SyntheticDataset dataset = MemoryDataset();
   FsProblemConfig problem_config = DefaultProblemConfig(true);
   // Tight enough that both planes evict continuously at this scale.
@@ -324,7 +328,6 @@ BoundedOutcome RunBoundedTraining(int num_threads, int collector_shards) {
   FeatConfig config = DefaultFeatOptions(50, 23).feat;
   config.envs_per_iteration = 8;
   config.num_threads = num_threads;
-  config.num_shards = collector_shards;
   config.replay_budget_bytes = 8192;
   Feat feat(&problem, dataset.SeenTaskIndices(), config);
   BoundedOutcome outcome;
@@ -364,9 +367,10 @@ void ExpectSameBoundedOutcome(const BoundedOutcome& base,
   }
 }
 
+// Field by field, one collector against three unequal ones and eight: the
+// thread count sets the collector count (the "shard count" of the name).
 TEST(BoundedTrainingTest, ForcedEvictionIsThreadAndShardCountInvariant) {
-  const BoundedOutcome base =
-      RunBoundedTraining(/*num_threads=*/1, /*collector_shards=*/1);
+  const BoundedOutcome base = RunBoundedTraining(/*num_threads=*/1);
 
   // The budgets must actually bind, or this test proves nothing.
   long long cache_evictions = 0;
@@ -378,67 +382,70 @@ TEST(BoundedTrainingTest, ForcedEvictionIsThreadAndShardCountInvariant) {
   ASSERT_GT(cache_evictions, 0) << "cache budget did not bind";
   ASSERT_GT(replay_evictions, 0) << "replay budget did not bind";
 
-  ExpectSameBoundedOutcome(base, RunBoundedTraining(8, 1), "8 threads");
-  ExpectSameBoundedOutcome(base, RunBoundedTraining(8, 4),
-                           "8 threads, 4 collector shards");
+  ExpectSameBoundedOutcome(base, RunBoundedTraining(3), "3 threads");
+  ExpectSameBoundedOutcome(base, RunBoundedTraining(8), "8 threads");
 }
 
-// Training under binding budgets at {1, 8} threads x {1, 4} collector shards
-// reproduces the frozen bounded digest: every replay draw, eviction and
-// resident-byte count as recorded.
+// Training under binding budgets at {1, 3, 8} threads reproduces the frozen
+// bounded digest: every replay draw, eviction and resident-byte count as
+// recorded.
 TEST(TrainingGoldenTest, BoundedFeatMatchesGolden) {
   const uint64_t expected =
       golden::ExpectedDigest(golden::kBoundedFeatTraining);
-  for (const int num_threads : {1, 8}) {
-    for (const int collector_shards : {1, 4}) {
-      const BoundedOutcome outcome =
-          RunBoundedTraining(num_threads, collector_shards);
-      long long cache_evictions = 0;
-      long long replay_evictions = 0;
-      for (const IterationStats& stats : outcome.stats) {
-        cache_evictions += stats.cache_evictions;
-        replay_evictions += stats.replay_evictions;
-      }
-      const std::string config =
-          "num_threads=" + std::to_string(num_threads) +
-          " collector_shards=" + std::to_string(collector_shards);
-      EXPECT_GT(cache_evictions, 0) << "cache budget did not bind, " << config;
-      EXPECT_GT(replay_evictions, 0)
-          << "replay budget did not bind, " << config;
-      EXPECT_EQ(outcome.digest, expected)
-          << golden::DescribeComputed(outcome.digest) << " for bounded Feat "
-          << config;
+  for (const int num_threads : {1, 3, 8}) {
+    const BoundedOutcome outcome = RunBoundedTraining(num_threads);
+    long long cache_evictions = 0;
+    long long replay_evictions = 0;
+    for (const IterationStats& stats : outcome.stats) {
+      cache_evictions += stats.cache_evictions;
+      replay_evictions += stats.replay_evictions;
     }
+    const std::string config = "num_threads=" + std::to_string(num_threads);
+    EXPECT_GT(cache_evictions, 0) << "cache budget did not bind, " << config;
+    EXPECT_GT(replay_evictions, 0) << "replay budget did not bind, " << config;
+    EXPECT_EQ(outcome.digest, expected)
+        << golden::DescribeComputed(outcome.digest) << " for bounded Feat "
+        << config;
   }
 }
 
-TEST(BoundedTrainingTest, SuccessPrioritizedSchedulingIsDeterministic) {
-  auto run = [] {
-    SyntheticDataset dataset = MemoryDataset();
-    FsProblem problem(dataset.table, DefaultProblemConfig(true), 19);
-    FeatConfig config = DefaultFeatOptions(50, 23).feat;
-    config.envs_per_iteration = 6;
-    config.success_prioritized_scheduling = true;
-    Feat feat(&problem, dataset.SeenTaskIndices(), config);
-    BoundedOutcome outcome;
-    for (int i = 0; i < 6; ++i) {
-      outcome.stats.push_back(feat.RunIteration());
+// SITP (arXiv 2301.00691) as the scheduler default: MemoryDataset,
+// DefaultFeatOptions(50, 23), 6 envs, 6 iterations, unbounded memory.
+BoundedOutcome RunSitpTraining(int num_threads) {
+  SyntheticDataset dataset = MemoryDataset();
+  FsProblem problem(dataset.table, DefaultProblemConfig(true), 19);
+  FeatConfig config = DefaultFeatOptions(50, 23).feat;
+  config.envs_per_iteration = 6;
+  config.num_threads = num_threads;
+  config.success_prioritized_scheduling = true;
+  Feat feat(&problem, dataset.SeenTaskIndices(), config);
+  BoundedOutcome outcome;
+  for (int i = 0; i < 6; ++i) {
+    outcome.stats.push_back(feat.RunIteration());
+  }
+  outcome.digest =
+      DigestBounded(feat, outcome.stats, /*with_task_probabilities=*/true);
+  return outcome;
+}
+
+// SITP training at {1, 3, 8} threads reproduces the frozen digest,
+// scheduler probabilities included, and the scheduler emits a proper
+// distribution every iteration.
+TEST(TrainingGoldenTest, SitpFeatMatchesGolden) {
+  const uint64_t expected = golden::ExpectedDigest(golden::kSitpFeatTraining);
+  for (const int num_threads : {1, 3, 8}) {
+    const BoundedOutcome outcome = RunSitpTraining(num_threads);
+    for (const IterationStats& stats : outcome.stats) {
+      double sum = 0.0;
+      for (double p : stats.task_probabilities) {
+        EXPECT_GE(p, 0.0);
+        sum += p;
+      }
+      EXPECT_NEAR(sum, 1.0, 1e-9);
     }
-    outcome.params = feat.agent().online_net().SerializeParams();
-    outcome.buffers = DumpBuffers(feat);
-    return outcome;
-  };
-  const BoundedOutcome a = run();
-  const BoundedOutcome b = run();
-  ExpectSameBoundedOutcome(a, b, "SITP repeat run");
-  // The scheduler emits a proper distribution every iteration.
-  for (const IterationStats& stats : a.stats) {
-    double sum = 0.0;
-    for (double p : stats.task_probabilities) {
-      EXPECT_GE(p, 0.0);
-      sum += p;
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-9);
+    EXPECT_EQ(outcome.digest, expected)
+        << golden::DescribeComputed(outcome.digest)
+        << " for SITP Feat num_threads=" << num_threads;
   }
 }
 

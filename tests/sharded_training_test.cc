@@ -1,9 +1,10 @@
-// The sharded collector/learner plane's determinism contract (DESIGN.md
-// "Sharded training plane"): training at num_shards N must be bit-identical
-// to the single-shard run — same network parameters, same replay buffer
-// contents transition by transition, same scheduler probability traces, and
-// same per-iteration stats (everything but wall time). Each run gets its own
-// dataset + FsProblem so reward-cache hit/miss deltas are comparable too.
+// The collector plane's determinism contract (DESIGN.md "Sharded training
+// plane"): training at num_threads N, whose episodes are dealt round-robin
+// to min(N, envs) collectors, must be bit-identical to the one-thread run —
+// same network parameters, same replay buffer contents transition by
+// transition, same scheduler probability traces, and same per-iteration
+// stats (everything but wall time). Each run gets its own dataset +
+// FsProblem so reward-cache hit/miss deltas are comparable too.
 
 #include <cstdint>
 #include <cstring>
@@ -22,7 +23,7 @@
 namespace pafeat {
 namespace {
 
-SyntheticDataset ShardDataset() {
+SyntheticDataset CollectorDataset() {
   SyntheticSpec spec;
   spec.num_instances = 300;
   spec.num_features = 10;
@@ -32,13 +33,14 @@ SyntheticDataset ShardDataset() {
   return GenerateSynthetic(spec);
 }
 
-FeatConfig ShardFeatConfig(int num_shards) {
+FeatConfig CollectorFeatConfig(int num_threads) {
   FeatConfig config = DefaultFeatOptions(50, 23).feat;
-  // Enough episodes per iteration that every shard count in {1, 2, 3, 8}
-  // sees multi-episode shards as well as (at 8) near-empty ones.
+  // Enough episodes per iteration that every thread count in {1, 2, 3, 8}
+  // gives multi-episode collectors, unequal ones at 3 (3/3/2), and at 8 one
+  // episode per collector.
   config.envs_per_iteration = 8;
   config.max_feature_ratio = 0.5;
-  config.num_shards = num_shards;
+  config.num_threads = num_threads;
   return config;
 }
 
@@ -96,7 +98,8 @@ struct TrainOutcome {
 
 // Shapes rewards with both hook streams: BeginEpisode draws the context on
 // the planning stream, Shape draws on the episode stream — so the test
-// covers shaper RNG interleavings under sharding, not just plain episodes.
+// covers shaper RNG interleavings across collectors, not just plain
+// episodes.
 class JitterShaper : public RewardShaper {
  public:
   double BeginEpisode(int, Rng* rng) override {
@@ -107,11 +110,12 @@ class JitterShaper : public RewardShaper {
   }
 };
 
-TrainOutcome RunTraining(int num_shards, bool use_its, bool use_shaper,
+TrainOutcome RunTraining(int num_threads, bool use_its, bool use_shaper,
                          int iterations) {
-  SyntheticDataset dataset = ShardDataset();
+  SyntheticDataset dataset = CollectorDataset();
   FsProblem problem(dataset.table, DefaultProblemConfig(true), 19);
-  Feat feat(&problem, dataset.SeenTaskIndices(), ShardFeatConfig(num_shards));
+  Feat feat(&problem, dataset.SeenTaskIndices(),
+            CollectorFeatConfig(num_threads));
   if (use_its) feat.SetScheduler(std::make_unique<ItsScheduler>(4));
   if (use_shaper) feat.SetRewardShaper(std::make_unique<JitterShaper>());
   TrainOutcome outcome;
@@ -124,78 +128,79 @@ TrainOutcome RunTraining(int num_shards, bool use_its, bool use_shaper,
 }
 
 void ExpectSameOutcome(const TrainOutcome& base, const TrainOutcome& other,
-                       int num_shards) {
+                       int num_threads) {
   ASSERT_EQ(base.params.size(), other.params.size());
   for (size_t i = 0; i < base.params.size(); ++i) {
     ASSERT_EQ(base.params[i], other.params[i])
-        << "param " << i << " at num_shards " << num_shards;
+        << "param " << i << " at num_threads " << num_threads;
   }
-  EXPECT_EQ(base.buffers, other.buffers) << "num_shards " << num_shards;
+  EXPECT_EQ(base.buffers, other.buffers) << "num_threads " << num_threads;
   ASSERT_EQ(base.stats.size(), other.stats.size());
   for (size_t i = 0; i < base.stats.size(); ++i) {
     ASSERT_EQ(base.stats[i].mean_loss, other.stats[i].mean_loss)
-        << "iteration " << i << " at num_shards " << num_shards;
+        << "iteration " << i << " at num_threads " << num_threads;
     ASSERT_EQ(base.stats[i].episodes, other.stats[i].episodes);
     ASSERT_EQ(base.stats[i].cache_hits, other.stats[i].cache_hits)
-        << "iteration " << i << " at num_shards " << num_shards;
+        << "iteration " << i << " at num_threads " << num_threads;
     ASSERT_EQ(base.stats[i].cache_misses, other.stats[i].cache_misses)
-        << "iteration " << i << " at num_shards " << num_shards;
+        << "iteration " << i << " at num_threads " << num_threads;
     // The scheduler probability trace: with the ITS installed these depend
-    // on the recent trajectories, so any shard-count divergence in buffer
+    // on the recent trajectories, so any thread-count divergence in buffer
     // state shows up here within one iteration.
     ASSERT_EQ(base.stats[i].task_probabilities,
               other.stats[i].task_probabilities)
-        << "iteration " << i << " at num_shards " << num_shards;
+        << "iteration " << i << " at num_threads " << num_threads;
   }
 }
 
-TEST(ShardedTrainingTest, UniformSchedulerBitIdenticalAcrossShardCounts) {
+TEST(ShardedTrainingTest, UniformSchedulerBitIdenticalAcrossThreadCounts) {
   const TrainOutcome base =
       RunTraining(1, /*use_its=*/false, /*use_shaper=*/false, 10);
-  for (int num_shards : {2, 3, 8}) {
+  for (int num_threads : {2, 3, 8}) {
     ExpectSameOutcome(
         base,
-        RunTraining(num_shards, /*use_its=*/false, /*use_shaper=*/false, 10),
-        num_shards);
+        RunTraining(num_threads, /*use_its=*/false, /*use_shaper=*/false, 10),
+        num_threads);
   }
 }
 
-TEST(ShardedTrainingTest, ItsSchedulerBitIdenticalAcrossShardCounts) {
+TEST(ShardedTrainingTest, ItsSchedulerBitIdenticalAcrossThreadCounts) {
   // ITS probabilities are a function of the replay buffers' recent
-  // trajectories, so this closes the loop: shard-count-dependent buffer
+  // trajectories, so this closes the loop: thread-count-dependent buffer
   // state would change the very next iteration's episode plans.
   const TrainOutcome base =
       RunTraining(1, /*use_its=*/true, /*use_shaper=*/false, 10);
-  for (int num_shards : {2, 3, 8}) {
+  for (int num_threads : {2, 3, 8}) {
     ExpectSameOutcome(
         base,
-        RunTraining(num_shards, /*use_its=*/true, /*use_shaper=*/false, 10),
-        num_shards);
+        RunTraining(num_threads, /*use_its=*/true, /*use_shaper=*/false, 10),
+        num_threads);
   }
 }
 
-TEST(ShardedTrainingTest, RewardShaperBitIdenticalAcrossShardCounts) {
+TEST(ShardedTrainingTest, RewardShaperBitIdenticalAcrossThreadCounts) {
   const TrainOutcome base =
       RunTraining(1, /*use_its=*/false, /*use_shaper=*/true, 8);
-  for (int num_shards : {2, 3}) {
+  for (int num_threads : {2, 3, 8}) {
     ExpectSameOutcome(
         base,
-        RunTraining(num_shards, /*use_its=*/false, /*use_shaper=*/true, 8),
-        num_shards);
+        RunTraining(num_threads, /*use_its=*/false, /*use_shaper=*/true, 8),
+        num_threads);
   }
 }
 
-TEST(ShardedTrainingTest, PaFeatFullMethodMatchesSingleShard) {
+TEST(ShardedTrainingTest, PaFeatFullMethodMatchesSingleThread) {
   // The complete method (ITS + ITE initial states) through the PaFeat
   // facade: the Experience-Tree consumes trajectories in commit order, so a
-  // merge-order bug would desynchronize proposed initial states.
-  auto run = [](int num_shards) {
-    SyntheticDataset dataset = ShardDataset();
+  // collector writing a result into the wrong plan slot would desynchronize
+  // proposed initial states.
+  auto run = [](int num_threads) {
+    SyntheticDataset dataset = CollectorDataset();
     FsProblem problem(dataset.table, DefaultProblemConfig(true), 19);
     PaFeatConfig config;
     config.feat = DefaultFeatOptions(60, 23).feat;
     config.feat.envs_per_iteration = 8;
-    config.feat.num_shards = num_shards;
+    config.feat.num_threads = num_threads;
     PaFeat pafeat(&problem, dataset.SeenTaskIndices(), config);
     pafeat.Train(10);
     std::vector<FeatureMask> masks;
@@ -208,42 +213,10 @@ TEST(ShardedTrainingTest, PaFeatFullMethodMatchesSingleShard) {
         pafeat.feat().agent().online_net().SerializeParams(), masks);
   };
   const auto base = run(1);
-  for (int num_shards : {3, 8}) {
-    const auto sharded = run(num_shards);
-    EXPECT_EQ(base.first, sharded.first) << "num_shards " << num_shards;
-    EXPECT_EQ(base.second, sharded.second) << "num_shards " << num_shards;
-  }
-}
-
-TEST(ShardedTrainingTest, ShardOfEpisodeIsAStableTotalFunction) {
-  // In range, deterministic, and independent of anything but the key — the
-  // partition is a pure function, which is the whole invariance argument.
-  for (uint64_t iteration : {0ULL, 1ULL, 7ULL, 123456789ULL}) {
-    for (int episode = 0; episode < 64; ++episode) {
-      for (int num_shards : {1, 2, 3, 8}) {
-        const int shard = Feat::ShardOfEpisode(iteration, episode, num_shards);
-        EXPECT_GE(shard, 0);
-        EXPECT_LT(shard, num_shards);
-        EXPECT_EQ(shard, Feat::ShardOfEpisode(iteration, episode, num_shards));
-      }
-    }
-  }
-}
-
-TEST(ShardedTrainingTest, ShardOfEpisodeSpreadsEpisodes) {
-  // The avalanche hash must not starve shards: over one iteration's worth of
-  // plans every shard gets work, and counts stay within a loose band.
-  const int num_shards = 4;
-  const int episodes = 256;
-  std::vector<int> counts(num_shards, 0);
-  for (int episode = 0; episode < episodes; ++episode) {
-    ++counts[Feat::ShardOfEpisode(/*iteration=*/5, episode, num_shards)];
-  }
-  for (int shard = 0; shard < num_shards; ++shard) {
-    EXPECT_GT(counts[shard], episodes / num_shards / 2)
-        << "shard " << shard << " starved";
-    EXPECT_LT(counts[shard], episodes / num_shards * 2)
-        << "shard " << shard << " overloaded";
+  for (int num_threads : {2, 3, 8}) {
+    const auto pooled = run(num_threads);
+    EXPECT_EQ(base.first, pooled.first) << "num_threads " << num_threads;
+    EXPECT_EQ(base.second, pooled.second) << "num_threads " << num_threads;
   }
 }
 

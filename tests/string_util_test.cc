@@ -73,6 +73,16 @@ TEST(ParseIntTest, ValidAndInvalid) {
   EXPECT_FALSE(ParseInt("4x", &value));
   EXPECT_FALSE(ParseInt("", &value));
   EXPECT_FALSE(ParseInt("3.5", &value));
+  // Out of int range is rejected, never wrapped.
+  EXPECT_TRUE(ParseInt("2147483647", &value));
+  EXPECT_EQ(value, 2147483647);
+  EXPECT_TRUE(ParseInt("-2147483648", &value));
+  EXPECT_EQ(value, -2147483647 - 1);
+  for (const char* text : {"2147483648", "-2147483649", "4294967297",
+                           "4294967360", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseInt(text, &value)) << text;
+  }
+  EXPECT_EQ(value, -2147483647 - 1);  // untouched on failure
 }
 
 TEST(ParseDoubleTest, ValidAndInvalid) {

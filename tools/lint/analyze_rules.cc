@@ -266,8 +266,8 @@ void CheckPoolReentrancy(const Program& p, const Graph& g,
                  PathTo(p, r, static_cast<int>(i)) + ")",
              "nested ParallelFor/Submit runs inline on the submitting worker "
              "(see ThreadPool), so this silently serializes; hoist the inner "
-             "fan-out, or bless a deliberate inline degradation (the shard "
-             "fan-out idiom) with // lint: allow(pool-reentrancy): <why>");
+             "fan-out, or bless a deliberate inline degradation (the GEMM "
+             "panel split) with // lint: allow(pool-reentrancy): <why>");
     }
   }
 }

@@ -20,8 +20,9 @@ namespace pafeat_lint {
 //                           the tensor/arena TUs
 //   pool-reentrancy         no ParallelFor/Submit call reachable from a
 //                           parallel body (nested submission runs inline;
-//                           the blessed shard fan-out idiom carries a
-//                           justified pragma instead of a code change)
+//                           a deliberate inline degradation, such as the
+//                           GEMM panel split, carries a justified pragma
+//                           instead of a code change)
 //
 // `lint: allow(<rule>): <why>` pragmas recorded in Program::file_pragmas are
 // applied with the same same-line / standalone-line-above semantics as the

@@ -16,8 +16,9 @@
 //                           (`// analyze: hot-path-root`) do not allocate
 //                           outside the tensor/arena TUs
 //   pool-reentrancy         no nested pool submission (it degrades to inline
-//                           execution); the deliberate shard fan-out idiom
-//                           carries a justified pragma
+//                           execution); a deliberate inline degradation
+//                           (the GEMM panel split) carries a justified
+//                           pragma
 //
 // Deliberate exceptions reuse the token stage's pragma machinery:
 //   // lint: allow(<rule>): <justification>

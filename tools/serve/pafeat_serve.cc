@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/flags.h"
@@ -133,10 +134,18 @@ int Main(int argc, char** argv) {
               << flags.Usage();
     return 1;
   }
-  if (concurrency < 1 || requests_per_client < 1) {
-    std::cerr << "pafeat-serve: --concurrency and --requests_per_client "
-                 "must be positive\n";
-    return 1;
+  // Out-of-range values exit here with a status instead of tripping a
+  // library precondition (a PF_CHECK abort, or a modulo by zero tasks).
+  for (const auto& [flag, value, min] :
+       {std::tuple{"concurrency", concurrency, 1},
+        {"requests_per_client", requests_per_client, 1},
+        {"max_batch", max_batch, 1}, {"max_queue", max_queue, 1},
+        {"max_wait_us", max_wait_us, 0}, {"demo_features", demo_features, 1},
+        {"demo_tasks", demo_tasks, 1}}) {
+    if (value < min) {
+      std::cerr << "pafeat-serve: --" << flag << " must be >= " << min << "\n";
+      return 1;
+    }
   }
 
   AgentCheckpoint checkpoint;
