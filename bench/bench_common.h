@@ -19,6 +19,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/ant_td.h"
@@ -34,6 +35,7 @@
 #include "core/experiment.h"
 #include "core/problem.h"
 #include "data/synthetic.h"
+#include "tensor/kernels.h"
 
 namespace pafeat {
 namespace bench {
@@ -62,6 +64,15 @@ struct BenchOptions {
     flags->AddInt("seed", &seed, "random seed");
   }
 };
+
+// Prints the host a timed bench ran on: the active SIMD capability level
+// (after any PAFEAT_SIMD clamp) and the CPU count. Timings from different
+// levels or hosts are not comparable.
+inline void PrintHostTag() {
+  std::printf("simd=%s num_cpus=%u\n",
+              kernels::SimdCapabilityName(kernels::ActiveSimdCapability()),
+              std::thread::hardware_concurrency());
+}
 
 // The Table-I specs selected by the options, with the row cap applied.
 inline std::vector<SyntheticSpec> SelectSpecs(const BenchOptions& options) {

@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   flags.AddDouble("mfr", &mfr, "max feature ratio");
   if (!flags.Parse(argc, argv)) return 1;
 
+  PrintHostTag();
   std::printf(
       "FIG 7: comparison with single-task feature selection baselines\n"
       "(Avg F1-score and per-unseen-task execution time)\n\n");

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   options.Register(&flags);
   if (!flags.Parse(argc, argv)) return 1;
 
+  PrintHostTag();
   std::printf(
       "TABLE II: average iteration time during training and average\n"
       "execution time (in seconds)\n\n");

@@ -55,14 +55,22 @@ Feat::Feat(FsProblem* problem, std::vector<int> seen_label_indices,
   PF_CHECK(problem != nullptr);
   PF_CHECK(!seen_label_indices.empty());
 
-  // Episode collection shares the persistent process-wide pool (no thread
-  // spawn/join per iteration); make sure it can deliver one executor per
-  // collector (the iteration's own thread is the extra executor).
-  if (config_.num_threads > 1) {
-    ThreadPool::EnsureGlobalWorkers(config_.num_threads - 1);
-  }
-
   for (int label_index : seen_label_indices) AddTask(label_index);
+
+  // Collection and batch materialization share the persistent process-wide
+  // pool (no thread spawn/join per iteration). An iteration runs at most
+  // min(num_threads, envs_per_iteration) collectors and min(num_threads,
+  // tasks x updates_per_task) materialization tasks, so the pool grows to
+  // the larger of the two executor counts and no further (the iterating
+  // thread is one executor).
+  const long long usable_executors = std::min<long long>(
+      config_.num_threads,
+      std::max<long long>(config_.envs_per_iteration,
+                          static_cast<long long>(num_tasks()) *
+                              config_.updates_per_task));
+  if (usable_executors > 1) {
+    ThreadPool::EnsureGlobalWorkers(static_cast<int>(usable_executors) - 1);
+  }
 
   DqnConfig dqn = config_.dqn;
   dqn.net.input_dim = tasks_.front().env->observation_dim();

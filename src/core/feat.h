@@ -33,12 +33,13 @@ struct FeatConfig {
   // running its own step-synchronous loop (DESIGN.md "Batched inference
   // plane") on one executor of the persistent process-wide ThreadPool; one
   // collector runs inline on the iterating thread. The Feat constructor
-  // grows the pool to at least num_threads - 1 workers (the iterating thread
-  // participates). Results are bit-identical for a fixed seed at any thread
-  // count: episodes are planned serially on the root stream, every draw
-  // during collection comes from an episode's own stream, batched Q rows
-  // match at any batch composition by kernel construction, and results are
-  // committed in plan order.
+  // grows the pool to at least min(num_threads, max(envs_per_iteration,
+  // seen tasks x updates_per_task)) - 1 workers, the most an iteration can
+  // use (the iterating thread participates). Results are bit-identical for
+  // a fixed seed at any thread count: episodes are planned serially on the
+  // root stream, every draw during collection comes from an episode's own
+  // stream, batched Q rows match at any batch composition by kernel
+  // construction, and results are committed in plan order.
   int num_threads = 1;
   // Byte budget of every task buffer B^k (DESIGN.md "Bounded memory
   // plane"); 0 = unlimited. Over budget, the lowest-return trajectories are

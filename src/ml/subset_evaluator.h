@@ -18,7 +18,8 @@ namespace pafeat {
 // where CLS is the task's pretrained MaskedDnnClassifier and P is AUC over a
 // fixed evaluation row set. RL-based feature selection calls the reward for
 // the same subsets over and over, so the (task-local) cache keyed by the
-// subset bitmask removes the dominant cost (measured in bench_micro).
+// subset bitmask removes the dominant cost (the benchmark's
+// ml.reward_hit_us against ml.reward_miss_us, benchmark/README.md).
 //
 // The evaluation rows are gathered into a contiguous block once at
 // construction; a cache miss runs the classifier's column-gathered fast path

@@ -57,10 +57,12 @@ SelectionServer::SelectionServer(const AgentCheckpoint& checkpoint,
   queue_ring_.resize(config_.max_queue, -1);
   live_.resize(max_live_, -1);
   finished_scratch_.resize(max_live_, -1);
+  // No step is wider than max_live_ = min(max_batch, max_queue), so the
+  // step scratch and the width histogram are sized by it.
   const int obs_dim = 2 * current_->num_features + 3;
-  batch_.resize(static_cast<std::size_t>(config_.max_batch) * obs_dim);
-  q_.resize(static_cast<std::size_t>(config_.max_batch) * kNumActions);
-  stats_.batch_width_hist.assign(config_.max_batch + 1, 0);
+  batch_.resize(static_cast<std::size_t>(max_live_) * obs_dim);
+  q_.resize(static_cast<std::size_t>(max_live_) * kNumActions);
+  stats_.batch_width_hist.assign(static_cast<std::size_t>(max_live_) + 1, 0);
 
   loop_.Start([this] { ServeLoop(); });
 }
@@ -312,8 +314,7 @@ void SelectionServer::ApplySwapLocked() {
   stats_.net_version = applied_seq_;
   // A swap may change the feature count; the step scratch follows it.
   const std::size_t batch_floats =
-      static_cast<std::size_t>(config_.max_batch) *
-      (2 * current_->num_features + 3);
+      static_cast<std::size_t>(max_live_) * (2 * current_->num_features + 3);
   if (batch_.size() < batch_floats) batch_.resize(batch_floats);
   swap_cv_.notify_all();
 }

@@ -78,7 +78,8 @@ struct ServerStats {
   std::uint64_t step_rows = 0;       // total rows across those passes
   int queued_now = 0;  // waiting for admission at this instant
   int live_now = 0;    // mid-scan at this instant
-  // hist[w] = steps whose coalesced batch held w requests (w <= max_batch).
+  // hist[w] = steps whose coalesced batch held w requests
+  // (w <= min(max_batch, max_queue)).
   std::vector<std::uint64_t> batch_width_hist;
   double queue_us_sum = 0.0;
   double compute_us_sum = 0.0;
@@ -249,8 +250,8 @@ class SelectionServer {
   int live_count_ = 0;
 
   // Serving-thread scratch (touched only by the serving thread).
-  std::vector<float> batch_;  // max_batch x (2m + 3)
-  std::vector<float> q_;      // max_batch x kNumActions
+  std::vector<float> batch_;  // max_live_ x (2m + 3)
+  std::vector<float> q_;      // max_live_ x kNumActions
   std::vector<int> finished_scratch_;  // rows finished by the last step
   int finished_count_ = 0;
 

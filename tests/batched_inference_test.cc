@@ -6,6 +6,7 @@
 // thread count. "Equal" here always means bit-identical floats, not merely
 // close.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
@@ -298,14 +299,24 @@ uint64_t TrainingDigest(const GoldenRun& run) {
     config.feat.envs_per_iteration = 8;
     config.feat.num_threads = run.num_threads;
   }
+  const int workers_before = ThreadPool::Global()->num_workers();
   PaFeat pafeat(&problem, dataset.SeenTaskIndices(), config);
+  // The pool grows only to the executors an iteration can use: its
+  // collectors, or its batch materializations.
+  const int usable_executors = std::min(
+      run.num_threads,
+      std::max(config.feat.envs_per_iteration,
+               pafeat.feat().num_tasks() * config.feat.updates_per_task));
+  EXPECT_LE(ThreadPool::Global()->num_workers(),
+            std::max(workers_before, usable_executors - 1))
+      << Describe(run);
   return DigestTraining(&pafeat.feat(), problem, dataset.UnseenTaskIndices(),
                         run.method == GoldenMethod::kPaFeat);
 }
 
 void ExpectGolden(GoldenMethod method, const golden::TrainingGolden& golden) {
   const uint64_t expected = golden::ExpectedDigest(golden);
-  for (const int num_threads : {1, 3, 8}) {
+  for (const int num_threads : {1, 3, 8, 64}) {
     const GoldenRun run{method, num_threads};
     const uint64_t digest = TrainingDigest(run);
     EXPECT_EQ(digest, expected)
@@ -313,9 +324,10 @@ void ExpectGolden(GoldenMethod method, const golden::TrainingGolden& golden) {
   }
 }
 
-// One collection path pinned by frozen digests: training at {1, 3, 8}
+// One collection path pinned by frozen digests: training at {1, 3, 8, 64}
 // threads must reproduce the recorded run bit for bit. At 3 threads the
-// collectors get unequal episode counts (2/1/1 of 4, 3/3/2 of 8).
+// collectors get unequal episode counts (2/1/1 of 4, 3/3/2 of 8); at 64
+// there are more threads than episodes.
 TEST(TrainingGoldenTest, FeatMatchesGolden) {
   ExpectGolden(GoldenMethod::kFeat, golden::kFeatTraining);
 }

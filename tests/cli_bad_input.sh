@@ -45,6 +45,14 @@ expect_exit_1 --demo_features serve --demo_features 0
 expect_exit_1 --demo_features serve --demo_features -3
 expect_exit_1 --demo_tasks serve --demo_tasks 0
 expect_exit_1 --max_batch serve --max_batch 4294967360
+# 2m + 3 passes INT_MAX; a net past 2^31 - 1 parameters.
+expect_exit_1 --demo_features serve --demo_features 1073741824
+expect_exit_1 --demo_features serve --demo_features 100000000
+# Every representation token must parse whole as a finite float.
+printf '0.1 0.2 0.3abc\n' >"$WORK/trailing.reprs"
+printf '0.1 nan 0.3\n' >"$WORK/nan.reprs"
+expect_exit_1 '"0.3abc"' serve --demo_features 3 --reprs "$WORK/trailing.reprs"
+expect_exit_1 '"nan"' serve --demo_features 3 --reprs "$WORK/nan.reprs"
 
 expect_exit_1 --iterations train --iterations 0
 expect_exit_1 --iterations train --iterations -4

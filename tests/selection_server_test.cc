@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -130,6 +131,40 @@ TEST(SelectionServerTest, CoalescedResponsesBitIdenticalToStandalone) {
       EXPECT_GT(multi, 0u);
     }
   }
+}
+
+// No step is wider than min(max_batch, max_queue), so a max_batch far above
+// max_queue sizes nothing by it and just serves.
+TEST(SelectionServerTest, MaxBatchAboveMaxQueueServes) {
+  constexpr int kM = 12;
+  constexpr int kClients = 4;
+  const AgentCheckpoint checkpoint = MakeTestCheckpoint(kM, 0.5, 131);
+  Rng rng(0);
+  DuelingNet net(checkpoint.net_config, &rng);
+  ASSERT_TRUE(net.DeserializeParams(checkpoint.parameters));
+  ServerConfig config;
+  config.max_batch = std::numeric_limits<int>::max();
+  config.max_queue = 4;
+  SelectionServer server(checkpoint, config);
+
+  std::vector<std::vector<float>> reprs;
+  for (int c = 0; c < kClients; ++c) {
+    reprs.push_back(MakeRepresentation(kM, 1300 + c));
+  }
+  std::vector<SelectionResponse> responses(kClients);
+  // lint: allow(raw-thread): concurrent tenants must be unmanaged threads
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back(
+        [&, c] { responses[c] = server.Select(reprs[c]); });
+  }
+  // lint: allow(raw-thread): joining the tenant threads spawned above
+  for (std::thread& thread : threads) thread.join();
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_EQ(responses[c].status, AdmissionStatus::kOk) << c;
+    EXPECT_EQ(responses[c].mask, GreedySelectSubset(net, reprs[c], 0.5)) << c;
+  }
+  EXPECT_EQ(server.Stats().batch_width_hist.size(), 5u);
 }
 
 TEST(SelectionServerTest, PerRequestRatioOverride) {

@@ -6,17 +6,18 @@
 // checkpoint, and for demoing the serving plane without one (--demo).
 //
 // Representation file format (--reprs): one task per line, whitespace-
-// separated floats, every line the same length (the checkpoint's feature
-// count). Lines are replayed round-robin across clients.
+// separated finite floats, every line the same length (the checkpoint's
+// feature count). Lines are replayed round-robin across clients.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,6 +26,7 @@
 
 #include "common/flags.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
 #include "core/checkpoint.h"
@@ -35,12 +37,19 @@
 namespace pafeat {
 namespace {
 
-AgentCheckpoint MakeDemoCheckpoint(int m, uint64_t seed) {
+// The demo network for m features, or nullopt when it would pass the
+// 2^31 - 1 parameter cap a loaded checkpoint gets (DuelingNet::CountParams).
+std::optional<AgentCheckpoint> MakeDemoCheckpoint(int m, uint64_t seed) {
+  const long long input_dim = 2LL * m + 3;
+  if (input_dim > std::numeric_limits<int>::max()) return std::nullopt;
   AgentCheckpoint checkpoint;
-  checkpoint.net_config.input_dim = 2 * m + 3;
+  checkpoint.net_config.input_dim = static_cast<int>(input_dim);
   checkpoint.net_config.num_actions = kNumActions;
   checkpoint.net_config.trunk_hidden = {64, 64};
   checkpoint.max_feature_ratio = 0.5;
+  if (!DuelingNet::CountParams(checkpoint.net_config).has_value()) {
+    return std::nullopt;
+  }
   Rng rng(seed);
   DuelingNet net(checkpoint.net_config, &rng);
   checkpoint.parameters = net.SerializeParams();
@@ -60,8 +69,17 @@ bool LoadRepresentations(const std::string& path, int expected_m,
     ++line_number;
     std::istringstream fields(line);
     std::vector<float> repr;
-    float value = 0.0f;
-    while (fields >> value) repr.push_back(value);
+    std::string token;
+    while (fields >> token) {
+      float value = 0.0f;
+      if (!ParseFloat(token, &value)) {
+        std::cerr << "pafeat-serve: " << path << ":" << line_number
+                  << ": column " << repr.size() + 1 << " holds \"" << token
+                  << "\", not a finite float\n";
+        return false;
+      }
+      repr.push_back(value);
+    }
     if (repr.empty()) continue;  // blank line
     if (static_cast<int>(repr.size()) != expected_m) {
       std::cerr << "pafeat-serve: " << path << ":" << line_number << " has "
@@ -86,12 +104,6 @@ double Percentile(std::vector<double> sorted_or_not, double p) {
   const std::size_t hi = std::min(lo + 1, sorted_or_not.size() - 1);
   const double frac = rank - lo;
   return sorted_or_not[lo] * (1.0 - frac) + sorted_or_not[hi] * frac;
-}
-
-std::string FormatDouble(double value, int digits) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", digits, value);
-  return buffer;
 }
 
 int Main(int argc, char** argv) {
@@ -150,7 +162,14 @@ int Main(int argc, char** argv) {
 
   AgentCheckpoint checkpoint;
   if (demo && checkpoint_path.empty()) {
-    checkpoint = MakeDemoCheckpoint(demo_features, 0x5e57e);
+    const std::optional<AgentCheckpoint> made =
+        MakeDemoCheckpoint(demo_features, 0x5e57e);
+    if (!made.has_value()) {
+      std::cerr << "pafeat-serve: --demo_features " << demo_features
+                << " needs more than 2^31 - 1 network parameters\n";
+      return 1;
+    }
+    checkpoint = *made;
   } else {
     std::string error;
     const std::optional<AgentCheckpoint> loaded =
