@@ -16,6 +16,7 @@
 // "label:"), or ARFF (Mulan) via --arff_labels N (last-N-attributes
 // convention).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
@@ -114,6 +115,11 @@ int RunTrain(const Table& table, const std::string& labels_csv,
                    Trim(raw).c_str());
       return 1;
     }
+    if (std::find(seen.begin(), seen.end(), index) != seen.end()) {
+      std::fprintf(stderr, "label '%s' is named twice in --labels\n",
+                   Trim(raw).c_str());
+      return 1;
+    }
     seen.push_back(index);
   }
   if (seen.empty()) {
@@ -172,12 +178,16 @@ int RunSelect(const Table& table, const std::string& label,
                     static_cast<uint64_t>(seed));
   WallTimer timer;
   const std::vector<float> repr = problem.ComputeTaskRepresentation(index);
+  const double representation_ms = timer.ElapsedMillis();
+  timer.Restart();
   const FeatureMask mask = selector->SelectForRepresentation(repr);
-  const double exec_ms = timer.ElapsedMillis();
+  const double scan_ms = timer.ElapsedMillis();
 
-  std::printf("selected %d/%d features in %.2f ms%s (* = selected; q-gap is\n"
-              "the policy's select-vs-deselect advantage, the audit view):\n",
-              MaskCount(mask), table.num_features(), exec_ms,
+  std::printf("selected %d/%d features in %.2f ms (representation %.2f ms, "
+              "scan %.2f ms)%s\n(* = selected; q-gap is the policy's "
+              "select-vs-deselect advantage, the audit view):\n",
+              MaskCount(mask), table.num_features(),
+              representation_ms + scan_ms, representation_ms, scan_ms,
               selector->quantized() ? " [int8 serving tier]" : "");
   if (const auto checkpoint = LoadCheckpoint(agent_path);
       checkpoint.has_value()) {
@@ -278,6 +288,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s has %d data rows; %s needs at least %d\n",
                  data.c_str(), table->num_rows(), command.c_str(),
                  kMinProblemRows);
+    return 1;
+  }
+  if ((command == "train" || command == "select") &&
+      table->num_features() < 1) {
+    std::fprintf(stderr, "%s has %d feature columns; %s needs at least 1\n",
+                 data.c_str(), table->num_features(), command.c_str());
     return 1;
   }
   if (command == "train") {

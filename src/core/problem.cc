@@ -10,10 +10,12 @@ namespace pafeat {
 FsProblem::FsProblem(Table table, const FsProblemConfig& config, uint64_t seed)
     : table_(std::move(table)), config_(config), rng_(seed) {
   PF_CHECK_GE(table_.num_rows(), kMinProblemRows);
+  PF_CHECK_GT(table_.num_features(), 0);
   PF_CHECK_GT(table_.num_labels(), 0);
   split_ = MakeSplit(table_.num_rows(), config.train_fraction, &rng_);
   standardizer_.Fit(table_.features(), split_.train_rows);
   std_features_ = standardizer_.Transform(table_.features());
+  train_moments_ = ComputeColumnMoments(std_features_, split_.train_rows);
 
   // Carve the reward-evaluation rows out of the training split so the reward
   // classifier is scored on data it did not fit.
@@ -65,7 +67,8 @@ const TaskContext& FsProblem::Task(int label_index) {
 std::vector<float> FsProblem::ComputeTaskRepresentation(
     int label_index) const {
   const std::vector<float> labels = table_.LabelColumn(label_index);
-  return TaskRepresentation(std_features_, labels, split_.train_rows);
+  return TaskRepresentation(std_features_, train_moments_, labels,
+                            split_.train_rows);
 }
 
 }  // namespace pafeat

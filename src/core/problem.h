@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "data/split.h"
+#include "data/stats.h"
 #include "data/table.h"
 #include "memory/budget.h"
 #include "ml/masked_dnn.h"
@@ -78,9 +79,12 @@ class FsProblem {
   const TaskContext& Task(int label_index);
   bool TaskBuilt(int label_index) const;
 
-  // Recomputes the task representation from scratch over the training rows
-  // (the timed part of unseen-task execution; §IV-B2 compares its O(n m)
-  // cost against K-Best's mutual information ranking).
+  // Computes the task representation over the training rows: the label's
+  // moments, then one row-major pass against the column moments cached at
+  // construction (the timed part of unseen-task execution; §IV-B2 compares
+  // its O(n m) cost against K-Best's mutual information ranking). The
+  // moments are read-only after construction, so concurrent calls need no
+  // lock.
   std::vector<float> ComputeTaskRepresentation(int label_index) const;
 
  private:
@@ -92,6 +96,9 @@ class FsProblem {
   TrainTestSplit split_;
   Standardizer standardizer_;
   Matrix std_features_;
+  // Moments of std_features_ over the training rows (2m doubles), shared by
+  // every task's representation.
+  ColumnMoments train_moments_;
   std::vector<int> classifier_rows_;
   std::vector<int> reward_rows_;
   std::map<int, TaskContext> tasks_;

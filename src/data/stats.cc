@@ -67,23 +67,77 @@ double PearsonCorrelation(const std::vector<float>& a,
   return cov / std::sqrt(var_a * var_b);
 }
 
+// Both passes below walk the rows in list order and every column in its own
+// double accumulator, so each column sees PearsonCorrelation's operations in
+// its order. This TU builds without FMA, so no multiply-add is fused.
+ColumnMoments ComputeColumnMoments(const Matrix& features,
+                                   const std::vector<int>& rows) {
+  PF_CHECK(!rows.empty());
+  const int m = features.cols();
+  ColumnMoments moments;
+  moments.means.assign(m, 0.0);
+  moments.centered_sum_squares.assign(m, 0.0);
+  double* means = moments.means.data();
+  double* sum_squares = moments.centered_sum_squares.data();
+  for (int r : rows) {
+    const float* x = features.Row(r);
+    for (int c = 0; c < m; ++c) means[c] += x[c];
+  }
+  const double n = static_cast<double>(rows.size());
+  for (int c = 0; c < m; ++c) means[c] /= n;
+  for (int r : rows) {
+    const float* x = features.Row(r);
+    for (int c = 0; c < m; ++c) {
+      const double d = x[c] - means[c];
+      sum_squares[c] += d * d;
+    }
+  }
+  return moments;
+}
+
 std::vector<float> TaskRepresentation(const Matrix& features,
+                                      const ColumnMoments& moments,
                                       const std::vector<float>& labels,
                                       const std::vector<int>& rows) {
   PF_CHECK(!rows.empty());
   const int m = features.cols();
+  PF_CHECK_EQ(moments.means.size(), static_cast<size_t>(m));
+  PF_CHECK_EQ(moments.centered_sum_squares.size(), static_cast<size_t>(m));
+  double label_mean = 0.0;
+  for (int r : rows) label_mean += labels[r];
+  label_mean /= static_cast<double>(rows.size());
+  double label_sum_squares = 0.0;
+  for (int r : rows) {
+    const double d = labels[r] - label_mean;
+    label_sum_squares += d * d;
+  }
+
+  std::vector<double> cross(m, 0.0);
+  double* cov = cross.data();
+  const double* means = moments.means.data();
+  for (int r : rows) {
+    const float* x = features.Row(r);
+    const double dy = labels[r] - label_mean;
+    for (int c = 0; c < m; ++c) cov[c] += (x[c] - means[c]) * dy;
+  }
+
   std::vector<float> repr(m);
-  std::vector<float> column(rows.size());
-  std::vector<float> label_subset(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) label_subset[i] = labels[rows[i]];
   for (int c = 0; c < m; ++c) {
-    for (size_t i = 0; i < rows.size(); ++i) {
-      column[i] = features.At(rows[i], c);
-    }
-    repr[c] =
-        static_cast<float>(std::abs(PearsonCorrelation(column, label_subset)));
+    const double var = moments.centered_sum_squares[c];
+    const double pearson =
+        var < 1e-12 || label_sum_squares < 1e-12
+            ? 0.0
+            : cov[c] / std::sqrt(var * label_sum_squares);
+    repr[c] = static_cast<float>(std::abs(pearson));
   }
   return repr;
+}
+
+std::vector<float> TaskRepresentation(const Matrix& features,
+                                      const std::vector<float>& labels,
+                                      const std::vector<int>& rows) {
+  return TaskRepresentation(features, ComputeColumnMoments(features, rows),
+                            labels, rows);
 }
 
 double MutualInformationWithLabel(const Matrix& features, int feature,

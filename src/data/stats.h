@@ -12,9 +12,32 @@ namespace pafeat {
 double PearsonCorrelation(const std::vector<float>& a,
                           const std::vector<float>& b);
 
+// The task-independent half of PearsonCorrelation for every feature column
+// over `rows`: the column's mean and its centered sum of squares, each summed
+// in double in row-list order exactly as PearsonCorrelation sums them.
+struct ColumnMoments {
+  std::vector<double> means;
+  std::vector<double> centered_sum_squares;
+};
+
+ColumnMoments ComputeColumnMoments(const Matrix& features,
+                                   const std::vector<int>& rows);
+
 // The paper's task representation (§III-B): per feature, the absolute value
 // of the Pearson correlation between the feature column (over `rows`) and the
 // task's label vector. Length = number of features.
+//
+// `moments` must be ComputeColumnMoments(features, rows). The label's moments
+// are computed once, then one row-major pass over `rows` accumulates every
+// column's cross sum in double. Each column sees the same operations in the
+// same order as PearsonCorrelation(column, labels over rows), so every output
+// equals static_cast<float>(std::abs(PearsonCorrelation(...))) bit for bit.
+std::vector<float> TaskRepresentation(const Matrix& features,
+                                      const ColumnMoments& moments,
+                                      const std::vector<float>& labels,
+                                      const std::vector<int>& rows);
+
+// Computes the column moments and runs the same pass; for one-off callers.
 std::vector<float> TaskRepresentation(const Matrix& features,
                                       const std::vector<float>& labels,
                                       const std::vector<int>& rows);

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Bad command-line values must exit with status 1 and a message naming the
-# flag (or the row count) on stderr — never abort on a library precondition,
-# die of a signal, or run on a wrapped value.
+# flag (or the row count, feature count or label) on stderr — never abort on
+# a library precondition, die of a signal, or run on a wrapped value.
 #
 #   tests/cli_bad_input.sh <example_pafeat_tool> <pafeat-serve>
 set -u
@@ -35,6 +35,10 @@ serve() {
 
 "$TOOL" demo --data "$WORK/demo.csv" >/dev/null || exit 1
 head -n 4 "$WORK/demo.csv" >"$WORK/three_rows.csv"
+# The demo data cut to its label: columns, a table with no feature column.
+awk -F, 'NR == 1 { for (i = 1; i <= NF; ++i) if ($i ~ /^label:/) keep[++n] = i }
+  { line = $keep[1]; for (j = 2; j <= n; ++j) line = line "," $keep[j]
+    print line }' "$WORK/demo.csv" >"$WORK/labels_only.csv"
 "$TOOL" train --data "$WORK/demo.csv" --labels "$LABELS" \
   --out "$WORK/agent.ckpt" --iterations 1 >/dev/null || exit 1
 
@@ -64,5 +68,13 @@ expect_exit_1 "3 data rows" "$TOOL" train --data "$WORK/three_rows.csv" \
   --labels "$LABELS" --out "$WORK/bad.ckpt"
 expect_exit_1 "3 data rows" "$TOOL" select --data "$WORK/three_rows.csv" \
   --label demo_unseen_0 --agent "$WORK/agent.ckpt"
+expect_exit_1 "0 feature columns" "$TOOL" train \
+  --data "$WORK/labels_only.csv" --labels demo_seen_0 --out "$WORK/bad.ckpt" \
+  --iterations 1
+expect_exit_1 "0 feature columns" "$TOOL" select \
+  --data "$WORK/labels_only.csv" --label demo_unseen_0 \
+  --agent "$WORK/agent.ckpt"
+expect_exit_1 "'demo_seen_0'" "$TOOL" train --data "$WORK/demo.csv" \
+  --labels demo_seen_0,demo_seen_0 --out "$WORK/bad.ckpt" --iterations 1
 
 exit "$FAILED"

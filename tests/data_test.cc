@@ -1,7 +1,10 @@
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <numeric>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,7 @@
 #include "data/stats.h"
 #include "data/synthetic.h"
 #include "data/table.h"
+#include "pearson_reference.h"
 
 namespace pafeat {
 namespace {
@@ -226,6 +230,81 @@ TEST(TaskRepresentationTest, InvariantToStandardization) {
       TaskRepresentation(standardized, labels, rows);
   for (int f = 0; f < 5; ++f) {
     EXPECT_NEAR(raw_repr[f], std_repr[f], 1e-4f) << "feature " << f;
+  }
+}
+
+TEST(TaskRepresentationTest, MatchesPerColumnPearsonBitForBit) {
+  // The one-pass representation must equal the per-column scalar definition
+  // bit for bit: it is the agent's state, so the masks and the training
+  // goldens are built from these bits.
+  const auto check = [](const Matrix& features,
+                        const std::vector<float>& labels,
+                        const std::vector<int>& rows, const std::string& what) {
+    const std::vector<float> want = PerColumnPearson(features, labels, rows);
+    const std::vector<float> got = TaskRepresentation(features, labels, rows);
+    EXPECT_EQ(got.size(), want.size()) << what;
+    if (got.size() == want.size()) {
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * got.size()),
+                0)
+          << what;
+    }
+    return got;
+  };
+  Rng rng(19);
+  const int n = 160;
+  std::vector<int> all_rows(n);
+  std::iota(all_rows.begin(), all_rows.end(), 0);
+  for (int m : {1, 7, 8, 9, 103}) {
+    const std::string shape = "m=" + std::to_string(m);
+    Matrix features = Matrix::RandomNormal(n, m, 1.0f, &rng);
+    // Raw-data scales and large offsets, as in InvariantToStandardization.
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c < m; ++c) {
+        features.At(r, c) =
+            features.At(r, c) * (1.0f + c % 5) + 1000.0f * (c % 3);
+      }
+    }
+    if (m > 1) {
+      for (int r = 0; r < n; ++r) features.At(r, m - 1) = 4.25f;
+    }
+    std::vector<float> labels(n);
+    std::vector<float> continuous(n);
+    for (int r = 0; r < n; ++r) {
+      labels[r] = features.At(r, 0) + rng.Normal() > 0.0 ? 1.0f : 0.0f;
+      continuous[r] = static_cast<float>(rng.Normal());
+    }
+    std::vector<int> subset = all_rows;
+    rng.Shuffle(&subset);
+    subset.resize(n * 2 / 3);
+
+    check(features, labels, all_rows, shape + " all rows");
+    check(features, labels, subset, shape + " shuffled subset");
+    check(features, continuous, subset, shape + " continuous labels");
+    check(features, labels, {subset[0]}, shape + " one row");
+    const std::vector<float> constant_label =
+        check(features, std::vector<float>(n, 1.0f), subset,
+              shape + " constant label");
+    for (float v : constant_label) EXPECT_EQ(v, 0.0f) << shape;
+
+    // Both label groups hold the same values per column, so every
+    // covariance is exactly zero in real arithmetic and the computed one is
+    // pure rounding residue: its bits depend on the order of every add,
+    // which a double result cast to float otherwise hides.
+    Matrix balanced(n, m);
+    std::vector<float> halves(n);
+    for (int r = 0; r < n; ++r) halves[r] = r < n / 2 ? 1.0f : 0.0f;
+    std::vector<int> pairing(n / 2);
+    std::iota(pairing.begin(), pairing.end(), n / 2);
+    for (int c = 0; c < m; ++c) {
+      rng.Shuffle(&pairing);
+      for (int r = 0; r < n / 2; ++r) {
+        balanced.At(r, c) = static_cast<float>(rng.Normal());
+        balanced.At(pairing[r], c) = balanced.At(r, c);
+      }
+    }
+    std::vector<int> shuffled_rows = all_rows;
+    rng.Shuffle(&shuffled_rows);
+    check(balanced, halves, shuffled_rows, shape + " balanced groups");
   }
 }
 

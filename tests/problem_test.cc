@@ -1,11 +1,13 @@
 #include "core/problem.h"
 
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "core/defaults.h"
 #include "data/synthetic.h"
+#include "pearson_reference.h"
 
 namespace pafeat {
 namespace {
@@ -77,6 +79,26 @@ TEST(FsProblemTest, RepresentationHighlightsRelevantFeatures) {
     for (float v : repr) overall += v;
     overall /= repr.size();
     EXPECT_GT(relevant, overall);
+  }
+}
+
+TEST(FsProblemTest, RepresentationMatchesTaskContextAndPerColumnPearson) {
+  // The cached column moments feed both the seen-task context and the
+  // zero-shot query; both must equal the scalar per-column definition.
+  const SyntheticDataset dataset = SmallDataset(17);
+  FsProblem problem(dataset.table, DefaultProblemConfig(true), 7);
+  for (int t = 0; t < problem.num_tasks(); ++t) {
+    const std::vector<float> repr = problem.ComputeTaskRepresentation(t);
+    const std::vector<float> want =
+        PerColumnPearson(problem.std_features(),
+                         problem.table().LabelColumn(t), problem.train_rows());
+    const std::vector<float>& context = problem.Task(t).representation;
+    ASSERT_EQ(repr.size(), want.size());
+    ASSERT_EQ(context.size(), want.size());
+    const size_t bytes = sizeof(float) * want.size();
+    EXPECT_EQ(std::memcmp(repr.data(), want.data(), bytes), 0) << "task " << t;
+    EXPECT_EQ(std::memcmp(context.data(), want.data(), bytes), 0)
+        << "task " << t;
   }
 }
 
