@@ -5,19 +5,25 @@
 
 #include "common/logging.h"
 #include "rl/fs_env.h"
+#include "tensor/kernels.h"
 
 namespace pafeat {
 
-void GreedyScanState::Bind(const float* representation, int m,
+void GreedyScanState::Bind(const DuelingNet* net,
+                           const float* representation, int m,
                            double max_feature_ratio, float* observation,
-                           FeatureMask* mask) {
+                           float* carry, FeatureMask* mask) {
   PF_DCHECK_GT(m, 0);
   PF_DCHECK_GT(max_feature_ratio, 0.0);
   PF_DCHECK_EQ(static_cast<int>(mask->size()), m);
+  net_ = net;
   representation_ = representation;
   observation_ = observation;
+  carry_ = carry;
   mask_ = mask;
   m_ = m;
+  // The last full lane block below the position fields at 2m.
+  carried_ = 2 * m / kernels::kRowwiseLanes * kernels::kRowwiseLanes;
   position_ = 0;
   selected_ = 0;
   max_selectable_ = std::max(1, static_cast<int>(max_feature_ratio * m));
@@ -26,10 +32,22 @@ void GreedyScanState::Bind(const float* representation, int m,
   std::fill(mask->begin(), mask->end(), static_cast<uint8_t>(0));
 }
 
-void GreedyScanState::EmitObservationRow(float* row_out) {
+void GreedyScanState::RefreshPositionFields() {
   observation_[2 * m_] = static_cast<float>(position_) / m_;
   observation_[2 * m_ + 1] = representation_[position_];
   observation_[2 * m_ + 2] = static_cast<float>(selected_) / m_;
+}
+
+void GreedyScanState::EmitFirstLayerRow(float* row_out) {
+  RefreshPositionFields();
+  // A scan's first step sees the empty mask: the carry starts here, on the
+  // thread that runs the step.
+  if (position_ == 0) net_->InitCarry(carried_, observation_, carry_);
+  net_->FinishCarry(carried_, observation_, carry_, row_out);
+}
+
+void GreedyScanState::EmitObservationRow(float* row_out) {
+  RefreshPositionFields();
   std::copy(observation_, observation_ + 2 * m_ + 3, row_out);
 }
 
@@ -38,6 +56,11 @@ void GreedyScanState::ApplyDecision(const float* q_row) {
     (*mask_)[position_] = 1;
     observation_[m_ + position_] = 1.0f;
     ++selected_;
+    // Every later carried column of this lane is a mask entry past the
+    // scan position, still 0: the append is exact.
+    if (carry_ != nullptr && m_ + position_ < carried_) {
+      net_->AppendCarry(m_ + position_, carry_);
+    }
   }
   ++position_;
 }
@@ -53,19 +76,17 @@ void GreedyScanState::FinalizeFallback() {
 
 namespace {
 
-// The lock-step scan, shared by the fp32 and quantized tiers. `Net` only
-// needs config() (input_dim, num_actions == kNumActions) and a
-// PredictBatchInto with DuelingNet's signature. All per-request mechanics
-// (observation layout, decision rule, retirement, fallback) live in
+// The lock-step scan. All per-request mechanics (observation layout,
+// decision rule, first-layer carry, retirement, fallback) live in
 // GreedyScanState — the same machine the SelectionServer drives with
 // continuous batching, so the two paths cannot drift.
 //
-// This is the greedy serving tier's steady state: after the per-request
+// This is the greedy execution path's steady state: after the per-request
 // setup below, the scan loop must not touch the heap.
 // analyze: hot-path-root
-template <typename Net>
 std::vector<FeatureMask> GreedyScan(
-    const Net& net, const std::vector<std::vector<float>>& representations,
+    const DuelingNet& net,
+    const std::vector<std::vector<float>>& representations,
     double max_feature_ratio) {
   const int num_tasks = static_cast<int>(representations.size());
   if (num_tasks == 0) return {};
@@ -74,9 +95,12 @@ std::vector<FeatureMask> GreedyScan(
   PF_CHECK_EQ(net.config().input_dim, 2 * m + 3);
   PF_CHECK_GT(max_feature_ratio, 0.0);
   const int obs_dim = 2 * m + 3;
+  const int width = net.first_layer_width();
+  const std::size_t carry_size = static_cast<std::size_t>(net.carry_size());
 
-  std::vector<std::vector<float>> observations(
-      num_tasks, std::vector<float>(obs_dim, 0.0f));
+  std::vector<float> observations(static_cast<std::size_t>(num_tasks) *
+                                  obs_dim);
+  std::vector<float> carries(num_tasks * carry_size);
   std::vector<FeatureMask> masks(num_tasks, FeatureMask(m, 0));
   std::vector<GreedyScanState> states(num_tasks);
   std::vector<int> live;
@@ -84,8 +108,9 @@ std::vector<FeatureMask> GreedyScan(
   live.reserve(num_tasks);
   for (int t = 0; t < num_tasks; ++t) {
     PF_CHECK_EQ(static_cast<int>(representations[t].size()), m);
-    states[t].Bind(representations[t].data(), m, max_feature_ratio,
-                   observations[t].data(), &masks[t]);
+    states[t].Bind(&net, representations[t].data(), m, max_feature_ratio,
+                   observations.data() + static_cast<std::size_t>(t) * obs_dim,
+                   carries.data() + t * carry_size, &masks[t]);
     // lint: allow(hot-path-alloc): reserved above; fills the setup worklist
     live.push_back(t);
   }
@@ -94,17 +119,60 @@ std::vector<FeatureMask> GreedyScan(
   // execution path allocates nothing per step beyond these two blocks.
   InferenceArena* arena = InferenceArena::ThreadLocal();
   ArenaScope scope(arena);
-  float* batch =
-      arena->Alloc(static_cast<std::size_t>(num_tasks) * obs_dim);
+  float* batch = arena->Alloc(static_cast<std::size_t>(num_tasks) * width);
   float* q =
       arena->Alloc(static_cast<std::size_t>(num_tasks) * kNumActions);
+  while (!live.empty()) {
+    const int rows = static_cast<int>(live.size());
+    for (int r = 0; r < rows; ++r) {
+      states[live[r]].EmitFirstLayerRow(
+          batch + static_cast<std::size_t>(r) * width);
+    }
+    // One forward pass decides this step for every live task.
+    net.PredictFromFirstLayerInto(rows, batch, arena, q);
+    for (int r = 0; r < rows; ++r) {
+      states[live[r]].ApplyDecision(
+          q + static_cast<std::size_t>(r) * kNumActions);
+    }
+    live.erase(std::remove_if(live.begin(), live.end(),
+                              [&](int t) { return states[t].ScanDone(); }),
+               live.end());
+  }
+  for (int t = 0; t < num_tasks; ++t) states[t].FinalizeFallback();
+  return masks;
+}
+
+// INTERMEDIATE: the int8 tier's scan, without the carry.
+std::vector<FeatureMask> GreedyScanInt8(
+    const QuantizedDuelingNet& net,
+    const std::vector<std::vector<float>>& representations,
+    double max_feature_ratio) {
+  const int num_tasks = static_cast<int>(representations.size());
+  if (num_tasks == 0) return {};
+  const int m = static_cast<int>(representations[0].size());
+  PF_CHECK_EQ(net.config().input_dim, 2 * m + 3);
+  const int obs_dim = 2 * m + 3;
+  std::vector<float> observations(static_cast<std::size_t>(num_tasks) *
+                                  obs_dim);
+  std::vector<FeatureMask> masks(num_tasks, FeatureMask(m, 0));
+  std::vector<GreedyScanState> states(num_tasks);
+  std::vector<int> live;
+  for (int t = 0; t < num_tasks; ++t) {
+    states[t].Bind(nullptr, representations[t].data(), m, max_feature_ratio,
+                   observations.data() + static_cast<std::size_t>(t) * obs_dim,
+                   nullptr, &masks[t]);
+    live.push_back(t);
+  }
+  InferenceArena* arena = InferenceArena::ThreadLocal();
+  ArenaScope scope(arena);
+  float* batch = arena->Alloc(static_cast<std::size_t>(num_tasks) * obs_dim);
+  float* q = arena->Alloc(static_cast<std::size_t>(num_tasks) * kNumActions);
   while (!live.empty()) {
     const int rows = static_cast<int>(live.size());
     for (int r = 0; r < rows; ++r) {
       states[live[r]].EmitObservationRow(
           batch + static_cast<std::size_t>(r) * obs_dim);
     }
-    // One forward pass decides this step for every live task.
     net.PredictBatchInto(rows, batch, arena, q);
     for (int r = 0; r < rows; ++r) {
       states[live[r]].ApplyDecision(
@@ -143,7 +211,7 @@ std::vector<FeatureMask> GreedySelectSubsets(
     const QuantizedDuelingNet& net,
     const std::vector<std::vector<float>>& representations,
     double max_feature_ratio) {
-  return GreedyScan(net, representations, max_feature_ratio);
+  return GreedyScanInt8(net, representations, max_feature_ratio);
 }
 
 }  // namespace pafeat

@@ -26,14 +26,18 @@ struct ServeConfig {
 // out of GreedySelectSubsets so requests of different ages can join and
 // leave a shared forward-pass batch at step boundaries — the
 // SelectionServer's continuous batching. The observation layout, decision
-// rule, retirement rule and empty-subset fallback live here and only here;
-// the standalone batch scan and the server both drive this class, so the
-// fp32 bit-identity contract (row r of a batched forward == the standalone
-// single-row scan) extends structurally to any mix of concurrently
-// coalesced peers.
+// rule, retirement rule, empty-subset fallback and the Q-network's
+// first-layer carry live here and only here; the standalone batch scan and
+// the server both drive this class, so the bit-identity contract (row r of
+// a batched forward == the standalone single-row scan) extends structurally
+// to any mix of concurrently coalesced peers.
 //
-// The state machine is net-agnostic: it emits observation rows and consumes
-// Q-value rows, so the fp32 and int8 tiers share it by construction.
+// The first-layer carry (DESIGN.md "Inference fast path") keeps each hidden
+// unit's lane sums over the observation's columns below 8 * floor(2m / 8):
+// the representation, fixed for the scan, and mask entries, which only go
+// 0 -> 1 at the scan's own position. A step recomputes only the columns
+// from there on, at most one lane block plus the 3-to-7-float tail.
+//
 // Every method is allocation-free — all storage is caller-owned — which is
 // what lets server request slots be rebound without heap churn on the
 // serving loop's hot path.
@@ -41,13 +45,16 @@ class GreedyScanState {
  public:
   GreedyScanState() = default;
 
-  // Binds to caller-owned storage and rewinds to position 0 / empty subset.
-  // `observation` must hold 2m+3 floats (layout [repr(m) | mask(m) | pos/m |
-  // repr[pos] | selected/m]) and `mask` must already have size m; both are
-  // fully (re)initialized here. `representation` must stay alive until the
+  // Binds to `net` and caller-owned storage and rewinds to position 0 /
+  // empty subset. `observation` must hold 2m+3 floats (layout [repr(m) |
+  // mask(m) | pos/m | repr[pos] | selected/m]), `carry` net->carry_size()
+  // floats, and `mask` must already have size m. The observation and mask
+  // are fully (re)initialized here, the carry by the first
+  // EmitFirstLayerRow. `net` and `representation` must stay alive until the
   // scan finishes (servers hold the blocked caller's vector).
-  void Bind(const float* representation, int m, double max_feature_ratio,
-            float* observation, FeatureMask* mask);
+  void Bind(const DuelingNet* net, const float* representation, int m,
+            double max_feature_ratio, float* observation, float* carry,
+            FeatureMask* mask);
 
   // True once the scan has retired: position ran off the end or the
   // selection budget is exhausted (Algorithm 1 line 10).
@@ -55,9 +62,15 @@ class GreedyScanState {
     return position_ >= m_ || selected_ >= max_selectable_;
   }
 
-  // Refreshes the position-dependent tail fields and copies the observation
-  // row (2m+3 floats) into `row_out` — one row of the coalesced forward
-  // batch. Requires !ScanDone().
+  // Refreshes the position-dependent tail fields and writes this step's
+  // first-layer sums (net->first_layer_width() floats) to `row_out` — one
+  // row of the coalesced batch that DuelingNet::PredictFromFirstLayerInto
+  // finishes. The first call after Bind initializes the carry. Requires
+  // !ScanDone().
+  void EmitFirstLayerRow(float* row_out);
+
+  // Refreshes the tail fields and copies the whole observation row (2m+3
+  // floats) into `row_out`, for a net without the carry.
   void EmitObservationRow(float* row_out);
 
   // Applies the greedy select/deselect decision for the current position
@@ -75,10 +88,15 @@ class GreedyScanState {
   int max_selectable() const { return max_selectable_; }
 
  private:
+  void RefreshPositionFields();
+
+  const DuelingNet* net_ = nullptr;
   const float* representation_ = nullptr;
   float* observation_ = nullptr;
+  float* carry_ = nullptr;
   FeatureMask* mask_ = nullptr;
   int m_ = 0;
+  int carried_ = 0;  // observation columns the carry covers
   int position_ = 0;
   int selected_ = 0;
   int max_selectable_ = 0;

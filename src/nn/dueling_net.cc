@@ -1,8 +1,10 @@
 #include "nn/dueling_net.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.h"
+#include "tensor/kernels.h"
 
 namespace pafeat {
 namespace {
@@ -74,21 +76,72 @@ void DuelingNet::PredictBatchInto(int rows, const float* states,
   PredictImpl(rows, states, arena, q_out, /*batched=*/true);
 }
 
+int DuelingNet::carry_size() const {
+  return first_layer_width() * kernels::kRowwiseLanes;
+}
+
+void DuelingNet::InitCarry(int prefix, const float* observation,
+                           float* carry) const {
+  const Matrix& weight = trunk_.layer_weight(0);
+  kernels::RowwiseCarryInit(weight.rows(), prefix, observation, weight.data(),
+                            weight.cols(), carry);
+}
+
+void DuelingNet::AppendCarry(int column, float* carry) const {
+  // observation[column] == 1 makes the lane's term 1 * w, which rounds to w
+  // under a fused or a separate multiply-add alike: one add per lane.
+  const Matrix& weight = trunk_.layer_weight(0);
+  float* lane = carry + column % kernels::kRowwiseLanes;
+  for (int h = 0; h < weight.rows(); ++h) {
+    lane[static_cast<std::size_t>(h) * kernels::kRowwiseLanes] +=
+        weight.At(h, column);
+  }
+}
+
+void DuelingNet::FinishCarry(int prefix, const float* observation,
+                             const float* carry, float* sum) const {
+  const Matrix& weight = trunk_.layer_weight(0);
+  // The zeroed row makes each stored sum 0 + s, as PredictBatchInto's is.
+  std::fill_n(sum, weight.rows(), 0.0f);
+  kernels::RowwiseCarryFinish(weight.rows(), weight.cols(), prefix,
+                              observation, weight.data(), weight.cols(),
+                              carry, sum);
+}
+
+void DuelingNet::PredictFromFirstLayerInto(int rows, const float* sum,
+                                           InferenceArena* arena,
+                                           float* q_out) const {
+  ArenaScope scope(arena);
+  float* features = arena->Alloc(static_cast<std::size_t>(rows) *
+                                 trunk_.config().output_dim);
+  trunk_.FinishBatchInto(rows, sum, arena, features);
+  HeadsInto(rows, features, arena, q_out, /*batched=*/true);
+}
+
 void DuelingNet::PredictImpl(int rows, const float* states,
                              InferenceArena* arena, float* q_out,
                              bool batched) const {
   ArenaScope scope(arena);
-  const int feature_dim = trunk_.config().output_dim;
-  const int num_actions = config_.num_actions;
-  float* features =
-      arena->Alloc(static_cast<std::size_t>(rows) * feature_dim);
-  float* value = arena->Alloc(static_cast<std::size_t>(rows));
+  float* features = arena->Alloc(static_cast<std::size_t>(rows) *
+                                 trunk_.config().output_dim);
   if (batched) {
     trunk_.PredictBatchInto(rows, states, arena, features);
+  } else {
+    trunk_.PredictInto(rows, states, arena, features);
+  }
+  HeadsInto(rows, features, arena, q_out, batched);
+}
+
+void DuelingNet::HeadsInto(int rows, const float* features,
+                           InferenceArena* arena, float* q_out,
+                           bool batched) const {
+  ArenaScope scope(arena);
+  const int num_actions = config_.num_actions;
+  float* value = arena->Alloc(static_cast<std::size_t>(rows));
+  if (batched) {
     value_head_.PredictBatchInto(rows, features, arena, value);
     advantage_head_.PredictBatchInto(rows, features, arena, q_out);
   } else {
-    trunk_.PredictInto(rows, states, arena, features);
     value_head_.PredictInto(rows, features, arena, value);
     // Advantages land straight in q_out; the aggregation then runs in place
     // with the exact loop (and rounding order) of Aggregate.

@@ -45,6 +45,34 @@ class DuelingNet {
   void PredictBatchInto(int rows, const float* states, InferenceArena* arena,
                         float* q_out) const;
 
+  // Greedy-scan carry of the trunk's first layer (DESIGN.md "Inference fast
+  // path"). Along a scan the observation's leading `prefix` columns (a
+  // multiple of kernels::kRowwiseLanes) change only by entries going from 0
+  // to 1, so each hidden unit's lane sums over them are kept in `carry`
+  // (carry_size() floats, owned by the caller) instead of being recomputed
+  // from the whole observation every step.
+  int first_layer_width() const { return trunk_.layer_output_dim(0); }
+  int carry_size() const;
+  // The lanes over `observation`'s first `prefix` columns; once per scan.
+  void InitCarry(int prefix, const float* observation, float* carry) const;
+  // Adds weight column `column` (< prefix) to its lane: the carry's update
+  // when observation[column] goes from 0 to 1. Exact while every later
+  // prefix column of that lane still holds 0 (adding a zero product is a
+  // no-op on a lane that starts at +0) — true for a scan, which only
+  // selects at its own position.
+  void AppendCarry(int column, float* carry) const;
+  // One row's first-layer sums (first_layer_width() floats, before the
+  // bias): the carry continued over `observation`'s columns [prefix,
+  // input_dim). Bit-identical to that row's first layer in PredictBatchInto.
+  void FinishCarry(int prefix, const float* observation, const float* carry,
+                   float* sum) const;
+  // PredictBatchInto from the first layer's sums (rows x
+  // first_layer_width(), from FinishCarry): the same bias, activation,
+  // later layers, heads and aggregation, so each Q row carries
+  // PredictBatchInto's bits.
+  void PredictFromFirstLayerInto(int rows, const float* sum,
+                                 InferenceArena* arena, float* q_out) const;
+
   // Backpropagates dL/dQ through the cached Forward.
   void Backward(const Matrix& grad_q);
 
@@ -72,6 +100,10 @@ class DuelingNet {
   // and heads through the row-bit-stable batched kernels.
   void PredictImpl(int rows, const float* states, InferenceArena* arena,
                    float* q_out, bool batched) const;
+  // The heads and the dueling aggregation over trunk `features`, shared by
+  // every inference path.
+  void HeadsInto(int rows, const float* features, InferenceArena* arena,
+                 float* q_out, bool batched) const;
 
   DuelingNetConfig config_;
   Mlp trunk_;

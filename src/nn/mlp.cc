@@ -147,6 +147,16 @@ void Mlp::AccumulateGathered(int rows, const float* x, int ldx,
 
 void Mlp::FinishGathered(int rows, const float* sum, InferenceArena* arena,
                          float* out) const {
+  FinishImpl(rows, sum, arena, out, /*rowwise=*/false);
+}
+
+void Mlp::FinishBatchInto(int rows, const float* sum, InferenceArena* arena,
+                          float* out) const {
+  FinishImpl(rows, sum, arena, out, /*rowwise=*/true);
+}
+
+void Mlp::FinishImpl(int rows, const float* sum, InferenceArena* arena,
+                     float* out, bool rowwise) const {
   PF_CHECK_GT(rows, 0);
   const Layer& first = layers_.front();
   const int out_dim = first.weight.rows();
@@ -157,7 +167,9 @@ void Mlp::FinishGathered(int rows, const float* sum, InferenceArena* arena,
   std::copy(sum, sum + count, hidden);
   AddBiasRows(rows, out_dim, first.bias.data(), hidden);
   ApplyActivation(first.activation, hidden, static_cast<int>(count));
-  if (num_layers() > 1) PredictTailInto(1, rows, hidden, arena, out);
+  if (num_layers() > 1) {
+    PredictTailImpl(1, rows, hidden, arena, out, rowwise);
+  }
 }
 
 void Mlp::PredictGatheredReference(int rows, const float* x, int ldx,

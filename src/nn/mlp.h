@@ -86,6 +86,14 @@ class Mlp {
   void FinishGathered(int rows, const float* sum, InferenceArena* arena,
                       float* out) const;
 
+  // FinishGathered through the batched plane: the layers after the first run
+  // on kernels::GemmNTRowwise, as in PredictBatchInto. A caller that computes
+  // the first layer's sum (rows x first-layer width, before the bias) with
+  // PredictBatchInto's bits gets PredictBatchInto's rows; the greedy scan's
+  // first-layer carry does (DuelingNet::FinishCarry).
+  void FinishBatchInto(int rows, const float* sum, InferenceArena* arena,
+                       float* out) const;
+
   // Reference implementation of the masked-inference summation order: the
   // full-width product over all input_dim columns of `x` (masked columns
   // are expected to hold zeros), same per-element accumulation order as
@@ -99,6 +107,7 @@ class Mlp {
   Matrix FirstLayerWeightTransposed() const;
 
   int num_layers() const { return static_cast<int>(layers_.size()); }
+  const Matrix& layer_weight(int i) const { return layers_[i].weight; }
   int layer_input_dim(int i) const { return layers_[i].weight.cols(); }
   int layer_output_dim(int i) const { return layers_[i].weight.rows(); }
 
@@ -128,6 +137,9 @@ class Mlp {
   // batch-size-independent GemmNTRowwise kernel for every layer.
   void PredictTailImpl(int first_layer, int rows, const float* input,
                        InferenceArena* arena, float* out, bool rowwise) const;
+  // Shared body of FinishGathered / FinishBatchInto.
+  void FinishImpl(int rows, const float* sum, InferenceArena* arena,
+                  float* out, bool rowwise) const;
 
   struct Layer {
     Matrix weight;  // out x in

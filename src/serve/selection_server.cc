@@ -59,8 +59,7 @@ SelectionServer::SelectionServer(const AgentCheckpoint& checkpoint,
   finished_scratch_.resize(max_live_, -1);
   // No step is wider than max_live_ = min(max_batch, max_queue), so the
   // step scratch and the width histogram are sized by it.
-  const int obs_dim = 2 * current_->num_features + 3;
-  batch_.resize(static_cast<std::size_t>(max_live_) * obs_dim);
+  batch_.resize(BatchFloats());
   q_.resize(static_cast<std::size_t>(max_live_) * kNumActions);
   stats_.batch_width_hist.assign(static_cast<std::size_t>(max_live_) + 1, 0);
 
@@ -282,19 +281,25 @@ void SelectionServer::ServeLoop() {
 // no heap allocation and takes no lock.
 // analyze: hot-path-root
 void SelectionServer::ServeStep(int width) {
-  const int obs_dim = 2 * current_->num_features + 3;
+  const DuelingNet& net = *current_->net;
   float* batch = batch_.data();
   float* q = q_.data();
-  for (int r = 0; r < width; ++r) {
-    slots_[live_[r]].scan.EmitObservationRow(
-        batch + static_cast<std::size_t>(r) * obs_dim);
-  }
-  // One forward pass decides this step for every coalesced request.
   InferenceArena* arena = InferenceArena::ThreadLocal();
   if (current_->qnet != nullptr) {
+    const int obs_dim = 2 * current_->num_features + 3;
+    for (int r = 0; r < width; ++r) {
+      slots_[live_[r]].scan.EmitObservationRow(
+          batch + static_cast<std::size_t>(r) * obs_dim);
+    }
     current_->qnet->PredictBatchInto(width, batch, arena, q);
   } else {
-    current_->net->PredictBatchInto(width, batch, arena, q);
+    const int row_floats = net.first_layer_width();
+    for (int r = 0; r < width; ++r) {
+      slots_[live_[r]].scan.EmitFirstLayerRow(
+          batch + static_cast<std::size_t>(r) * row_floats);
+    }
+    // One forward pass decides this step for every coalesced request.
+    net.PredictFromFirstLayerInto(width, batch, arena, q);
   }
   finished_count_ = 0;
   for (int r = 0; r < width; ++r) {
@@ -307,15 +312,20 @@ void SelectionServer::ServeStep(int width) {
   }
 }
 
+std::size_t SelectionServer::BatchFloats() const {
+  const int row_floats = current_->qnet != nullptr
+                             ? 2 * current_->num_features + 3
+                             : current_->net->first_layer_width();
+  return static_cast<std::size_t>(max_live_) * row_floats;
+}
+
 void SelectionServer::ApplySwapLocked() {
   current_ = std::move(pending_);
   applied_seq_ = current_->version;
   ++stats_.swaps_applied;
   stats_.net_version = applied_seq_;
-  // A swap may change the feature count; the step scratch follows it.
-  const std::size_t batch_floats =
-      static_cast<std::size_t>(max_live_) * (2 * current_->num_features + 3);
-  if (batch_.size() < batch_floats) batch_.resize(batch_floats);
+  // A swap may change the first-layer width; the step scratch follows it.
+  if (batch_.size() < BatchFloats()) batch_.resize(BatchFloats());
   swap_cv_.notify_all();
 }
 
@@ -341,11 +351,17 @@ void SelectionServer::AdmitWaitingLocked() {
     if (static_cast<int>(slot.mask.size()) != slot.m) {
       slot.mask.resize(slot.m);
     }
+    const DuelingNet* net = current_->net.get();
+    if (static_cast<int>(slot.carry.size()) != net->carry_size()) {
+      slot.carry.resize(net->carry_size());
+    }
     const double ratio = slot.max_feature_ratio > 0.0
                              ? slot.max_feature_ratio
                              : current_->max_feature_ratio;
-    slot.scan.Bind(slot.representation, slot.m, ratio,
-                   slot.observation.data(), &slot.mask);
+    // The carry is initialized by the scan's first step, on the serving
+    // thread outside the mutex.
+    slot.scan.Bind(net, slot.representation, slot.m, ratio,
+                   slot.observation.data(), slot.carry.data(), &slot.mask);
     slot.net_version = current_->version;
     slot.live_at = now;
     live_[live_count_++] = slot_index;

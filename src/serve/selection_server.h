@@ -189,6 +189,7 @@ class SelectionServer {
     int m = 0;
     double max_feature_ratio = 0.0;  // <= 0: use the serving bundle's
     std::vector<float> observation;  // 2m + 3 scan scratch
+    std::vector<float> carry;        // the net's first-layer carry
     FeatureMask mask;
     GreedyScanState scan;
     AdmissionStatus status = AdmissionStatus::kOk;
@@ -204,6 +205,10 @@ class SelectionServer {
   // `error` when the checkpoint fails the consistency screen.
   std::unique_ptr<NetBundle> BuildBundle(const AgentCheckpoint& checkpoint,
                                          std::string* error) const;
+
+  // Floats of step scratch the serving network needs: one first-layer row
+  // per live request.
+  std::size_t BatchFloats() const;
 
   void ServeLoop();
   // One coalesced scan step over the first `width` entries of live_:
@@ -250,7 +255,7 @@ class SelectionServer {
   int live_count_ = 0;
 
   // Serving-thread scratch (touched only by the serving thread).
-  std::vector<float> batch_;  // max_live_ x (2m + 3)
+  std::vector<float> batch_;  // max_live_ x first-layer width
   std::vector<float> q_;      // max_live_ x kNumActions
   std::vector<int> finished_scratch_;  // rows finished by the last step
   int finished_count_ = 0;

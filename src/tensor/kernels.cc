@@ -24,6 +24,11 @@ void GemmNT(int m, int n, int p, const float* a, int lda, const float* b,
             int ldb, float* c, int ldc);
 void GemmGatherNN(int m, int n, const float* a, int lda, const int* cols,
                   int ncols, const float* b, int ldb, float* c, int ldc);
+void RowwiseCarryInit(int n, int k_end, const float* a, const float* b,
+                      int ldb, float* lanes);
+void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
+                        const float* b, int ldb, const float* lanes,
+                        float* c);
 void GemmInt8NT(int m, int n, int p, const std::int8_t* a, int lda,
                 const std::int8_t* b, int ldb, std::int32_t* c, int ldc);
 void QuantizeRowsInt8(int rows, int n, const float* x, int ldx,
@@ -44,6 +49,11 @@ void GemmGatherNN(int m, int n, const float* a, int lda, const int* cols,
 // .inl): per-row bits independent of the batch size, see GemmNTRowwise.
 void GemmNTRowwise(int m, int n, int p, const float* a, int lda,
                    const float* b, int ldb, float* c, int ldc);
+void RowwiseCarryInit(int n, int k_end, const float* a, const float* b,
+                      int ldb, float* lanes);
+void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
+                        const float* b, int ldb, const float* lanes,
+                        float* c);
 void GemmInt8NT(int m, int n, int p, const std::int8_t* a, int lda,
                 const std::int8_t* b, int ldb, std::int32_t* c, int ldc);
 void QuantizeRowsInt8(int rows, int n, const float* x, int ldx,
@@ -74,6 +84,10 @@ using GemmFn = void (*)(int, int, int, const float*, int, const float*, int,
                         float*, int);
 using GatherFn = void (*)(int, int, const float*, int, const int*, int,
                           const float*, int, float*, int);
+using CarryInitFn = void (*)(int, int, const float*, const float*, int,
+                             float*);
+using CarryFinishFn = void (*)(int, int, int, const float*, const float*, int,
+                               const float*, float*);
 using Int8Fn = void (*)(int, int, int, const std::int8_t*, int,
                         const std::int8_t*, int, std::int32_t*, int);
 using QuantFn = void (*)(int, int, const float*, int, std::int8_t*, int,
@@ -90,6 +104,10 @@ struct Dispatch {
   // a portable interleave would let the compiler contract rows differently.
   GemmFn nt_rowwise;
   GatherFn gather;
+  // The greedy scan's cut of nt_rowwise (kernels.h). The AVX-512 level keeps
+  // AVX2's pair, since its row-wise core replays AVX2's per-row operations.
+  CarryInitFn carry_init;
+  CarryFinishFn carry_finish;
   // Quantized serving tier cores: exact integer accumulation (int8_nt) and
   // fully-determined per-element rounding (quantize_rows), so the level
   // choice can never change their results.
@@ -118,16 +136,18 @@ SimdCapability ProbeBestCapability() {
 }
 
 Dispatch MakeDispatch(SimdCapability level) {
-  Dispatch dispatch{generic::GemmNN,       generic::GemmTN,
-                    generic::GemmNT,       generic::GemmNT,
-                    generic::GemmGatherNN, generic::GemmInt8NT,
+  Dispatch dispatch{generic::GemmNN,           generic::GemmTN,
+                    generic::GemmNT,           generic::GemmNT,
+                    generic::GemmGatherNN,     generic::RowwiseCarryInit,
+                    generic::RowwiseCarryFinish, generic::GemmInt8NT,
                     generic::QuantizeRowsInt8,
                     SimdCapability::kGeneric};
 #ifdef PAFEAT_HAVE_AVX2_TU
   if (level >= SimdCapability::kAvx2) {
-    dispatch = Dispatch{avx2::GemmNN,       avx2::GemmTN,
-                        avx2::GemmNT,       avx2::GemmNTRowwise,
-                        avx2::GemmGatherNN, avx2::GemmInt8NT,
+    dispatch = Dispatch{avx2::GemmNN,           avx2::GemmTN,
+                        avx2::GemmNT,           avx2::GemmNTRowwise,
+                        avx2::GemmGatherNN,     avx2::RowwiseCarryInit,
+                        avx2::RowwiseCarryFinish, avx2::GemmInt8NT,
                         avx2::QuantizeRowsInt8,
                         SimdCapability::kAvx2};
   }
@@ -357,6 +377,32 @@ void GemmGatherNN(int m, int n, const float* a, int lda, const int* cols,
     core(rows, n, a + static_cast<std::size_t>(i0) * lda, lda, cols, ncols, b,
          ldb, c + static_cast<std::size_t>(i0) * ldc, ldc);
   });
+}
+
+void RowwiseCarryInit(int n, int k_end, const float* a, const float* b,
+                      int ldb, float* lanes) {
+  if (n <= 0) return;
+  PF_DCHECK_GE(k_end, 0);
+  PF_DCHECK_EQ(k_end % kRowwiseLanes, 0);
+  PF_DCHECK_GE(ldb, k_end);
+  Impl().carry_init(n, k_end, a, b, ldb, lanes);
+}
+
+void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
+                        const float* b, int ldb, const float* lanes,
+                        float* c) {
+  if (n <= 0) return;
+  PF_DCHECK_GE(k_begin, 0);
+  PF_DCHECK_LE(k_begin, p);
+  PF_DCHECK_EQ(k_begin % kRowwiseLanes, 0);
+  PF_DCHECK_GE(ldb, p);
+  PF_DCHECK(DisjointFromC(c, 1, n, a, 1, p))
+      << "RowwiseCarryFinish: C aliases A";
+  PF_DCHECK(DisjointFromC(c, 1, n, b, n, ldb))
+      << "RowwiseCarryFinish: C aliases B";
+  PF_DCHECK(DisjointFromC(c, 1, n, lanes, n, kRowwiseLanes))
+      << "RowwiseCarryFinish: C aliases the lanes";
+  Impl().carry_finish(n, p, k_begin, a, b, ldb, lanes, c);
 }
 
 void GemmInt8NT(int m, int n, int p, const std::int8_t* a, int lda,

@@ -69,6 +69,31 @@ void GemmNTRowwise(int m, int n, int p, const float* a, int lda,
 void GemmGatherNN(int m, int n, const float* a, int lda, const int* cols,
                   int ncols, const float* b, int ldb, float* c, int ldc);
 
+// Carry of a one-row GemmNTRowwise for the greedy scan (DESIGN.md
+// "Inference fast path"). GemmNTRowwise fixes every output element's
+// operations at every level: one kRowwiseLanes-lane accumulator that starts
+// at +0 and walks k in full blocks of kRowwiseLanes (a fused multiply-add
+// per lane on AVX2 and AVX-512, a separate multiply and add on the generic
+// level), then a scalar tail from 0, then the lane adds in order. The pair
+// below cuts that sequence at a block boundary, so a caller whose leading
+// columns change only in known ways can keep the lanes between products:
+//
+//   RowwiseCarryInit:    lanes[j][t] = lane t of (row a . row j of B) after
+//                        the blocks [0, k_end)
+//   RowwiseCarryFinish:  c[j] += the rest: the blocks [k_begin, p) continued
+//                        from lanes[j], the tail, the lane adds
+//
+// With k_begin == k_end (multiples of kRowwiseLanes, at most p), Init then
+// Finish adds to each c[j] exactly the bits a one-row GemmNTRowwise adds.
+// `lanes` is n x kRowwiseLanes. AVX-512 dispatches AVX2's pair: its
+// row-wise core replays AVX2's per-row operations.
+inline constexpr int kRowwiseLanes = 8;
+void RowwiseCarryInit(int n, int k_end, const float* a, const float* b,
+                      int ldb, float* lanes);
+void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
+                        const float* b, int ldb, const float* lanes,
+                        float* c);
+
 // Int8 row-wise NT product for the quantized serving tier (DESIGN.md
 // "Quantized serving tier"):
 //

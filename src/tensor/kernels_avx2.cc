@@ -51,22 +51,36 @@ namespace {
 
 constexpr int kDotLanes = 8;
 
-// One row x one B row, the exact per-row operation sequence of the quad
-// loop below (and therefore of any batch size).
-inline float DotRow(const float* __restrict ar, const float* __restrict bj,
-                    int p) {
-  __m256 acc = _mm256_setzero_ps();
-  int k = 0;
-  for (; k + kDotLanes <= p; k += kDotLanes) {
+// Step (1) of the per-row sequence over the full blocks [k, k_end),
+// continuing from `acc`.
+inline __m256 DotBlocks(const float* __restrict ar,
+                        const float* __restrict bj, int k, int k_end,
+                        __m256 acc) {
+  for (; k < k_end; k += kDotLanes) {
     acc = _mm256_fmadd_ps(_mm256_loadu_ps(ar + k), _mm256_loadu_ps(bj + k),
                           acc);
   }
+  return acc;
+}
+
+// Steps (2) and (3): the scalar tail over [k, p) from 0, then the lane adds.
+inline float DotTail(const float* __restrict ar, const float* __restrict bj,
+                     int k, int p, __m256 acc) {
   float s = 0.0f;
   for (; k < p; ++k) s = __builtin_fmaf(ar[k], bj[k], s);
   alignas(32) float lanes[kDotLanes];
   _mm256_store_ps(lanes, acc);
   for (int t = 0; t < kDotLanes; ++t) s += lanes[t];
   return s;
+}
+
+// One row x one B row, the exact per-row operation sequence of the quad
+// loop below (and therefore of any batch size).
+inline float DotRow(const float* __restrict ar, const float* __restrict bj,
+                    int p) {
+  const int pfull = p & ~(kDotLanes - 1);
+  return DotTail(ar, bj, pfull, p,
+                 DotBlocks(ar, bj, 0, pfull, _mm256_setzero_ps()));
 }
 
 }  // namespace
@@ -127,6 +141,30 @@ void GemmNTRowwise(int m, int n, int p, const float* a, int lda,
     for (int j = 0; j < n; ++j) {
       cr[j] += DotRow(ar, b + static_cast<std::size_t>(j) * ldb, p);
     }
+  }
+}
+
+// The carry pair (kernels.h) cuts DotRow at a block boundary; the AVX-512
+// level dispatches it too.
+void RowwiseCarryInit(int n, int k_end, const float* a, const float* b,
+                      int ldb, float* lanes) {
+  for (int j = 0; j < n; ++j) {
+    _mm256_storeu_ps(lanes + static_cast<std::size_t>(j) * kDotLanes,
+                     DotBlocks(a, b + static_cast<std::size_t>(j) * ldb, 0,
+                               k_end, _mm256_setzero_ps()));
+  }
+}
+
+void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
+                        const float* b, int ldb, const float* lanes,
+                        float* c) {
+  const int pfull = p & ~(kDotLanes - 1);
+  for (int j = 0; j < n; ++j) {
+    const float* bj = b + static_cast<std::size_t>(j) * ldb;
+    const __m256 carried =
+        _mm256_loadu_ps(lanes + static_cast<std::size_t>(j) * kDotLanes);
+    c[j] += DotTail(a, bj, pfull, p,
+                    DotBlocks(a, bj, k_begin, pfull, carried));
   }
 }
 

@@ -170,6 +170,67 @@ TEST(BatchedInferenceTest, GreedySelectSubsetsMatchesPerTaskScans) {
   }
 }
 
+// The greedy scan's first-layer carry against the full forward: at every
+// step of a scan, the Q row finished from the carry must carry the bits of
+// PredictBatchInto on the whole observation. The scan state owns no
+// buffers, so the test reads the very observation the carried step used.
+// m runs over every m mod 8 on both sides of the carried bound 8*(2m/8),
+// and the decisions follow the full forward, so a drifting carry cannot
+// steer the scan away from the states it is checked on.
+TEST(BatchedInferenceTest, CarriedScanMatchesFullForward) {
+  InferenceArena* arena = InferenceArena::ThreadLocal();
+  std::vector<int> sizes;
+  for (int m = 1; m <= 17; ++m) sizes.push_back(m);
+  for (int m : {103, 520, 1020}) sizes.push_back(m);
+  int carried_appends = 0;
+  int deselects = 0;
+  for (const std::vector<int>& trunk :
+       {std::vector<int>{64, 64}, std::vector<int>{32}}) {
+    for (int m : sizes) {
+      DuelingNetConfig config;
+      config.input_dim = 2 * m + 3;
+      config.trunk_hidden = trunk;
+      config.num_actions = kNumActions;
+      Rng rng(0xca77 + m);
+      const DuelingNet net(config, &rng);
+      const std::vector<std::vector<float>> reprs = {
+          RandomVec(m, &rng), std::vector<float>(m, 0.37f)};
+      for (const std::vector<float>& repr : reprs) {
+        for (double ratio : {0.1, 0.5, 1.0}) {
+          std::vector<float> observation(2 * m + 3);
+          std::vector<float> carry(net.carry_size());
+          FeatureMask mask(m, 0);
+          GreedyScanState scan;
+          scan.Bind(&net, repr.data(), m, ratio, observation.data(),
+                    carry.data(), &mask);
+          std::vector<float> sum(net.first_layer_width());
+          float carried_q[kNumActions];
+          float full_q[kNumActions];
+          while (!scan.ScanDone()) {
+            const int position = scan.position();
+            const int selected = scan.selected_count();
+            scan.EmitFirstLayerRow(sum.data());
+            net.PredictFromFirstLayerInto(1, sum.data(), arena, carried_q);
+            net.PredictBatchInto(1, observation.data(), arena, full_q);
+            ASSERT_EQ(std::memcmp(carried_q, full_q, sizeof(full_q)), 0)
+                << "m=" << m << " trunk[0]=" << trunk[0] << " ratio="
+                << ratio << " position=" << position;
+            scan.ApplyDecision(full_q);
+            if (scan.selected_count() == selected) {
+              ++deselects;
+            } else if (m + position < 2 * m / 8 * 8) {
+              ++carried_appends;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both branches of the carry ran: appends into it, and steps past them.
+  EXPECT_GT(carried_appends, 0);
+  EXPECT_GT(deselects, 0);
+}
+
 // --- full-training equivalence ---------------------------------------------
 
 SyntheticDataset SmallDataset() {
