@@ -154,15 +154,13 @@ int RunTrain(const Table& table, const std::string& labels_csv,
 }
 
 int RunSelect(const Table& table, const std::string& label,
-              const std::string& agent_path, int seed, bool quantized) {
+              const std::string& agent_path, int seed) {
   const int index = LabelIndexByName(table, label);
   if (index < 0) {
     std::fprintf(stderr, "label '%s' not found in data\n", label.c_str());
     return 1;
   }
-  ServeConfig serve;
-  serve.quantized = quantized;
-  const auto selector = CheckpointedSelector::FromFile(agent_path, serve);
+  const auto selector = CheckpointedSelector::FromFile(agent_path);
   if (!selector.has_value()) {
     std::fprintf(stderr, "cannot load agent from %s\n", agent_path.c_str());
     return 1;
@@ -184,11 +182,10 @@ int RunSelect(const Table& table, const std::string& label,
   const double scan_ms = timer.ElapsedMillis();
 
   std::printf("selected %d/%d features in %.2f ms (representation %.2f ms, "
-              "scan %.2f ms)%s\n(* = selected; q-gap is the policy's "
+              "scan %.2f ms)\n(* = selected; q-gap is the policy's "
               "select-vs-deselect advantage, the audit view):\n",
               MaskCount(mask), table.num_features(),
-              representation_ms + scan_ms, representation_ms, scan_ms,
-              selector->quantized() ? " [int8 serving tier]" : "");
+              representation_ms + scan_ms, representation_ms, scan_ms);
   if (const auto checkpoint = LoadCheckpoint(agent_path);
       checkpoint.has_value()) {
     Rng net_rng(0);
@@ -250,7 +247,6 @@ int main(int argc, char** argv) {
   int max_cache_mb = -1;
   int replay_budget_mb = -1;
   int arff_labels = 1;
-  bool quantized = false;
   FlagSet flags;
   flags.AddString("data", &data, "CSV or .arff dataset path");
   flags.AddString("labels", &labels, "train: comma-separated seen labels");
@@ -270,9 +266,6 @@ int main(int argc, char** argv) {
                "unlimited)");
   flags.AddInt("arff_labels", &arff_labels,
                "ARFF: number of trailing label attributes");
-  flags.AddBool("quantized", &quantized,
-                "select: serve from the int8 quantized tier (subset-match "
-                "validated, outside the bitwise contract)");
   if (!flags.Parse(argc - 1, argv + 1)) return 1;
 
   if (command == "demo") return RunDemo(data);
@@ -301,7 +294,7 @@ int main(int argc, char** argv) {
                     max_cache_mb, replay_budget_mb);
   }
   if (command == "select") {
-    return RunSelect(*table, label, agent, seed, quantized);
+    return RunSelect(*table, label, agent, seed);
   }
   std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
   return 1;

@@ -19,9 +19,7 @@
 #             portable kernels dispatched process-wide, not just through the
 #             per-level test entry points
 #   asan      scripts/check.sh asan  (ASan + UBSan + checked assertions),
-#             with PAFEAT_SERVE_QUANTIZED=1 so the quantized-serving sweep
-#             widens to its extended seed set under instrumentation, and
-#             PAFEAT_CACHE_BUDGET=65536 so every reward cache that doesn't
+#             with PAFEAT_CACHE_BUDGET=65536 so every reward cache that doesn't
 #             set an explicit budget runs under a binding ~64KB ceiling —
 #             the clock-sweep eviction and slab-reuse paths churn
 #             continuously while ASan watches the freed slots
@@ -76,11 +74,9 @@ forced_generic_step() {
   PAFEAT_SIMD=generic ctest --test-dir build --output-on-failure -j "$(nproc)"
 }
 
-# ASan leg with the quantized serving gate's extended sweep enabled:
-# PAFEAT_SERVE_QUANTIZED=1 widens QuantizedServingSweepTest to its full seed
-# set, so the int8 tier's buffers get their widest exercise under ASan.
+# ASan leg under a binding ~64KB reward-cache budget.
 asan_step() {
-  PAFEAT_SERVE_QUANTIZED=1 PAFEAT_CACHE_BUDGET=65536 scripts/check.sh asan
+  PAFEAT_CACHE_BUDGET=65536 scripts/check.sh asan
 }
 
 # Semantic analyzer leg: reuses the release tree's binary (built above).

@@ -93,7 +93,11 @@ bool FlagSet::Parse(int argc, char** argv) {
       continue;
     }
     auto it = flags_.find(arg);
-    if (it != flags_.end() && it->second.type == Type::kBool &&
+    if (it == flags_.end()) {
+      std::cerr << "unknown flag --" << arg << "\n";
+      return false;
+    }
+    if (it->second.type == Type::kBool &&
         (i + 1 >= argc || StartsWith(argv[i + 1], "--"))) {
       *static_cast<bool*>(it->second.target) = true;
       continue;

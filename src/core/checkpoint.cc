@@ -311,14 +311,7 @@ std::string CheckpointConsistencyError(const AgentCheckpoint& checkpoint) {
   return "";
 }
 
-QuantizedDuelingNet QuantizeCheckpoint(const AgentCheckpoint& checkpoint) {
-  PF_CHECK_EQ(checkpoint.weight_format, kWeightFormatFp32)
-      << "QuantizeCheckpoint wants fp32 source weights";
-  return QuantizedDuelingNet(checkpoint.net_config, checkpoint.parameters);
-}
-
-CheckpointedSelector::CheckpointedSelector(const AgentCheckpoint& checkpoint,
-                                           const ServeConfig& serve)
+CheckpointedSelector::CheckpointedSelector(const AgentCheckpoint& checkpoint)
     : max_feature_ratio_(checkpoint.max_feature_ratio) {
   const std::string inconsistency = CheckpointConsistencyError(checkpoint);
   PF_CHECK(inconsistency.empty())
@@ -326,35 +319,23 @@ CheckpointedSelector::CheckpointedSelector(const AgentCheckpoint& checkpoint,
   Rng rng(0);
   net_ = std::make_unique<DuelingNet>(checkpoint.net_config, &rng);
   PF_CHECK(net_->DeserializeParams(checkpoint.parameters));
-  if (serve.quantized) {
-    quantized_net_ =
-        std::make_unique<QuantizedDuelingNet>(QuantizeCheckpoint(checkpoint));
-  }
 }
 
 std::optional<CheckpointedSelector> CheckpointedSelector::FromFile(
-    const std::string& path, const ServeConfig& serve, std::string* error) {
+    const std::string& path, std::string* error) {
   const std::optional<AgentCheckpoint> checkpoint =
       LoadCheckpoint(path, error);
   if (!checkpoint.has_value()) return std::nullopt;
-  return CheckpointedSelector(*checkpoint, serve);
+  return CheckpointedSelector(*checkpoint);
 }
 
 FeatureMask CheckpointedSelector::SelectForRepresentation(
     const std::vector<float>& representation) const {
-  if (quantized_net_ != nullptr) {
-    return GreedySelectSubset(*quantized_net_, representation,
-                              max_feature_ratio_);
-  }
   return GreedySelectSubset(*net_, representation, max_feature_ratio_);
 }
 
 std::vector<FeatureMask> CheckpointedSelector::SelectForRepresentations(
     const std::vector<std::vector<float>>& representations) const {
-  if (quantized_net_ != nullptr) {
-    return GreedySelectSubsets(*quantized_net_, representations,
-                               max_feature_ratio_);
-  }
   return GreedySelectSubsets(*net_, representations, max_feature_ratio_);
 }
 

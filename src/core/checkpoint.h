@@ -10,15 +10,13 @@
 #include "core/greedy_policy.h"
 #include "core/pafeat.h"
 #include "nn/dueling_net.h"
-#include "nn/quantized_net.h"
 
 namespace pafeat {
 
 // Weight payload formats named by the checkpoint header (format version 2+).
-// Today only fp32 is persisted — the quantized tier is derived at load time
-// by QuantizeCheckpoint — but the field means a future int8 payload bumps
-// the format constant instead of silently changing the layout, and old
-// binaries reject what they cannot parse instead of misreading it.
+// Today only fp32 is persisted, but the field means a future payload format
+// bumps the format constant instead of silently changing the layout, and
+// old binaries reject what they cannot parse instead of misreading it.
 inline constexpr std::uint8_t kWeightFormatFp32 = 0;
 
 // Persistence for trained agents: the offline knowledge-generalization phase
@@ -93,46 +91,34 @@ bool RestoreTrainingCheckpoint(const TrainingCheckpoint& checkpoint,
 // publish, not a dead serving process).
 std::string CheckpointConsistencyError(const AgentCheckpoint& checkpoint);
 
-// One-shot post-training quantization pass (DESIGN.md "Quantized serving
-// tier"): per-output-row symmetric int8 weights from the checkpoint's fp32
-// parameters. Dies (PF_CHECK) on a non-fp32 weight format or a parameter
-// vector that does not fit the architecture.
-QuantizedDuelingNet QuantizeCheckpoint(const AgentCheckpoint& checkpoint);
-
 // Serving-side selector restored from a checkpoint: no problem, classifiers
-// or replay state — just the network and the greedy execution path. With
-// ServeConfig::quantized the int8 tier is built once here and every
-// selection runs through it.
+// or replay state — just the network and the greedy execution path.
 class CheckpointedSelector {
  public:
   // Dies (PF_CHECK) on an internally inconsistent checkpoint; prefer
   // FromFile which surfaces I/O and corruption as nullopt.
-  explicit CheckpointedSelector(const AgentCheckpoint& checkpoint,
-                                const ServeConfig& serve = {});
+  explicit CheckpointedSelector(const AgentCheckpoint& checkpoint);
 
   // Surfaces I/O and corruption as nullopt; `error` (when non-null)
   // receives the LoadCheckpoint failure reason.
   static std::optional<CheckpointedSelector> FromFile(
-      const std::string& path, const ServeConfig& serve = {},
-      std::string* error = nullptr);
+      const std::string& path, std::string* error = nullptr);
 
   // Greedy subset for an unseen task's representation.
   FeatureMask SelectForRepresentation(
       const std::vector<float>& representation) const;
 
   // Batched greedy subsets through the lock-step scan — the multi-task
-  // serving entry point (result i matches SelectForRepresentation(reprs[i])
-  // within the active tier).
+  // serving entry point (result i is bit-identical to
+  // SelectForRepresentation(reprs[i])).
   std::vector<FeatureMask> SelectForRepresentations(
       const std::vector<std::vector<float>>& representations) const;
 
   int num_features() const { return (net_->config().input_dim - 3) / 2; }
   double max_feature_ratio() const { return max_feature_ratio_; }
-  bool quantized() const { return quantized_net_ != nullptr; }
 
  private:
   std::unique_ptr<DuelingNet> net_;
-  std::unique_ptr<QuantizedDuelingNet> quantized_net_;  // set when serving int8
   double max_feature_ratio_;
 };
 

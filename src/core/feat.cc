@@ -625,14 +625,7 @@ FeatureMask Feat::SelectForRepresentation(
 }
 
 std::vector<FeatureMask> Feat::SelectForRepresentations(
-    const std::vector<std::vector<float>>& reprs,
-    const ServeConfig& serve) const {
-  if (serve.quantized) {
-    const QuantizedDuelingNet quantized(
-        agent_->online_net().config(),
-        agent_->online_net().SerializeParams());
-    return GreedySelectSubsets(quantized, reprs, config_.max_feature_ratio);
-  }
+    const std::vector<std::vector<float>>& reprs) const {
   return GreedySelectSubsets(agent_->online_net(), reprs,
                              config_.max_feature_ratio);
 }

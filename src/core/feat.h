@@ -220,14 +220,9 @@ class Feat {
   // Greedy episodes for several representations at once: the per-position Q
   // queries of all tasks are coalesced into one batched forward pass
   // (lock-step scan). Result i is bit-identical to
-  // SelectForRepresentation(reprs[i]) — the multi-task serving path. With
-  // ServeConfig::quantized the scan runs on an int8 quantization of the
-  // current online network, built per call (CheckpointedSelector is the
-  // quantize-once serving path); masks then match the fp32 tier by the
-  // subset-match suite rather than bitwise.
+  // SelectForRepresentation(reprs[i]) — the multi-task serving path.
   std::vector<FeatureMask> SelectForRepresentations(
-      const std::vector<std::vector<float>>& reprs,
-      const ServeConfig& serve = {}) const;
+      const std::vector<std::vector<float>>& reprs) const;
 
   // Adds a task (typically unseen, now labeled) to the training set for the
   // further-training mode of §IV-D. Returns its runtime slot.

@@ -16,6 +16,7 @@ void GreedyScanState::Bind(const DuelingNet* net,
   PF_DCHECK_GT(m, 0);
   PF_DCHECK_GT(max_feature_ratio, 0.0);
   PF_DCHECK_EQ(static_cast<int>(mask->size()), m);
+  PF_DCHECK_EQ(net->config().input_dim, 2 * m + 3);
   net_ = net;
   representation_ = representation;
   observation_ = observation;
@@ -32,23 +33,14 @@ void GreedyScanState::Bind(const DuelingNet* net,
   std::fill(mask->begin(), mask->end(), static_cast<uint8_t>(0));
 }
 
-void GreedyScanState::RefreshPositionFields() {
+void GreedyScanState::EmitFirstLayerRow(float* row_out) {
   observation_[2 * m_] = static_cast<float>(position_) / m_;
   observation_[2 * m_ + 1] = representation_[position_];
   observation_[2 * m_ + 2] = static_cast<float>(selected_) / m_;
-}
-
-void GreedyScanState::EmitFirstLayerRow(float* row_out) {
-  RefreshPositionFields();
   // A scan's first step sees the empty mask: the carry starts here, on the
   // thread that runs the step.
   if (position_ == 0) net_->InitCarry(carried_, observation_, carry_);
   net_->FinishCarry(carried_, observation_, carry_, row_out);
-}
-
-void GreedyScanState::EmitObservationRow(float* row_out) {
-  RefreshPositionFields();
-  std::copy(observation_, observation_ + 2 * m_ + 3, row_out);
 }
 
 void GreedyScanState::ApplyDecision(const float* q_row) {
@@ -58,9 +50,7 @@ void GreedyScanState::ApplyDecision(const float* q_row) {
     ++selected_;
     // Every later carried column of this lane is a mask entry past the
     // scan position, still 0: the append is exact.
-    if (carry_ != nullptr && m_ + position_ < carried_) {
-      net_->AppendCarry(m_ + position_, carry_);
-    }
+    if (m_ + position_ < carried_) net_->AppendCarry(m_ + position_, carry_);
   }
   ++position_;
 }
@@ -142,50 +132,6 @@ std::vector<FeatureMask> GreedyScan(
   return masks;
 }
 
-// INTERMEDIATE: the int8 tier's scan, without the carry.
-std::vector<FeatureMask> GreedyScanInt8(
-    const QuantizedDuelingNet& net,
-    const std::vector<std::vector<float>>& representations,
-    double max_feature_ratio) {
-  const int num_tasks = static_cast<int>(representations.size());
-  if (num_tasks == 0) return {};
-  const int m = static_cast<int>(representations[0].size());
-  PF_CHECK_EQ(net.config().input_dim, 2 * m + 3);
-  const int obs_dim = 2 * m + 3;
-  std::vector<float> observations(static_cast<std::size_t>(num_tasks) *
-                                  obs_dim);
-  std::vector<FeatureMask> masks(num_tasks, FeatureMask(m, 0));
-  std::vector<GreedyScanState> states(num_tasks);
-  std::vector<int> live;
-  for (int t = 0; t < num_tasks; ++t) {
-    states[t].Bind(nullptr, representations[t].data(), m, max_feature_ratio,
-                   observations.data() + static_cast<std::size_t>(t) * obs_dim,
-                   nullptr, &masks[t]);
-    live.push_back(t);
-  }
-  InferenceArena* arena = InferenceArena::ThreadLocal();
-  ArenaScope scope(arena);
-  float* batch = arena->Alloc(static_cast<std::size_t>(num_tasks) * obs_dim);
-  float* q = arena->Alloc(static_cast<std::size_t>(num_tasks) * kNumActions);
-  while (!live.empty()) {
-    const int rows = static_cast<int>(live.size());
-    for (int r = 0; r < rows; ++r) {
-      states[live[r]].EmitObservationRow(
-          batch + static_cast<std::size_t>(r) * obs_dim);
-    }
-    net.PredictBatchInto(rows, batch, arena, q);
-    for (int r = 0; r < rows; ++r) {
-      states[live[r]].ApplyDecision(
-          q + static_cast<std::size_t>(r) * kNumActions);
-    }
-    live.erase(std::remove_if(live.begin(), live.end(),
-                              [&](int t) { return states[t].ScanDone(); }),
-               live.end());
-  }
-  for (int t = 0; t < num_tasks; ++t) states[t].FinalizeFallback();
-  return masks;
-}
-
 }  // namespace
 
 FeatureMask GreedySelectSubset(const DuelingNet& net,
@@ -199,19 +145,6 @@ std::vector<FeatureMask> GreedySelectSubsets(
     const std::vector<std::vector<float>>& representations,
     double max_feature_ratio) {
   return GreedyScan(net, representations, max_feature_ratio);
-}
-
-FeatureMask GreedySelectSubset(const QuantizedDuelingNet& net,
-                               const std::vector<float>& representation,
-                               double max_feature_ratio) {
-  return GreedySelectSubsets(net, {representation}, max_feature_ratio)[0];
-}
-
-std::vector<FeatureMask> GreedySelectSubsets(
-    const QuantizedDuelingNet& net,
-    const std::vector<std::vector<float>>& representations,
-    double max_feature_ratio) {
-  return GreedyScanInt8(net, representations, max_feature_ratio);
 }
 
 }  // namespace pafeat

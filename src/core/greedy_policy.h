@@ -5,21 +5,8 @@
 
 #include "data/feature_mask.h"
 #include "nn/dueling_net.h"
-#include "nn/quantized_net.h"
 
 namespace pafeat {
-
-// Serving-tier options for the greedy/zero-shot execution path (DESIGN.md
-// "Quantized serving tier"). Plumbed through Feat::SelectForRepresentations
-// / PaFeat::SelectFeaturesForTasks / CheckpointedSelector; the default is
-// the bitwise fp32 plane.
-struct ServeConfig {
-  // Route Q queries through the int8 QuantizedDuelingNet. Outside the
-  // bitwise determinism contract: selections are validated by subset-match
-  // against the fp32 plane on the eval suite, not by bit equality of
-  // Q-values (tests/quantized_serving_test.cc).
-  bool quantized = false;
-};
 
 // Resumable per-request greedy-scan state (DESIGN.md "Selection serving
 // plane"): one task's position in the left-to-right feature scan, factored
@@ -69,10 +56,6 @@ class GreedyScanState {
   // !ScanDone().
   void EmitFirstLayerRow(float* row_out);
 
-  // Refreshes the tail fields and copies the whole observation row (2m+3
-  // floats) into `row_out`, for a net without the carry.
-  void EmitObservationRow(float* row_out);
-
   // Applies the greedy select/deselect decision for the current position
   // from this request's row of the shared forward pass (kNumActions floats),
   // then advances the scan.
@@ -88,8 +71,6 @@ class GreedyScanState {
   int max_selectable() const { return max_selectable_; }
 
  private:
-  void RefreshPositionFields();
-
   const DuelingNet* net_ = nullptr;
   const float* representation_ = nullptr;
   float* observation_ = nullptr;
@@ -127,19 +108,6 @@ FeatureMask GreedySelectSubset(const DuelingNet& net,
 // observation layout).
 std::vector<FeatureMask> GreedySelectSubsets(
     const DuelingNet& net,
-    const std::vector<std::vector<float>>& representations,
-    double max_feature_ratio);
-
-// Quantized-tier twins: the identical lock-step scan (same observation
-// layout, retirement rule and fallback) with Q queries answered by the int8
-// net. The scan logic is shared with the fp32 overloads at compile time, so
-// the two tiers cannot drift; only the Q-values differ (by quantization
-// error), which is what the subset-match suite bounds.
-FeatureMask GreedySelectSubset(const QuantizedDuelingNet& net,
-                               const std::vector<float>& representation,
-                               double max_feature_ratio);
-std::vector<FeatureMask> GreedySelectSubsets(
-    const QuantizedDuelingNet& net,
     const std::vector<std::vector<float>>& representations,
     double max_feature_ratio);
 

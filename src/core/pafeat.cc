@@ -89,7 +89,7 @@ FeatureMask PaFeat::SelectFeatures(int unseen_label_index,
 
 std::vector<FeatureMask> PaFeat::SelectFeaturesForTasks(
     const std::vector<int>& unseen_label_indices,
-    double* execution_seconds, const ServeConfig& serve) {
+    double* execution_seconds) {
   WallTimer timer;
   std::vector<std::vector<float>> reprs;
   reprs.reserve(unseen_label_indices.size());
@@ -97,7 +97,7 @@ std::vector<FeatureMask> PaFeat::SelectFeaturesForTasks(
     reprs.push_back(feat_->problem().ComputeTaskRepresentation(label_index));
   }
   std::vector<FeatureMask> masks =
-      feat_->SelectForRepresentations(reprs, serve);
+      feat_->SelectForRepresentations(reprs);
   if (execution_seconds != nullptr) {
     *execution_seconds = timer.ElapsedSeconds();
   }

@@ -49,11 +49,10 @@ class PaFeat {
   // forward pass per feature position instead of one per task per
   // position). Mask i is bit-identical to SelectFeatures(unseen[i]).
   // `execution_seconds` (optional) receives the total wall time over the
-  // batch. ServeConfig::quantized routes the scan through the int8 serving
-  // tier (subset-match equivalence instead of bitwise; see greedy_policy.h).
+  // batch.
   std::vector<FeatureMask> SelectFeaturesForTasks(
       const std::vector<int>& unseen_label_indices,
-      double* execution_seconds = nullptr, const ServeConfig& serve = {});
+      double* execution_seconds = nullptr);
 
   // §IV-D: further training on one (now labeled) unseen task. The callback,
   // when set, is invoked every `callback_every` iterations with the current

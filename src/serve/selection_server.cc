@@ -79,10 +79,6 @@ std::unique_ptr<SelectionServer::NetBundle> SelectionServer::BuildBundle(
   Rng rng(0);
   bundle->net = std::make_unique<DuelingNet>(checkpoint.net_config, &rng);
   PF_CHECK(bundle->net->DeserializeParams(checkpoint.parameters));
-  if (config_.serve.quantized) {
-    bundle->qnet =
-        std::make_unique<QuantizedDuelingNet>(QuantizeCheckpoint(checkpoint));
-  }
   bundle->max_feature_ratio = checkpoint.max_feature_ratio;
   bundle->num_features = (checkpoint.net_config.input_dim - 3) / 2;
   return bundle;
@@ -282,25 +278,16 @@ void SelectionServer::ServeLoop() {
 // analyze: hot-path-root
 void SelectionServer::ServeStep(int width) {
   const DuelingNet& net = *current_->net;
+  const int row_floats = net.first_layer_width();
   float* batch = batch_.data();
   float* q = q_.data();
-  InferenceArena* arena = InferenceArena::ThreadLocal();
-  if (current_->qnet != nullptr) {
-    const int obs_dim = 2 * current_->num_features + 3;
-    for (int r = 0; r < width; ++r) {
-      slots_[live_[r]].scan.EmitObservationRow(
-          batch + static_cast<std::size_t>(r) * obs_dim);
-    }
-    current_->qnet->PredictBatchInto(width, batch, arena, q);
-  } else {
-    const int row_floats = net.first_layer_width();
-    for (int r = 0; r < width; ++r) {
-      slots_[live_[r]].scan.EmitFirstLayerRow(
-          batch + static_cast<std::size_t>(r) * row_floats);
-    }
-    // One forward pass decides this step for every coalesced request.
-    net.PredictFromFirstLayerInto(width, batch, arena, q);
+  for (int r = 0; r < width; ++r) {
+    slots_[live_[r]].scan.EmitFirstLayerRow(
+        batch + static_cast<std::size_t>(r) * row_floats);
   }
+  // One forward pass decides this step for every coalesced request.
+  net.PredictFromFirstLayerInto(width, batch, InferenceArena::ThreadLocal(),
+                                q);
   finished_count_ = 0;
   for (int r = 0; r < width; ++r) {
     RequestSlot& slot = slots_[live_[r]];
@@ -313,10 +300,8 @@ void SelectionServer::ServeStep(int width) {
 }
 
 std::size_t SelectionServer::BatchFloats() const {
-  const int row_floats = current_->qnet != nullptr
-                             ? 2 * current_->num_features + 3
-                             : current_->net->first_layer_width();
-  return static_cast<std::size_t>(max_live_) * row_floats;
+  return static_cast<std::size_t>(max_live_) *
+         current_->net->first_layer_width();
 }
 
 void SelectionServer::ApplySwapLocked() {

@@ -15,7 +15,6 @@
 #include "core/greedy_policy.h"
 #include "data/feature_mask.h"
 #include "nn/dueling_net.h"
-#include "nn/quantized_net.h"
 
 namespace pafeat {
 
@@ -24,8 +23,6 @@ namespace pafeat {
 // lone request stall: a lone arrival waits at most max_wait_us for peers
 // before its scan starts.
 struct ServerConfig {
-  // fp32 (default, bitwise-deterministic) or int8 quantized tier.
-  ServeConfig serve;
   // Widest coalesced forward pass. Requests beyond this wait at step
   // boundaries for a live scan to retire (continuous batching).
   int max_batch = 64;
@@ -96,13 +93,14 @@ struct ServerStats {
 // Q-network (DESIGN.md "Selection serving plane"). Concurrent callers block
 // in Select while a dedicated serving thread coalesces their greedy scans
 // into shared batched forward passes: every live request contributes one
-// observation row per step, one PredictBatchInto decides the step for all
-// of them, and new arrivals join at step boundaries (continuous batching —
-// a request never waits for unrelated scans to finish, only for the current
-// step). Because batched-kernel rows are bit-stable against batch
-// composition and every path drives the same GreedyScanState machine, each
-// fp32 response is bit-identical to a standalone GreedySelectSubset of the
-// same representation no matter which tenants it coalesced with.
+// first-layer row per step, finished from its scan's carry, one
+// PredictFromFirstLayerInto decides the step for all of them, and new
+// arrivals join at step boundaries (continuous batching — a request never
+// waits for unrelated scans to finish, only for the current step). Because
+// batched-kernel rows are bit-stable against batch composition and every
+// path drives the same GreedyScanState machine, each response is
+// bit-identical to a standalone GreedySelectSubset of the same
+// representation no matter which tenants it coalesced with.
 //
 // Checkpoint hot-swap: PublishCheckpoint validates and builds the new
 // network off the serving loop, then the loop swaps it in at a scan
@@ -161,7 +159,6 @@ class SelectionServer {
   int num_features() const;
   double max_feature_ratio() const;
   std::uint64_t net_version() const;
-  bool quantized() const { return config_.serve.quantized; }
   const ServerConfig& config() const { return config_; }
 
   // Test hooks: freeze/unfreeze the serving loop at a step boundary.
@@ -172,11 +169,10 @@ class SelectionServer {
   void ResumeServingForTest();
 
  private:
-  // One serving network generation: the fp32 net, its optional int8 tier,
-  // and the checkpoint metadata requests fall back to.
+  // One serving network generation: the net and the checkpoint metadata
+  // requests fall back to.
   struct NetBundle {
     std::unique_ptr<DuelingNet> net;
-    std::unique_ptr<QuantizedDuelingNet> qnet;  // set when serve.quantized
     double max_feature_ratio = 0.5;
     int num_features = 0;
     std::uint64_t version = 0;

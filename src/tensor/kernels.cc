@@ -14,7 +14,7 @@ namespace pafeat {
 namespace kernels {
 
 // Single-threaded cores instantiated from kernels_impl.inl (plus the
-// serving-tier cores defined directly in the per-capability TUs).
+// serving-plane cores defined directly in the per-capability TUs).
 namespace generic {
 void GemmNN(int m, int n, int p, const float* a, int lda, const float* b,
             int ldb, float* c, int ldc);
@@ -29,10 +29,6 @@ void RowwiseCarryInit(int n, int k_end, const float* a, const float* b,
 void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
                         const float* b, int ldb, const float* lanes,
                         float* c);
-void GemmInt8NT(int m, int n, int p, const std::int8_t* a, int lda,
-                const std::int8_t* b, int ldb, std::int32_t* c, int ldc);
-void QuantizeRowsInt8(int rows, int n, const float* x, int ldx,
-                      std::int8_t* q, int ldq, float* scales);
 }  // namespace generic
 
 #ifdef PAFEAT_HAVE_AVX2_TU
@@ -54,16 +50,12 @@ void RowwiseCarryInit(int n, int k_end, const float* a, const float* b,
 void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
                         const float* b, int ldb, const float* lanes,
                         float* c);
-void GemmInt8NT(int m, int n, int p, const std::int8_t* a, int lda,
-                const std::int8_t* b, int ldb, std::int32_t* c, int ldc);
-void QuantizeRowsInt8(int rows, int n, const float* x, int ldx,
-                      std::int8_t* q, int ldq, float* scales);
 }  // namespace avx2
 #endif
 
 #ifdef PAFEAT_HAVE_AVX512_TU
-// The AVX-512 level only widens the serving-plane cores (row-wise NT,
-// first-layer gather, int8). The blocked training kernels stay on the AVX2
+// The AVX-512 level only widens the serving-plane cores (row-wise NT and
+// the first-layer gather). The blocked training kernels stay on the AVX2
 // instantiation: their cache-blocked shapes gain little from 512-bit lanes,
 // and reusing them keeps training bits identical between the two levels.
 namespace avx512 {
@@ -71,10 +63,6 @@ void GemmNTRowwise(int m, int n, int p, const float* a, int lda,
                    const float* b, int ldb, float* c, int ldc);
 void GemmGatherNN(int m, int n, const float* a, int lda, const int* cols,
                   int ncols, const float* b, int ldb, float* c, int ldc);
-void GemmInt8NT(int m, int n, int p, const std::int8_t* a, int lda,
-                const std::int8_t* b, int ldb, std::int32_t* c, int ldc);
-void QuantizeRowsInt8(int rows, int n, const float* x, int ldx,
-                      std::int8_t* q, int ldq, float* scales);
 }  // namespace avx512
 #endif
 
@@ -88,10 +76,6 @@ using CarryInitFn = void (*)(int, int, const float*, const float*, int,
                              float*);
 using CarryFinishFn = void (*)(int, int, int, const float*, const float*, int,
                                const float*, float*);
-using Int8Fn = void (*)(int, int, int, const std::int8_t*, int,
-                        const std::int8_t*, int, std::int32_t*, int);
-using QuantFn = void (*)(int, int, const float*, int, std::int8_t*, int,
-                         float*);
 
 struct Dispatch {
   GemmFn nn;
@@ -108,11 +92,6 @@ struct Dispatch {
   // AVX2's pair, since its row-wise core replays AVX2's per-row operations.
   CarryInitFn carry_init;
   CarryFinishFn carry_finish;
-  // Quantized serving tier cores: exact integer accumulation (int8_nt) and
-  // fully-determined per-element rounding (quantize_rows), so the level
-  // choice can never change their results.
-  Int8Fn int8_nt;
-  QuantFn quantize_rows;
   SimdCapability capability = SimdCapability::kGeneric;
 };
 
@@ -121,8 +100,9 @@ SimdCapability ProbeBestCapability() {
 #ifdef PAFEAT_HAVE_AVX2_TU
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
 #ifdef PAFEAT_HAVE_AVX512_TU
-    // F for 512-bit float math, BW for the int8->int16 widening converts,
-    // DQ for the 256-bit half inserts the row-pair packing uses.
+    // F for 512-bit float math, DQ for the 256-bit broadcasts the row-pair
+    // packing uses. No core needs BW; it stays required so the set of CPUs
+    // that run this level is unchanged.
     if (__builtin_cpu_supports("avx512f") &&
         __builtin_cpu_supports("avx512bw") &&
         __builtin_cpu_supports("avx512dq")) {
@@ -139,25 +119,19 @@ Dispatch MakeDispatch(SimdCapability level) {
   Dispatch dispatch{generic::GemmNN,           generic::GemmTN,
                     generic::GemmNT,           generic::GemmNT,
                     generic::GemmGatherNN,     generic::RowwiseCarryInit,
-                    generic::RowwiseCarryFinish, generic::GemmInt8NT,
-                    generic::QuantizeRowsInt8,
-                    SimdCapability::kGeneric};
+                    generic::RowwiseCarryFinish, SimdCapability::kGeneric};
 #ifdef PAFEAT_HAVE_AVX2_TU
   if (level >= SimdCapability::kAvx2) {
     dispatch = Dispatch{avx2::GemmNN,           avx2::GemmTN,
                         avx2::GemmNT,           avx2::GemmNTRowwise,
                         avx2::GemmGatherNN,     avx2::RowwiseCarryInit,
-                        avx2::RowwiseCarryFinish, avx2::GemmInt8NT,
-                        avx2::QuantizeRowsInt8,
-                        SimdCapability::kAvx2};
+                        avx2::RowwiseCarryFinish, SimdCapability::kAvx2};
   }
 #endif
 #ifdef PAFEAT_HAVE_AVX512_TU
   if (level >= SimdCapability::kAvx512) {
     dispatch.nt_rowwise = avx512::GemmNTRowwise;
     dispatch.gather = avx512::GemmGatherNN;
-    dispatch.int8_nt = avx512::GemmInt8NT;
-    dispatch.quantize_rows = avx512::QuantizeRowsInt8;
     dispatch.capability = SimdCapability::kAvx512;
   }
 #endif
@@ -200,12 +174,6 @@ constexpr long long kMinFlopsPerPanel = 2'000'000;
 bool DisjointFromC(const float* c, long long c_rows, int ldc, const float* x,
                    long long x_rows, int ldx) {
   const std::less_equal<const float*> le;  // total order even across objects
-  return le(c + c_rows * ldc, x) || le(x + x_rows * ldx, c);
-}
-
-bool DisjointFromCInt8(const std::int32_t* c, long long c_rows, int ldc,
-                       const std::int8_t* x, long long x_rows, int ldx) {
-  const std::less_equal<const void*> le;
   return le(c + c_rows * ldc, x) || le(x + x_rows * ldx, c);
 }
 
@@ -405,35 +373,6 @@ void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
   Impl().carry_finish(n, p, k_begin, a, b, ldb, lanes, c);
 }
 
-void GemmInt8NT(int m, int n, int p, const std::int8_t* a, int lda,
-                const std::int8_t* b, int ldb, std::int32_t* c, int ldc) {
-  if (m <= 0 || n <= 0 || p <= 0) return;
-  PF_DCHECK_GE(lda, p);
-  PF_DCHECK_GE(ldb, p);  // B is n x p, transposed logically
-  PF_DCHECK_GE(ldc, n);
-  PF_DCHECK_LE(p, kGemmInt8MaxDepth);
-  PF_DCHECK(DisjointFromCInt8(c, m, ldc, a, m, lda))
-      << "GemmInt8NT: C aliases A";
-  PF_DCHECK(DisjointFromCInt8(c, m, ldc, b, n, ldb))
-      << "GemmInt8NT: C aliases B";
-  // No pool split: the quantized tier serves latency-bound greedy scans
-  // whose batches sit far below the fp32 split threshold once int8's ~4x
-  // higher arithmetic density is priced in. A split would be trivially safe
-  // (integer accumulation is order-exact) if profiling ever wants one.
-  Impl().int8_nt(m, n, p, a, lda, b, ldb, c, ldc);
-}
-
-void QuantizeRowsInt8(int rows, int n, const float* x, int ldx,
-                      std::int8_t* q, int ldq, float* scales) {
-  if (rows <= 0 || n <= 0) return;
-  PF_DCHECK_GE(ldx, n);
-  PF_DCHECK_GE(ldq, n);
-  // No pool split for the same reason as GemmInt8NT: serving batches sit
-  // far below the fp32 split threshold, and a split would be trivially safe
-  // (per-element results are fully determined) if profiling ever wants one.
-  Impl().quantize_rows(rows, n, x, ldx, q, ldq, scales);
-}
-
 SimdCapability ActiveSimdCapability() { return Impl().capability; }
 
 bool SimdCapabilityAvailable(SimdCapability level) {
@@ -513,51 +452,6 @@ bool GemmGatherNNAt(SimdCapability level, int m, int n, const float* a,
 #ifdef PAFEAT_HAVE_AVX512_TU
     case SimdCapability::kAvx512:
       avx512::GemmGatherNN(m, n, a, lda, cols, ncols, b, ldb, c, ldc);
-      return true;
-#endif
-    default:
-      return false;
-  }
-}
-
-bool GemmInt8NTAt(SimdCapability level, int m, int n, int p,
-                  const std::int8_t* a, int lda, const std::int8_t* b,
-                  int ldb, std::int32_t* c, int ldc) {
-  if (!SimdCapabilityAvailable(level)) return false;
-  switch (level) {
-    case SimdCapability::kGeneric:
-      generic::GemmInt8NT(m, n, p, a, lda, b, ldb, c, ldc);
-      return true;
-#ifdef PAFEAT_HAVE_AVX2_TU
-    case SimdCapability::kAvx2:
-      avx2::GemmInt8NT(m, n, p, a, lda, b, ldb, c, ldc);
-      return true;
-#endif
-#ifdef PAFEAT_HAVE_AVX512_TU
-    case SimdCapability::kAvx512:
-      avx512::GemmInt8NT(m, n, p, a, lda, b, ldb, c, ldc);
-      return true;
-#endif
-    default:
-      return false;
-  }
-}
-
-bool QuantizeRowsInt8At(SimdCapability level, int rows, int n, const float* x,
-                        int ldx, std::int8_t* q, int ldq, float* scales) {
-  if (!SimdCapabilityAvailable(level)) return false;
-  switch (level) {
-    case SimdCapability::kGeneric:
-      generic::QuantizeRowsInt8(rows, n, x, ldx, q, ldq, scales);
-      return true;
-#ifdef PAFEAT_HAVE_AVX2_TU
-    case SimdCapability::kAvx2:
-      avx2::QuantizeRowsInt8(rows, n, x, ldx, q, ldq, scales);
-      return true;
-#endif
-#ifdef PAFEAT_HAVE_AVX512_TU
-    case SimdCapability::kAvx512:
-      avx512::QuantizeRowsInt8(rows, n, x, ldx, q, ldq, scales);
       return true;
 #endif
     default:

@@ -1,8 +1,6 @@
 #ifndef PAFEAT_TENSOR_KERNELS_H_
 #define PAFEAT_TENSOR_KERNELS_H_
 
-#include <cstdint>
-
 namespace pafeat {
 namespace kernels {
 
@@ -94,31 +92,6 @@ void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
                         const float* b, int ldb, const float* lanes,
                         float* c);
 
-// Int8 row-wise NT product for the quantized serving tier (DESIGN.md
-// "Quantized serving tier"):
-//
-//   GemmInt8NT:  C[m x n] += A[m x p] * B[n x p]^T   (int8 x int8 -> int32)
-//
-// Accumulation is exact integer arithmetic, so — unlike the float kernels —
-// the result is independent of summation order by construction: every
-// capability level, lane width and panel split produces identical values.
-// Callers must keep p <= kGemmInt8MaxDepth so a dot product cannot overflow
-// int32 even at saturated +/-127 operands (checked in checked builds).
-inline constexpr int kGemmInt8MaxDepth = 2147483647 / (127 * 127);
-void GemmInt8NT(int m, int n, int p, const std::int8_t* a, int lda,
-                const std::int8_t* b, int ldb, std::int32_t* c, int ldc);
-
-// Symmetric per-row int8 quantization for the quantized serving tier: for
-// each of `rows` rows writes q[k] = round(clamp(x[k] * (127 / maxabs),
-// -127, 127)) — round to nearest, ties to even — and scales[r] = maxabs/127
-// (scale 1 and all-zero codes for an all-zero row). Every code and scale is
-// fully determined element-wise (no accumulation), so all capability levels
-// produce identical bytes by construction; the ladder only buys throughput
-// (dynamic activation quantization is the serving tier's second-largest
-// cost after the int8 product itself). ldx/ldq are row strides in elements.
-void QuantizeRowsInt8(int rows, int n, const float* x, int ldx,
-                      std::int8_t* q, int ldq, float* scales);
-
 // The SIMD capability ladder (DESIGN.md "SIMD capability ladder"). Exactly
 // one level is active per process: the highest one that is both compiled in
 // and supported by the CPU, clamped down by the PAFEAT_SIMD environment
@@ -158,11 +131,6 @@ bool GemmNTRowwiseAt(SimdCapability level, int m, int n, int p,
 bool GemmGatherNNAt(SimdCapability level, int m, int n, const float* a,
                     int lda, const int* cols, int ncols, const float* b,
                     int ldb, float* c, int ldc);
-bool GemmInt8NTAt(SimdCapability level, int m, int n, int p,
-                  const std::int8_t* a, int lda, const std::int8_t* b,
-                  int ldb, std::int32_t* c, int ldc);
-bool QuantizeRowsInt8At(SimdCapability level, int rows, int n, const float* x,
-                        int ldx, std::int8_t* q, int ldq, float* scales);
 
 }  // namespace kernels
 }  // namespace pafeat

@@ -4,8 +4,6 @@
 // so no AVX2 instruction executes on hardware without it.
 
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
 
 #if defined(__x86_64__) || defined(_M_X64)
 
@@ -14,10 +12,6 @@
 #define PAFEAT_GEMM_NAMESPACE avx2
 #include "tensor/kernels_impl.inl"
 #undef PAFEAT_GEMM_NAMESPACE
-
-#define PAFEAT_QUANT_NAMESPACE avx2
-#include "tensor/kernels_quantize.inl"
-#undef PAFEAT_QUANT_NAMESPACE
 
 // ---------------------------------------------------------------------------
 // Row-wise NT core for the batched inference plane (DESIGN.md "Batched
@@ -165,108 +159,6 @@ void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
         _mm256_loadu_ps(lanes + static_cast<std::size_t>(j) * kDotLanes);
     c[j] += DotTail(a, bj, pfull, p,
                     DotBlocks(a, bj, k_begin, pfull, carried));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Int8 serving core (DESIGN.md "Quantized serving tier"): int8 x int8 ->
-// int32 row-wise NT product. Sixteen int8 operands per step widen to int16
-// (cvtepi8_epi16) and reduce via madd_epi16, whose pairwise int32 sums are
-// exact at int8 magnitudes; the per-lane int32 accumulators stay below
-// p * 2 * 127^2 / 16, within int32 for any p <= kGemmInt8MaxDepth. Because
-// all arithmetic is exact, there is no operation-sequence discipline here:
-// the horizontal reduction and the 4-row interleave (shared B conversion,
-// like GemmNTRowwise) are pure throughput choices and cannot change
-// results.
-
-namespace {
-
-constexpr int kInt8Step = 16;
-
-inline __m256i MaddStep(const std::int8_t* a, const __m256i b16) {
-  const __m256i a16 = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(a)));
-  return _mm256_madd_epi16(a16, b16);
-}
-
-inline std::int32_t HsumEpi32(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_srli_si128(s, 8));
-  s = _mm_add_epi32(s, _mm_srli_si128(s, 4));
-  return _mm_cvtsi128_si32(s);
-}
-
-inline std::int32_t DotRowInt8(const std::int8_t* __restrict ar,
-                               const std::int8_t* __restrict bj, int p) {
-  __m256i acc = _mm256_setzero_si256();
-  int k = 0;
-  for (; k + kInt8Step <= p; k += kInt8Step) {
-    const __m256i b16 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bj + k)));
-    acc = _mm256_add_epi32(acc, MaddStep(ar + k, b16));
-  }
-  std::int32_t s = HsumEpi32(acc);
-  for (; k < p; ++k) {
-    s += static_cast<std::int32_t>(ar[k]) * static_cast<std::int32_t>(bj[k]);
-  }
-  return s;
-}
-
-}  // namespace
-
-void GemmInt8NT(int m, int n, int p, const std::int8_t* a, int lda,
-                const std::int8_t* b, int ldb, std::int32_t* c, int ldc) {
-  int i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const std::int8_t* __restrict a0 = a + static_cast<std::size_t>(i) * lda;
-    const std::int8_t* __restrict a1 = a0 + lda;
-    const std::int8_t* __restrict a2 = a1 + lda;
-    const std::int8_t* __restrict a3 = a2 + lda;
-    std::int32_t* __restrict c0 = c + static_cast<std::size_t>(i) * ldc;
-    std::int32_t* __restrict c1 = c0 + ldc;
-    std::int32_t* __restrict c2 = c1 + ldc;
-    std::int32_t* __restrict c3 = c2 + ldc;
-    for (int j = 0; j < n; ++j) {
-      const std::int8_t* __restrict bj =
-          b + static_cast<std::size_t>(j) * ldb;
-      __m256i v0 = _mm256_setzero_si256();
-      __m256i v1 = _mm256_setzero_si256();
-      __m256i v2 = _mm256_setzero_si256();
-      __m256i v3 = _mm256_setzero_si256();
-      int k = 0;
-      for (; k + kInt8Step <= p; k += kInt8Step) {
-        const __m256i b16 = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bj + k)));
-        v0 = _mm256_add_epi32(v0, MaddStep(a0 + k, b16));
-        v1 = _mm256_add_epi32(v1, MaddStep(a1 + k, b16));
-        v2 = _mm256_add_epi32(v2, MaddStep(a2 + k, b16));
-        v3 = _mm256_add_epi32(v3, MaddStep(a3 + k, b16));
-      }
-      std::int32_t s0 = HsumEpi32(v0);
-      std::int32_t s1 = HsumEpi32(v1);
-      std::int32_t s2 = HsumEpi32(v2);
-      std::int32_t s3 = HsumEpi32(v3);
-      for (; k < p; ++k) {
-        const std::int32_t bv = bj[k];
-        s0 += static_cast<std::int32_t>(a0[k]) * bv;
-        s1 += static_cast<std::int32_t>(a1[k]) * bv;
-        s2 += static_cast<std::int32_t>(a2[k]) * bv;
-        s3 += static_cast<std::int32_t>(a3[k]) * bv;
-      }
-      c0[j] += s0;
-      c1[j] += s1;
-      c2[j] += s2;
-      c3[j] += s3;
-    }
-  }
-  for (; i < m; ++i) {
-    const std::int8_t* __restrict ar = a + static_cast<std::size_t>(i) * lda;
-    std::int32_t* __restrict cr = c + static_cast<std::size_t>(i) * ldc;
-    for (int j = 0; j < n; ++j) {
-      cr[j] += DotRowInt8(ar, b + static_cast<std::size_t>(j) * ldb, p);
-    }
   }
 }
 

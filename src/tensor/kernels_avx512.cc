@@ -4,10 +4,9 @@
 // __builtin_cpu_supports checks for the same three feature flags, so no
 // 512-bit instruction executes on hardware without them.
 //
-// Only the serving-plane cores live here — the row-wise NT product, the
-// first-layer gather, the int8 quantized product, and the row-quantize core
-// (via kernels_quantize.inl, plain code that only needs this TU's codegen
-// flags). The blocked training
+// Only the serving-plane cores live here — the row-wise NT product and the
+// first-layer gather; the greedy scan's carry pair stays on AVX2's, which
+// this level's row-wise core replays. The blocked training
 // kernels (GemmNN/GemmTN/the NT transpose strategy) deliberately stay on
 // the AVX2 instantiation at the kAvx512 level: their cache-blocked loop
 // nests gain little from wider lanes, and sharing them keeps training-plane
@@ -15,8 +14,6 @@
 // ladder").
 
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
 #include <vector>
 
 // The body also gates on the feature macros the flags define: when the
@@ -27,19 +24,14 @@
 
 #include <immintrin.h>
 
-// GCC 12 flags the `__m256i __Y = __Y` self-init inside
-// _mm256_undefined_si256 (reached via _mm512_reduce_add_epi32's extract
-// step) as maybe-uninitialized once sanitizer instrumentation perturbs
-// inlining (GCC PR 105593). The upper lanes are fully written before any
-// use; suppress the false positive for this TU so -Werror sanitizer builds
-// stay clean. Diagnostics only — codegen is unchanged.
+// GCC 12 flags the `__m512 __Y = __Y` self-init inside _mm512_undefined_ps
+// (reached via _mm512_broadcast_f32x8's pass-through operand, whose mask of
+// all ones never reads it) as maybe-uninitialized (GCC PR 105593).
+// Suppress the false positive for this TU so -Werror builds stay clean.
+// Diagnostics only — codegen is unchanged.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
-
-#define PAFEAT_QUANT_NAMESPACE avx512
-#include "tensor/kernels_quantize.inl"
-#undef PAFEAT_QUANT_NAMESPACE
 
 namespace pafeat {
 namespace kernels {
@@ -370,192 +362,6 @@ void GemmGatherNN(int m, int n, const float* a, int lda, const int* cols,
             cr + j, tail_mask,
             _mm512_fmadd_ps(ark, bv, _mm512_maskz_loadu_ps(tail_mask, cr + j)));
       }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Int8 serving core. All arithmetic is exact integer math, so this level is
-// value-identical to the generic and AVX2 int8 cores by construction —
-// widening strategy, reductions and interleave are throughput-only choices.
-//
-// The structural trick: the A panel is widened to dense int16 rows in one
-// vectorized pass before the product (every A row is re-read n times), so
-// the inner loop spends only ONE cvtepi8_epi16 per 32-operand step — on the
-// B row, where the four-row interleave amortizes it — instead of five. The
-// converts compete with vpmaddwd/vpaddd for the same execution ports and
-// were the measured bottleneck. B deliberately stays int8 in the loop:
-// widening it up front too was measured slower (it doubles the streamed B
-// panel's bytes, and the stream is re-read for every four-row group).
-
-namespace {
-
-constexpr int kInt8Step = 32;
-
-inline __m512i MaddStep512(const std::int16_t* a16, const __m512i b16) {
-  return _mm512_madd_epi16(
-      _mm512_loadu_si512(reinterpret_cast<const void*>(a16)), b16);
-}
-
-inline std::int32_t DotRowInt8(const std::int16_t* __restrict ar16,
-                               const std::int8_t* __restrict bj, int p) {
-  __m512i acc = _mm512_setzero_si512();
-  int k = 0;
-  for (; k + kInt8Step <= p; k += kInt8Step) {
-    const __m512i b16 = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bj + k)));
-    acc = _mm512_add_epi32(acc, MaddStep512(ar16 + k, b16));
-  }
-  std::int32_t s = _mm512_reduce_add_epi32(acc);
-  for (; k < p; ++k) {
-    s += static_cast<std::int32_t>(ar16[k]) *
-         static_cast<std::int32_t>(bj[k]);
-  }
-  return s;
-}
-
-// Widens an int8 panel into dense int16 rows (one auto-vectorized pass).
-void WidenPanel(int rows, int p, const std::int8_t* src, int ld,
-                std::int16_t* dst) {
-  for (int i = 0; i < rows; ++i) {
-    const std::int8_t* __restrict s = src + static_cast<std::size_t>(i) * ld;
-    std::int16_t* __restrict d = dst + static_cast<std::size_t>(i) * p;
-    for (int k = 0; k < p; ++k) d[k] = s[k];
-  }
-}
-
-}  // namespace
-
-void GemmInt8NT(int m, int n, int p, const std::int8_t* a, int lda,
-                const std::int8_t* b, int ldb, std::int32_t* c, int ldc) {
-  // Thread-local scratch amortizes the panel allocations across the
-  // per-step calls of a greedy scan (serving shapes keep them small:
-  // 64 x 2043 is 256 KiB per operand). Scratch only, never a result
-  // carrier, so it cannot affect values (the determinism story is the
-  // integer arithmetic itself).
-  static thread_local std::vector<std::int16_t> a_wide;
-  if (a_wide.size() < static_cast<std::size_t>(m) * p) {
-    a_wide.resize(static_cast<std::size_t>(m) * p);
-  }
-  WidenPanel(m, p, a, lda, a_wide.data());
-  int i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const std::int16_t* __restrict a0 =
-        a_wide.data() + static_cast<std::size_t>(i) * p;
-    const std::int16_t* __restrict a1 = a0 + p;
-    const std::int16_t* __restrict a2 = a1 + p;
-    const std::int16_t* __restrict a3 = a2 + p;
-    std::int32_t* __restrict c0 = c + static_cast<std::size_t>(i) * ldc;
-    std::int32_t* __restrict c1 = c0 + ldc;
-    std::int32_t* __restrict c2 = c1 + ldc;
-    std::int32_t* __restrict c3 = c2 + ldc;
-    // Two B rows per pass: the four A-panel loads feed eight madds instead
-    // of four, cutting the frontend uops per MAC (the measured limiter once
-    // the converts were hoisted) by ~15%.
-    int j = 0;
-    for (; j + 2 <= n; j += 2) {
-      const std::int8_t* __restrict bj =
-          b + static_cast<std::size_t>(j) * ldb;
-      const std::int8_t* __restrict bq = bj + ldb;
-      __m512i v0 = _mm512_setzero_si512();
-      __m512i v1 = _mm512_setzero_si512();
-      __m512i v2 = _mm512_setzero_si512();
-      __m512i v3 = _mm512_setzero_si512();
-      __m512i w0 = _mm512_setzero_si512();
-      __m512i w1 = _mm512_setzero_si512();
-      __m512i w2 = _mm512_setzero_si512();
-      __m512i w3 = _mm512_setzero_si512();
-      int k = 0;
-      for (; k + kInt8Step <= p; k += kInt8Step) {
-        const __m512i b16 = _mm512_cvtepi8_epi16(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bj + k)));
-        const __m512i b16q = _mm512_cvtepi8_epi16(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bq + k)));
-        const __m512i x0 =
-            _mm512_loadu_si512(reinterpret_cast<const void*>(a0 + k));
-        const __m512i x1 =
-            _mm512_loadu_si512(reinterpret_cast<const void*>(a1 + k));
-        const __m512i x2 =
-            _mm512_loadu_si512(reinterpret_cast<const void*>(a2 + k));
-        const __m512i x3 =
-            _mm512_loadu_si512(reinterpret_cast<const void*>(a3 + k));
-        v0 = _mm512_add_epi32(v0, _mm512_madd_epi16(x0, b16));
-        v1 = _mm512_add_epi32(v1, _mm512_madd_epi16(x1, b16));
-        v2 = _mm512_add_epi32(v2, _mm512_madd_epi16(x2, b16));
-        v3 = _mm512_add_epi32(v3, _mm512_madd_epi16(x3, b16));
-        w0 = _mm512_add_epi32(w0, _mm512_madd_epi16(x0, b16q));
-        w1 = _mm512_add_epi32(w1, _mm512_madd_epi16(x1, b16q));
-        w2 = _mm512_add_epi32(w2, _mm512_madd_epi16(x2, b16q));
-        w3 = _mm512_add_epi32(w3, _mm512_madd_epi16(x3, b16q));
-      }
-      std::int32_t s0 = _mm512_reduce_add_epi32(v0);
-      std::int32_t s1 = _mm512_reduce_add_epi32(v1);
-      std::int32_t s2 = _mm512_reduce_add_epi32(v2);
-      std::int32_t s3 = _mm512_reduce_add_epi32(v3);
-      std::int32_t t0 = _mm512_reduce_add_epi32(w0);
-      std::int32_t t1 = _mm512_reduce_add_epi32(w1);
-      std::int32_t t2 = _mm512_reduce_add_epi32(w2);
-      std::int32_t t3 = _mm512_reduce_add_epi32(w3);
-      for (; k < p; ++k) {
-        const std::int32_t bv = bj[k];
-        const std::int32_t bw = bq[k];
-        s0 += static_cast<std::int32_t>(a0[k]) * bv;
-        s1 += static_cast<std::int32_t>(a1[k]) * bv;
-        s2 += static_cast<std::int32_t>(a2[k]) * bv;
-        s3 += static_cast<std::int32_t>(a3[k]) * bv;
-        t0 += static_cast<std::int32_t>(a0[k]) * bw;
-        t1 += static_cast<std::int32_t>(a1[k]) * bw;
-        t2 += static_cast<std::int32_t>(a2[k]) * bw;
-        t3 += static_cast<std::int32_t>(a3[k]) * bw;
-      }
-      c0[j] += s0;
-      c1[j] += s1;
-      c2[j] += s2;
-      c3[j] += s3;
-      c0[j + 1] += t0;
-      c1[j + 1] += t1;
-      c2[j + 1] += t2;
-      c3[j + 1] += t3;
-    }
-    for (; j < n; ++j) {
-      const std::int8_t* __restrict bj =
-          b + static_cast<std::size_t>(j) * ldb;
-      __m512i v0 = _mm512_setzero_si512();
-      __m512i v1 = _mm512_setzero_si512();
-      __m512i v2 = _mm512_setzero_si512();
-      __m512i v3 = _mm512_setzero_si512();
-      int k = 0;
-      for (; k + kInt8Step <= p; k += kInt8Step) {
-        const __m512i b16 = _mm512_cvtepi8_epi16(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bj + k)));
-        v0 = _mm512_add_epi32(v0, MaddStep512(a0 + k, b16));
-        v1 = _mm512_add_epi32(v1, MaddStep512(a1 + k, b16));
-        v2 = _mm512_add_epi32(v2, MaddStep512(a2 + k, b16));
-        v3 = _mm512_add_epi32(v3, MaddStep512(a3 + k, b16));
-      }
-      std::int32_t s0 = _mm512_reduce_add_epi32(v0);
-      std::int32_t s1 = _mm512_reduce_add_epi32(v1);
-      std::int32_t s2 = _mm512_reduce_add_epi32(v2);
-      std::int32_t s3 = _mm512_reduce_add_epi32(v3);
-      for (; k < p; ++k) {
-        const std::int32_t bv = bj[k];
-        s0 += static_cast<std::int32_t>(a0[k]) * bv;
-        s1 += static_cast<std::int32_t>(a1[k]) * bv;
-        s2 += static_cast<std::int32_t>(a2[k]) * bv;
-        s3 += static_cast<std::int32_t>(a3[k]) * bv;
-      }
-      c0[j] += s0;
-      c1[j] += s1;
-      c2[j] += s2;
-      c3[j] += s3;
-    }
-  }
-  for (; i < m; ++i) {
-    const std::int16_t* __restrict ar16 =
-        a_wide.data() + static_cast<std::size_t>(i) * p;
-    std::int32_t* __restrict cr = c + static_cast<std::size_t>(i) * ldc;
-    for (int j = 0; j < n; ++j) {
-      cr[j] += DotRowInt8(ar16, b + static_cast<std::size_t>(j) * ldb, p);
     }
   }
 }

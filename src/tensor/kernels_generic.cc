@@ -1,5 +1,4 @@
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 
 // Portable instantiation of the GEMM micro-kernels: compiled with the
@@ -9,10 +8,6 @@
 #define PAFEAT_GEMM_NAMESPACE generic
 #include "tensor/kernels_impl.inl"
 #undef PAFEAT_GEMM_NAMESPACE
-
-#define PAFEAT_QUANT_NAMESPACE generic
-#include "tensor/kernels_quantize.inl"
-#undef PAFEAT_QUANT_NAMESPACE
 
 #include "tensor/kernels.h"
 
@@ -54,29 +49,6 @@ void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
     for (; k < p; ++k) s += a[k] * bj[k];
     for (int t = 0; t < kLanes; ++t) s += acc[t];
     c[j] += s;
-  }
-}
-
-// Int8 serving core (DESIGN.md "Quantized serving tier"). Accumulation is
-// exact int32 arithmetic, so unlike the float cores there is no operation-
-// sequence discipline to preserve: any unroll, lane width or row grouping
-// produces identical values. The widening multiply-accumulate below auto-
-// vectorizes on the baseline ISA well enough for a fallback path.
-void GemmInt8NT(int m, int n, int p, const std::int8_t* a, int lda,
-                const std::int8_t* b, int ldb, std::int32_t* c, int ldc) {
-  for (int i = 0; i < m; ++i) {
-    const std::int8_t* __restrict ar = a + static_cast<std::size_t>(i) * lda;
-    std::int32_t* __restrict cr = c + static_cast<std::size_t>(i) * ldc;
-    for (int j = 0; j < n; ++j) {
-      const std::int8_t* __restrict bj =
-          b + static_cast<std::size_t>(j) * ldb;
-      std::int32_t acc = 0;
-      for (int k = 0; k < p; ++k) {
-        acc += static_cast<std::int32_t>(ar[k]) *
-               static_cast<std::int32_t>(bj[k]);
-      }
-      cr[j] += acc;
-    }
   }
 }
 

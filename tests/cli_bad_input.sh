@@ -24,6 +24,21 @@ expect_exit_1() {
   fi
 }
 
+# expect_status <status> <command...>: runs the command under a 1.5 GB
+# address-space cap (like pafeat_hostile_input_capped), where a flag value
+# that sizes memory up front dies of std::bad_alloc (exit 134).
+expect_status() {
+  want=$1
+  shift
+  (ulimit -v 1500000 && "$@") >/dev/null 2>"$WORK/err"
+  status=$?
+  if [ "$status" -ne "$want" ]; then
+    echo "FAIL: exit $status (want $want under ulimit -v 1500000): $*"
+    cat "$WORK/err"
+    FAILED=1
+  fi
+}
+
 LABELS=demo_seen_0,demo_seen_1,demo_seen_2
 train() {
   "$TOOL" train --data "$WORK/demo.csv" --labels "$LABELS" \
@@ -57,6 +72,26 @@ printf '0.1 0.2 0.3abc\n' >"$WORK/trailing.reprs"
 printf '0.1 nan 0.3\n' >"$WORK/nan.reprs"
 expect_exit_1 '"0.3abc"' serve --demo_features 3 --reprs "$WORK/trailing.reprs"
 expect_exit_1 '"nan"' serve --demo_features 3 --reprs "$WORK/nan.reprs"
+
+# A trailing unknown flag is unknown, not missing a value; --quantized is
+# gone from both tools.
+expect_exit_1 "unknown flag --bogus" serve --bogus
+expect_exit_1 "unknown flag --quantized" serve --quantized
+expect_exit_1 "unknown flag --quantized" "$TOOL" select --data "$WORK/demo.csv" \
+  --label demo_unseen_0 --agent "$WORK/agent.ckpt" --quantized
+
+# Memory follows work done, not flag values: only the representations the
+# clients replay are generated, and latency lists grow per completed request.
+# Sanitizer runtimes reserve more address space than the cap allows.
+if (ulimit -v 1500000 && exec "$SERVE" --demo --concurrency 1 \
+    --requests_per_client 1) >/dev/null 2>"$WORK/err" ||
+    ! grep -q Sanitizer "$WORK/err"; then
+  expect_status 0 serve --demo_tasks 2000000000
+  expect_status 124 timeout 2 "$SERVE" --demo --concurrency 1 \
+    --requests_per_client 2000000000
+else
+  echo "skipping the capped cases: sanitizer runtime"
+fi
 
 expect_exit_1 --iterations train --iterations 0
 expect_exit_1 --iterations train --iterations -4

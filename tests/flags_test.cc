@@ -71,6 +71,20 @@ TEST(FlagsTest, UnknownFlagFails) {
   EXPECT_FALSE(flags.Parse(args.argc(), args.argv()));
 }
 
+// A trailing unknown flag is reported as unknown, like --y=1 or --y 1, not
+// as a flag missing its value.
+TEST(FlagsTest, TrailingUnknownFlagIsReportedAsUnknown) {
+  FlagSet flags;
+  bool demo = false;
+  flags.AddBool("demo", &demo, "");
+  ArgvBuilder args({"--demo", "--bogus"});
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(flags.Parse(args.argc(), args.argv()));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("unknown flag --bogus"), std::string::npos) << err;
+  EXPECT_EQ(err.find("missing a value"), std::string::npos) << err;
+}
+
 TEST(FlagsTest, MalformedIntFails) {
   FlagSet flags;
   int x = 0;

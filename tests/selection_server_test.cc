@@ -13,6 +13,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,11 +32,12 @@ namespace {
 // server contract is about serving mechanics, not selection quality, and a
 // random dueling net already produces nontrivial feature-dependent subsets.
 AgentCheckpoint MakeTestCheckpoint(int m, double max_feature_ratio,
-                                   uint64_t seed) {
+                                   uint64_t seed,
+                                   std::vector<int> trunk = {32, 32}) {
   AgentCheckpoint checkpoint;
   checkpoint.net_config.input_dim = 2 * m + 3;
   checkpoint.net_config.num_actions = kNumActions;
-  checkpoint.net_config.trunk_hidden = {32, 32};
+  checkpoint.net_config.trunk_hidden = std::move(trunk);
   checkpoint.max_feature_ratio = max_feature_ratio;
   Rng rng(seed);
   DuelingNet net(checkpoint.net_config, &rng);
@@ -60,7 +62,6 @@ TEST(SelectionServerTest, LoneRequestMatchesStandaloneSelector) {
   SelectionServer server(checkpoint);
   EXPECT_EQ(server.num_features(), 24);
   EXPECT_DOUBLE_EQ(server.max_feature_ratio(), 0.4);
-  EXPECT_FALSE(server.quantized());
 
   const std::vector<float> repr = MakeRepresentation(24, 7);
   const SelectionResponse response = server.Select(repr);
@@ -186,24 +187,6 @@ TEST(SelectionServerTest, PerRequestRatioOverride) {
   EXPECT_EQ(server.Stats().rejected_bad_request, 2u);
 }
 
-TEST(SelectionServerTest, QuantizedTierMatchesStandaloneQuantized) {
-  const AgentCheckpoint checkpoint = MakeTestCheckpoint(18, 0.5, 41);
-  ServerConfig config;
-  config.serve.quantized = true;
-  SelectionServer server(checkpoint, config);
-  EXPECT_TRUE(server.quantized());
-  const CheckpointedSelector standalone(checkpoint, config.serve);
-
-  // Integer accumulation is order-independent, so even the quantized tier
-  // is exactly coalescing-invariant.
-  for (int i = 0; i < 6; ++i) {
-    const std::vector<float> repr = MakeRepresentation(18, 500 + i);
-    const SelectionResponse response = server.Select(repr);
-    ASSERT_EQ(response.status, AdmissionStatus::kOk);
-    EXPECT_EQ(response.mask, standalone.SelectForRepresentation(repr)) << i;
-  }
-}
-
 TEST(SelectionServerTest, BadRequestDimensionIsRejected) {
   SelectionServer server(MakeTestCheckpoint(12, 0.5, 51));
   const SelectionResponse response =
@@ -313,6 +296,38 @@ TEST(SelectionServerTest, HotSwapServesNewCheckpointAfterPublish) {
   const ServerStats stats = server.Stats();
   EXPECT_EQ(stats.swaps_applied, 1u);
   EXPECT_EQ(stats.net_version, 2u);
+}
+
+// Swaps that change the feature count and the first-layer width: each slot's
+// first-layer carry and the step scratch must follow the serving net, so
+// every publish serves the standalone masks, and a request shaped for the
+// previous net is rejected.
+TEST(SelectionServerTest, HotSwapAcrossShapesMatchesStandalone) {
+  const std::vector<std::pair<int, std::vector<int>>> shapes = {
+      {12, {32, 32}}, {300, {64, 32}}, {7, {16}}, {12, {32, 32}}};
+  SelectionServer server(
+      MakeTestCheckpoint(shapes[0].first, 0.5, 111, shapes[0].second));
+  for (std::size_t v = 0; v < shapes.size(); ++v) {
+    const int m = shapes[v].first;
+    const AgentCheckpoint checkpoint =
+        MakeTestCheckpoint(m, 0.5, 111 + v, shapes[v].second);
+    if (v > 0) {
+      ASSERT_TRUE(server.PublishCheckpoint(checkpoint));
+      const SelectionResponse stale =
+          server.Select(MakeRepresentation(shapes[v - 1].first, 7));
+      EXPECT_EQ(stale.status, AdmissionStatus::kBadRequest) << "publish " << v;
+    }
+    ASSERT_EQ(server.num_features(), m);
+    const CheckpointedSelector standalone(checkpoint);
+    for (int i = 0; i < 5; ++i) {
+      const std::vector<float> repr = MakeRepresentation(m, 600 + 10 * v + i);
+      const SelectionResponse response = server.Select(repr);
+      ASSERT_EQ(response.status, AdmissionStatus::kOk);
+      EXPECT_EQ(response.mask, standalone.SelectForRepresentation(repr))
+          << "publish " << v << " representation " << i;
+    }
+  }
+  EXPECT_EQ(server.Stats().swaps_applied, shapes.size() - 1);
 }
 
 // A request parked mid-scan when a publish lands must finish on the

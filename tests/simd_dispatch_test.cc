@@ -1,6 +1,5 @@
 #include "tensor/kernels.h"
 
-#include <cstdint>
 #include <cstdlib>
 #include <tuple>
 #include <vector>
@@ -17,14 +16,6 @@ using kernels::SimdCapability;
 std::vector<float> RandomVec(size_t size, Rng* rng) {
   std::vector<float> v(size);
   for (float& x : v) x = static_cast<float>(rng->Normal(0.0, 1.0));
-  return v;
-}
-
-std::vector<std::int8_t> RandomInt8Vec(size_t size, Rng* rng) {
-  std::vector<std::int8_t> v(size);
-  for (std::int8_t& x : v) {
-    x = static_cast<std::int8_t>(rng->UniformInt(255) - 127);
-  }
   return v;
 }
 
@@ -159,105 +150,6 @@ TEST(SimdDispatchTest, GatherAtEachLevelMatchesReference) {
           << kernels::SimdCapabilityName(level) << " element " << i;
     }
   }
-}
-
-// Int8 accumulation is exact integer arithmetic: every level must produce
-// the identical int32 output, bit for bit, including the saturated-operand
-// worst case at the documented depth bound.
-TEST(SimdDispatchTest, Int8LevelsAreExactAndIdentical) {
-  for (const auto& [m, n, p] : std::vector<std::tuple<int, int, int>>{
-           {1, 1, 1}, {4, 3, 16}, {5, 9, 31}, {7, 2, 147}, {3, 4, 2043}}) {
-    Rng rng(9000 + m + n + p);
-    const std::vector<std::int8_t> a =
-        RandomInt8Vec(static_cast<size_t>(m) * p, &rng);
-    const std::vector<std::int8_t> b =
-        RandomInt8Vec(static_cast<size_t>(n) * p, &rng);
-    std::vector<std::int32_t> ref(static_cast<size_t>(m) * n, 7);
-    for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < n; ++j) {
-        std::int64_t acc = 0;
-        for (int k = 0; k < p; ++k) {
-          acc += static_cast<std::int32_t>(a[i * p + k]) *
-                 static_cast<std::int32_t>(b[j * p + k]);
-        }
-        ref[i * n + j] += static_cast<std::int32_t>(acc);
-      }
-    }
-    for (SimdCapability level : AvailableLevels()) {
-      std::vector<std::int32_t> c(static_cast<size_t>(m) * n, 7);
-      ASSERT_TRUE(kernels::GemmInt8NTAt(level, m, n, p, a.data(), p, b.data(),
-                                        p, c.data(), n));
-      EXPECT_EQ(c, ref) << kernels::SimdCapabilityName(level) << " shape ("
-                        << m << "," << n << "," << p << ")";
-    }
-    // The dispatched kernel agrees with every level (order-independence).
-    std::vector<std::int32_t> c(static_cast<size_t>(m) * n, 7);
-    kernels::GemmInt8NT(m, n, p, a.data(), p, b.data(), p, c.data(), n);
-    EXPECT_EQ(c, ref);
-  }
-}
-
-TEST(SimdDispatchTest, Int8SaturatedDepthBoundDoesNotOverflow) {
-  // All-(+127) rows at a depth near the bound: the largest dot product the
-  // contract admits. Exact value must come back at every level.
-  const int p = 4096;  // well under kGemmInt8MaxDepth, above any lane block
-  ASSERT_LE(p, kernels::kGemmInt8MaxDepth);
-  const std::vector<std::int8_t> a(static_cast<size_t>(p), 127);
-  const std::vector<std::int8_t> b(static_cast<size_t>(p), 127);
-  const std::int32_t want = 127 * 127 * p;
-  for (SimdCapability level : AvailableLevels()) {
-    std::int32_t c = 0;
-    ASSERT_TRUE(kernels::GemmInt8NTAt(level, 1, 1, p, a.data(), p, b.data(), p,
-                                      &c, 1));
-    EXPECT_EQ(c, want) << kernels::SimdCapabilityName(level);
-  }
-}
-
-// Quantization is per-element (no accumulation), so every level must emit
-// identical code bytes and scales — including ties (rounded to even), the
-// clamp boundary, strided rows, and the all-zero-row scale-1 special case.
-TEST(SimdDispatchTest, QuantizeRowsLevelsProduceIdenticalBytes) {
-  constexpr int kRows = 5;
-  constexpr int kCols = 37;
-  constexpr int kLd = 41;  // strided: the tail of each row must be ignored
-  Rng rng(4242);
-  std::vector<float> x(static_cast<size_t>(kRows) * kLd);
-  for (float& v : x) v = static_cast<float>(rng.Normal(0.0, 2.0));
-  // Row 1: all zeros (scale-1 branch). Row 2: exact half-step ties once the
-  // max is 127 — codes 0.5, 1.5 must round to even, not away from zero.
-  for (int k = 0; k < kCols; ++k) x[1 * kLd + k] = 0.0f;
-  x[2 * kLd + 0] = 127.0f;
-  x[2 * kLd + 1] = 0.5f;
-  x[2 * kLd + 2] = 1.5f;
-  x[2 * kLd + 3] = -0.5f;
-
-  std::vector<std::int8_t> q_ref(static_cast<size_t>(kRows) * kCols, 99);
-  std::vector<float> s_ref(kRows, -1.0f);
-  ASSERT_TRUE(kernels::QuantizeRowsInt8At(SimdCapability::kGeneric, kRows,
-                                          kCols, x.data(), kLd, q_ref.data(),
-                                          kCols, s_ref.data()));
-  EXPECT_EQ(s_ref[1], 1.0f);
-  for (int k = 0; k < kCols; ++k) EXPECT_EQ(q_ref[1 * kCols + k], 0);
-  EXPECT_EQ(q_ref[2 * kCols + 0], 127);
-  EXPECT_EQ(q_ref[2 * kCols + 1], 0);   // 0.5 -> even
-  EXPECT_EQ(q_ref[2 * kCols + 2], 2);   // 1.5 -> even
-  EXPECT_EQ(q_ref[2 * kCols + 3], 0);   // -0.5 -> even
-
-  for (SimdCapability level : AvailableLevels()) {
-    std::vector<std::int8_t> q(static_cast<size_t>(kRows) * kCols, 99);
-    std::vector<float> s(kRows, -1.0f);
-    ASSERT_TRUE(kernels::QuantizeRowsInt8At(level, kRows, kCols, x.data(), kLd,
-                                            q.data(), kCols, s.data()));
-    EXPECT_EQ(q, q_ref) << kernels::SimdCapabilityName(level);
-    EXPECT_EQ(s, s_ref) << kernels::SimdCapabilityName(level);
-  }
-  // The dispatched kernel agrees with the per-level entry points.
-  std::vector<std::int8_t> q(static_cast<size_t>(kRows) * kCols, 99);
-  std::vector<float> s(kRows, -1.0f);
-  kernels::QuantizeRowsInt8(kRows, kCols, x.data(), kLd, q.data(), kCols,
-                            s.data());
-  EXPECT_EQ(q, q_ref);
-  EXPECT_EQ(s, s_ref);
 }
 
 TEST(SimdDispatchTest, UnavailableLevelLeavesOutputUntouched) {

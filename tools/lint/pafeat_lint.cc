@@ -213,7 +213,7 @@ int SelfTest() {
        "float* p = new float[128];\n", {}},
       {"arena-exempt", "src/nn/workspace.cc", "float* p = new float[8];\n",
        {}},
-      {"intrinsic-call-outside-kernels", "src/nn/quantized_net.cc",
+      {"intrinsic-call-outside-kernels", "src/nn/dueling_net.cc",
        "__m256i v = _mm256_loadu_si256(p);\n",
        {"intrinsics-only-in-kernel-tus"}},
       {"intrinsic-one-finding-per-line", "src/core/feat.cc",

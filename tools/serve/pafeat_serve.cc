@@ -114,7 +114,6 @@ int Main(int argc, char** argv) {
   int demo_tasks = 32;
   int concurrency = 8;
   int requests_per_client = 50;
-  bool quantized = false;
   int max_batch = 64;
   int max_queue = 256;
   int max_wait_us = 200;
@@ -134,7 +133,6 @@ int Main(int argc, char** argv) {
   flags.AddInt("concurrency", &concurrency, "concurrent client threads");
   flags.AddInt("requests_per_client", &requests_per_client,
                "Select calls each client issues");
-  flags.AddBool("quantized", &quantized, "serve the int8 quantized tier");
   flags.AddInt("max_batch", &max_batch, "widest coalesced forward pass");
   flags.AddInt("max_queue", &max_queue,
                "admission bound on in-flight requests");
@@ -186,8 +184,14 @@ int Main(int argc, char** argv) {
   if (!reprs_path.empty()) {
     if (!LoadRepresentations(reprs_path, m, &reprs)) return 1;
   } else if (demo) {
+    // Request (c, i) replays representation (c * requests_per_client + i)
+    // mod the count, so no more than concurrency * requests_per_client of
+    // them are ever served: generate only those.
+    const long long served =
+        std::min(static_cast<long long>(demo_tasks),
+                 static_cast<long long>(concurrency) * requests_per_client);
     Rng rng(0xd3a0);
-    for (int t = 0; t < demo_tasks; ++t) {
+    for (long long t = 0; t < served; ++t) {
       std::vector<float> repr(m);
       for (float& value : repr) {
         value = static_cast<float>(rng.Uniform(-1.0, 1.0));
@@ -201,15 +205,13 @@ int Main(int argc, char** argv) {
   }
 
   ServerConfig config;
-  config.serve.quantized = quantized;
   config.max_batch = max_batch;
   config.max_queue = max_queue;
   config.max_wait_us = max_wait_us;
   SelectionServer server(checkpoint, config);
 
   std::cout << "pafeat-serve: " << (demo ? "demo network" : checkpoint_path)
-            << " | m=" << m << " tier=" << (quantized ? "int8" : "fp32")
-            << " clients=" << concurrency << " x " << requests_per_client
+            << " | m=" << m << " clients=" << concurrency << " x " << requests_per_client
             << " requests | max_batch=" << max_batch
             << " max_queue=" << max_queue << " max_wait_us=" << max_wait_us
             << "\n";
@@ -224,9 +226,8 @@ int Main(int argc, char** argv) {
   clients.reserve(concurrency);
   for (int c = 0; c < concurrency; ++c) {
     clients.emplace_back([&, c] {
+      // Grown by completed requests, never sized by the flag up front.
       std::vector<double> my_total, my_queue;
-      my_total.reserve(requests_per_client);
-      my_queue.reserve(requests_per_client);
       for (int i = 0; i < requests_per_client; ++i) {
         const std::size_t idx =
             (static_cast<std::size_t>(c) * requests_per_client + i) %
