@@ -22,8 +22,8 @@ namespace pafeat {
 // The first-layer carry (DESIGN.md "Inference fast path") keeps each hidden
 // unit's lane sums over the observation's columns below 8 * floor(2m / 8):
 // the representation, fixed for the scan, and mask entries, which only go
-// 0 -> 1 at the scan's own position. A step recomputes only the columns
-// from there on, at most one lane block plus the 3-to-7-float tail.
+// 0 -> 1 at the scan's own position. A step recomputes only the 3 to 10
+// columns from there on: at most one lane block plus a tail of at most 7.
 //
 // Every method is allocation-free — all storage is caller-owned — which is
 // what lets server request slots be rebound without heap churn on the
