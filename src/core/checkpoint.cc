@@ -1,5 +1,6 @@
 #include "core/checkpoint.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -307,6 +308,16 @@ std::string CheckpointConsistencyError(const AgentCheckpoint& checkpoint) {
     return "parameter count " + std::to_string(checkpoint.parameters.size()) +
            " does not fit the architecture (expected " +
            std::to_string(*expected) + ")";
+  }
+  // A diverged training run can write NaN or Inf weights. Nothing serves or
+  // resumes from them: the greedy scan's first-layer carry is exact only for
+  // finite weights (0 * Inf is NaN), and a net that outputs NaN picks no
+  // meaningful subset.
+  for (std::size_t i = 0; i < checkpoint.parameters.size(); ++i) {
+    if (!std::isfinite(checkpoint.parameters[i])) {
+      return "parameter " + std::to_string(i) + " is not finite (" +
+             std::to_string(checkpoint.parameters[i]) + ")";
+    }
   }
   return "";
 }

@@ -85,10 +85,12 @@ bool RestoreTrainingCheckpoint(const TrainingCheckpoint& checkpoint,
                                PaFeat* pafeat, std::string* error);
 
 // Serving-side validation of an in-memory checkpoint: returns "" exactly
-// when the PF_CHECK constructors below would accept it, else the reason.
-// Never dies — this is the check a long-lived server runs before swapping
-// in a published checkpoint (a misuse that must surface as a rejected
-// publish, not a dead serving process).
+// when the PF_CHECK constructors below would accept it, else the reason —
+// including the first parameter that is NaN or infinite, since a diverged
+// run can save one. Never dies — this is the check a long-lived server runs
+// before swapping in a published checkpoint (a misuse that must surface as
+// a rejected publish, not a dead serving process), and the one loading and
+// warm resume run.
 std::string CheckpointConsistencyError(const AgentCheckpoint& checkpoint);
 
 // Serving-side selector restored from a checkpoint: no problem, classifiers

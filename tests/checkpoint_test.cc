@@ -11,6 +11,7 @@
 
 #include "core/defaults.h"
 #include "core/multi_run.h"
+#include "core/pafeat.h"
 #include "data/synthetic.h"
 #include "nn/dueling_net.h"
 #include "rl/fs_env.h"
@@ -220,6 +221,79 @@ TEST_F(CheckpointTest, ConsistencyErrorScreensServingMisuse) {
   EXPECT_NE(
       CheckpointConsistencyError(bad_ratio).find("max feature ratio"),
       std::string::npos);
+}
+
+// --- non-finite parameters -------------------------------------------------
+// A diverged training run can save NaN or Inf weights. Every path that
+// trusts a checkpoint (the consistency screen, LoadCheckpoint after a save,
+// SelectionServer::PublishCheckpoint and warm resume) rejects one with the
+// first offending index: the first parameter, a first-layer weight and the
+// last parameter alike.
+void ExpectNonFiniteParameterRejected(float value, const std::string& path) {
+  // m = 12 features and a one-layer {16} trunk: parameters [0, 432) are the
+  // first layer's weights.
+  SyntheticSpec spec;
+  spec.num_instances = 200;
+  spec.num_features = 12;
+  spec.num_seen_tasks = 2;
+  spec.num_unseen_tasks = 1;
+  spec.seed = 87;
+  const SyntheticDataset dataset = GenerateSynthetic(spec);
+  FsProblem problem(dataset.table, DefaultProblemConfig(true), 88);
+  PaFeatConfig config;
+  config.feat = DefaultFeatOptions(2, 89).feat;
+  config.feat.dqn.net.trunk_hidden = {16};
+  PaFeat trained(&problem, dataset.SeenTaskIndices(), config);
+  trained.Train(2);
+  const TrainingCheckpoint good = MakeTrainingCheckpoint(trained);
+  ASSERT_EQ(good.agent.net_config.input_dim, 27);
+  ASSERT_EQ(CheckpointConsistencyError(good.agent), "");
+  SelectionServer server(good.agent);
+
+  const std::size_t last = good.agent.parameters.size() - 1;
+  for (const std::size_t index : {std::size_t{0}, std::size_t{40}, last}) {
+    SCOPED_TRACE("parameter " + std::to_string(index));
+    TrainingCheckpoint bad = good;
+    bad.agent.parameters[index] = value;
+    const std::string want =
+        "parameter " + std::to_string(index) + " is not finite";
+
+    EXPECT_NE(CheckpointConsistencyError(bad.agent).find(want),
+              std::string::npos)
+        << CheckpointConsistencyError(bad.agent);
+
+    ASSERT_TRUE(SaveCheckpoint(bad.agent, path));
+    std::string error;
+    EXPECT_FALSE(LoadCheckpoint(path, &error).has_value());
+    EXPECT_NE(error.find(want), std::string::npos) << error;
+    EXPECT_FALSE(CheckpointedSelector::FromFile(path).has_value());
+
+    error.clear();
+    EXPECT_FALSE(server.PublishCheckpoint(bad.agent, &error));
+    EXPECT_NE(error.find(want), std::string::npos) << error;
+
+    PaFeat resumed(&problem, dataset.SeenTaskIndices(), config);
+    error.clear();
+    EXPECT_FALSE(RestoreTrainingCheckpoint(bad, &resumed, &error));
+    EXPECT_NE(error.find(want), std::string::npos) << error;
+  }
+  EXPECT_EQ(server.net_version(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST_F(CheckpointTest, NanParameterIsRejected) {
+  ExpectNonFiniteParameterRejected(std::numeric_limits<float>::quiet_NaN(),
+                                   TempPath());
+}
+
+TEST_F(CheckpointTest, PositiveInfParameterIsRejected) {
+  ExpectNonFiniteParameterRejected(std::numeric_limits<float>::infinity(),
+                                   TempPath());
+}
+
+TEST_F(CheckpointTest, NegativeInfParameterIsRejected) {
+  ExpectNonFiniteParameterRejected(-std::numeric_limits<float>::infinity(),
+                                   TempPath());
 }
 
 // --- hostile files ----------------------------------------------------------
