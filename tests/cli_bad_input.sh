@@ -89,6 +89,10 @@ if (ulimit -v 1500000 && exec "$SERVE" --demo --concurrency 1 \
   expect_status 0 serve --demo_tasks 2000000000
   expect_status 124 timeout 2 "$SERVE" --demo --concurrency 1 \
     --requests_per_client 2000000000
+  # Client threads past what the cap lets start: the clients already started
+  # stop and join, and the run exits 1 naming the flag.
+  expect_exit_1 --concurrency sh -c 'ulimit -v 1500000 && exec "$0" "$@"' \
+    "$SERVE" --demo --concurrency 200000 --requests_per_client 1
 else
   echo "skipping the capped cases: sanitizer runtime"
 fi

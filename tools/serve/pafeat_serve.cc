@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -221,14 +222,18 @@ int Main(int argc, char** argv) {
   std::vector<double> queue_us;
   std::atomic<uint64_t> rejected{0};
   std::atomic<uint64_t> selected_features{0};
+  // Set when a client thread cannot start: the started ones then stop
+  // before their next request, so the run ends with a status instead of an
+  // abort however far past the thread limit --concurrency goes.
+  std::atomic<bool> stop{false};
   WallTimer wall;
   std::vector<std::thread> clients;
   clients.reserve(concurrency);
   for (int c = 0; c < concurrency; ++c) {
-    clients.emplace_back([&, c] {
+    const auto client = [&, c] {
       // Grown by completed requests, never sized by the flag up front.
       std::vector<double> my_total, my_queue;
-      for (int i = 0; i < requests_per_client; ++i) {
+      for (int i = 0; i < requests_per_client && !stop.load(); ++i) {
         const std::size_t idx =
             (static_cast<std::size_t>(c) * requests_per_client + i) %
             reprs.size();
@@ -244,7 +249,17 @@ int Main(int argc, char** argv) {
       std::lock_guard<std::mutex> lock(latency_mutex);
       total_us.insert(total_us.end(), my_total.begin(), my_total.end());
       queue_us.insert(queue_us.end(), my_queue.begin(), my_queue.end());
-    });
+    };
+    try {
+      clients.emplace_back(client);
+    } catch (const std::exception& e) {
+      stop.store(true);
+      for (std::thread& started : clients) started.join();
+      std::cerr << "pafeat-serve: could not start client thread " << c + 1
+                << " of " << concurrency << " (--concurrency): " << e.what()
+                << "\n";
+      return 1;
+    }
   }
   for (std::thread& client : clients) client.join();
   const double elapsed_s = wall.ElapsedSeconds();
