@@ -95,7 +95,7 @@ void MaskedDnnClassifier::Fit(const Matrix& features,
         grad.At(i, 0) = inv_batch * (p - y) / (p * (1.0f - p));
       }
       net_->ZeroGrad();
-      net_->Backward(grad);
+      net_->BackwardParams(grad);
       optimizer.Step(net_->Params(), net_->Grads());
     }
   }

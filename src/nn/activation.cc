@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "tensor/kernels.h"
 
 namespace pafeat {
 
@@ -15,9 +16,7 @@ void ApplyActivation(Activation act, float* data, int n) {
     case Activation::kLinear:
       return;
     case Activation::kRelu:
-      for (int i = 0; i < n; ++i) {
-        if (data[i] < 0.0f) data[i] = 0.0f;
-      }
+      kernels::Relu(n, data);
       return;
     case Activation::kTanh:
       for (int i = 0; i < n; ++i) data[i] = std::tanh(data[i]);
@@ -38,9 +37,7 @@ void ApplyActivationGrad(Activation act, const Matrix& activated,
     case Activation::kLinear:
       return;
     case Activation::kRelu:
-      for (int i = 0; i < n; ++i) {
-        if (a[i] <= 0.0f) g[i] = 0.0f;
-      }
+      kernels::ReluGrad(n, a, g);
       return;
     case Activation::kTanh:
       for (int i = 0; i < n; ++i) g[i] *= 1.0f - a[i] * a[i];

@@ -176,7 +176,8 @@ void DuelingNet::Backward(const Matrix& grad_q) {
   }
   Matrix grad_features = value_head_.Backward(grad_value);
   grad_features.Add(advantage_head_.Backward(grad_advantage));
-  trunk_.Backward(grad_features);
+  // The trunk's input gradient would be dL/d(observation): nothing reads it.
+  trunk_.BackwardParams(grad_features);
 }
 
 void DuelingNet::ZeroGrad() {

@@ -189,23 +189,41 @@ Matrix Mlp::FirstLayerWeightTransposed() const {
 }
 
 Matrix Mlp::Backward(const Matrix& grad_output) {
+  return BackwardImpl(grad_output, /*input_grad=*/true);
+}
+
+void Mlp::BackwardParams(const Matrix& grad_output) {
+  BackwardImpl(grad_output, /*input_grad=*/false);
+}
+
+Matrix Mlp::BackwardImpl(const Matrix& grad_output, bool input_grad) {
   PF_CHECK(!layers_.empty());
   PF_CHECK(grad_output.SameShape(layers_.back().output));
+  InferenceArena* arena = InferenceArena::ThreadLocal();
   Matrix grad = grad_output;
-  for (int i = static_cast<int>(layers_.size()) - 1; i >= 0; --i) {
+  for (int i = num_layers() - 1; i >= 0; --i) {
     Layer& layer = layers_[i];
     ApplyActivationGrad(layer.activation, layer.output, &grad);
-    // dW += grad^T * input ; db += column sums of grad.
-    Matrix weight_grad = grad.TransposedMatMul(layer.input);
-    layer.weight_grad.Add(weight_grad);
+    // dW += grad^T * input: the product goes to zeroed arena scratch and is
+    // then added, as a fresh TransposedMatMul was (0 + t turns a -0 sum into
+    // +0; accumulating into weight_grad directly would not).
+    // db += column sums of grad.
+    const int out_dim = layer.weight.rows();
+    const int in_dim = layer.weight.cols();
+    const std::size_t count = static_cast<std::size_t>(out_dim) * in_dim;
+    ArenaScope scope(arena);
+    float* product = arena->Alloc(count);
+    std::fill_n(product, count, 0.0f);
+    kernels::GemmTN(out_dim, in_dim, grad.rows(), grad.data(), out_dim,
+                    layer.input.data(), in_dim, product, in_dim);
+    float* weight_grad = layer.weight_grad.data();
+    for (std::size_t e = 0; e < count; ++e) weight_grad[e] += product[e];
     layer.bias_grad.Add(grad.ColSums());
-    if (i > 0) {
-      grad = grad.MatMul(layer.weight);
-    } else {
-      return grad.MatMul(layer.weight);
-    }
+    if (i > 0) grad = grad.MatMul(layer.weight);
   }
-  return Matrix();
+  // grad is now dL/d(layer 0's pre-activation); its product with the first
+  // weight is the input gradient, which only a caller that asks pays for.
+  return input_grad ? grad.MatMul(layers_.front().weight) : Matrix();
 }
 
 void Mlp::ZeroGrad() {

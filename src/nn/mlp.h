@@ -115,6 +115,12 @@ class Mlp {
   // parameter gradients, and returns dL/d(input).
   Matrix Backward(const Matrix& grad_output);
 
+  // Backward for a net whose input gradient nobody reads (a Q-network
+  // trunk, the reward classifier): accumulates bit-identical parameter
+  // gradients and skips the first layer's input-gradient product, the
+  // widest product of the pass.
+  void BackwardParams(const Matrix& grad_output);
+
   void ZeroGrad();
 
   // Mutable views over all parameters / gradients, in a stable order, for
@@ -140,6 +146,9 @@ class Mlp {
   // Shared body of FinishGathered / FinishBatchInto.
   void FinishImpl(int rows, const float* sum, InferenceArena* arena,
                   float* out, bool rowwise) const;
+  // Shared body of Backward / BackwardParams; returns an empty matrix
+  // unless `input_grad`.
+  Matrix BackwardImpl(const Matrix& grad_output, bool input_grad);
 
   struct Layer {
     Matrix weight;  // out x in

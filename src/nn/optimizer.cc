@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "tensor/kernels.h"
 
 namespace pafeat {
 
@@ -51,22 +52,14 @@ void AdamOptimizer::Step(const std::vector<Matrix*>& params,
   ++step_;
   const float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(step_));
   const float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(step_));
+  const kernels::AdamCoefficients coefficients{
+      learning_rate_, beta1_, beta2_, epsilon_, bias1, bias2};
   for (size_t i = 0; i < params.size(); ++i) {
     Matrix& p = *params[i];
     const Matrix& g = *grads[i];
     PF_CHECK(p.SameShape(g));
-    float* m = m_[i].data();
-    float* v = v_[i].data();
-    float* pd = p.data();
-    const float* gd = g.data();
-    const int n = p.size();
-    for (int j = 0; j < n; ++j) {
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * gd[j];
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * gd[j] * gd[j];
-      const float m_hat = m[j] / bias1;
-      const float v_hat = v[j] / bias2;
-      pd[j] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + epsilon_);
-    }
+    kernels::AdamUpdate(coefficients, p.size(), g.data(), m_[i].data(),
+                        v_[i].data(), p.data());
   }
 }
 

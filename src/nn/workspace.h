@@ -9,7 +9,8 @@ namespace pafeat {
 
 // Bump allocator over persistent slabs: the scratch space behind the
 // allocation-free inference paths (Mlp::PredictInto,
-// DuelingNet::PredictBatchInto, DqnAgent::ActBatch). Buffers are carved with
+// DuelingNet::PredictBatchInto, DqnAgent::ActBatch) and behind the
+// weight-gradient products of Mlp::Backward. Buffers are carved with
 // Alloc and released in LIFO order by rewinding to a Mark (usually via
 // ArenaScope), so once the slabs have grown to a call pattern's high-water
 // mark, repeated inference performs no heap allocations at all. Slabs never

@@ -114,22 +114,26 @@ double DqnAgent::TrainBatch(const std::vector<BatchItem>& batch) {
   const int obs_dim = static_cast<int>(batch[0].observation.size());
   const int num_actions = config_.net.num_actions;
 
-  Matrix observations(batch_size, obs_dim);
-  Matrix next_observations(batch_size, obs_dim);
+  // The batch matrices persist across calls: every row is overwritten
+  // below, so only a new shape allocates.
+  if (observations_.rows() != batch_size || observations_.cols() != obs_dim) {
+    observations_ = Matrix(batch_size, obs_dim);
+    next_observations_ = Matrix(batch_size, obs_dim);
+  }
   for (int i = 0; i < batch_size; ++i) {
     PF_CHECK_EQ(static_cast<int>(batch[i].observation.size()), obs_dim);
     PF_CHECK_EQ(static_cast<int>(batch[i].next_observation.size()), obs_dim);
     std::copy(batch[i].observation.begin(), batch[i].observation.end(),
-              observations.Row(i));
+              observations_.Row(i));
     std::copy(batch[i].next_observation.begin(),
-              batch[i].next_observation.end(), next_observations.Row(i));
+              batch[i].next_observation.end(), next_observations_.Row(i));
   }
 
   // TD targets from the frozen target network (Eqn 1b); with double_dqn the
   // action is chosen by the online network and only evaluated by the target.
-  const Matrix next_q = target_->Predict(next_observations);
+  const Matrix next_q = target_->Predict(next_observations_);
   Matrix online_next_q;
-  if (config_.double_dqn) online_next_q = online_->Predict(next_observations);
+  if (config_.double_dqn) online_next_q = online_->Predict(next_observations_);
   std::vector<double> targets(batch_size);
   for (int i = 0; i < batch_size; ++i) {
     double max_next;
@@ -181,7 +185,7 @@ double DqnAgent::TrainBatch(const std::vector<BatchItem>& batch) {
   }
 
   // Forward + squared-error loss on the taken actions (Eqn 1a).
-  const Matrix q = online_->Forward(observations);
+  const Matrix q = online_->Forward(observations_);
   Matrix grad(batch_size, num_actions);
   double loss = 0.0;
   const float inv_batch = 1.0f / batch_size;

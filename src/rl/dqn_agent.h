@@ -101,6 +101,10 @@ class DqnAgent {
   std::vector<double> popart_mean_;
   std::vector<double> popart_sq_;
   std::vector<bool> popart_init_;
+
+  // TrainBatch's dense (batch x obs_dim) inputs, kept between calls.
+  Matrix observations_;
+  Matrix next_observations_;
 };
 
 }  // namespace pafeat

@@ -253,6 +253,72 @@ void GemmTN(int m, int n, int p, const float* a, int lda, const float* b,
 // therefore summation order) must never depend on how rows were partitioned.
 constexpr int kNtTransposeMinRows = 8;
 
+namespace {
+
+// GemmNT packs B^T a k block at a time: kNtPackDepth rows of B^T (columns of
+// B) per pass, a multiple of the NN core's 4-wide k groups, so each element
+// of C meets the same groups in the same order as in one NN call over the
+// whole transpose.
+constexpr int kNtPackDepth = 256;
+static_assert(kNtPackDepth % 4 == 0);
+// Depth of the slices the packing walks: kPackSlice rows of a 4-column
+// group land in kPackSlice x n floats of the panel that stay in L1 while the
+// next groups fill them in.
+constexpr int kPackSlice = 64;
+
+// Writes rows [0, kn) of B^T, for the n x kn block of B at `b`, as the kn x n
+// panel `bt`: four B rows at a time, so each write covers 16 contiguous
+// bytes, and a scalar pass for the last n % 4 rows.
+void PackTransposed(int n, int kn, const float* __restrict b, int ldb,
+                    float* __restrict bt) {
+  for (int t0 = 0; t0 < kn; t0 += kPackSlice) {
+    const int t1 = std::min(kn, t0 + kPackSlice);
+    int j = 0;
+    for (; j + 4 <= n; j += 4) {
+      const float* __restrict s0 = b + static_cast<std::size_t>(j) * ldb;
+      const float* __restrict s1 = s0 + ldb;
+      const float* __restrict s2 = s1 + ldb;
+      const float* __restrict s3 = s2 + ldb;
+      for (int t = t0; t < t1; ++t) {
+        float* __restrict d = bt + static_cast<std::size_t>(t) * n + j;
+        d[0] = s0[t];
+        d[1] = s1[t];
+        d[2] = s2[t];
+        d[3] = s3[t];
+      }
+    }
+    for (; j < n; ++j) {
+      const float* __restrict s = b + static_cast<std::size_t>(j) * ldb;
+      for (int t = t0; t < t1; ++t) {
+        bt[static_cast<std::size_t>(t) * n + j] = s[t];
+      }
+    }
+  }
+}
+
+// C += A * B^T for rows of C, through the NN core: each k block of B^T is
+// packed into storage the executing thread keeps (it grows to the largest
+// panel seen and is reused, so no call allocates once warm) and multiplied
+// while it is cache-hot. Each panel task of a pool split packs for itself,
+// so no thread reads another's scratch, and nothing on this thread can
+// reenter here before the NN core returns. Packing is pure data movement:
+// the core reads the values a full transpose would hold, in the same order.
+void GemmNTPacked(int m, int n, int p, const float* a, int lda,
+                  const float* b, int ldb, float* c, int ldc) {
+  static thread_local std::vector<float> panel;
+  const std::size_t size =
+      static_cast<std::size_t>(std::min(p, kNtPackDepth)) * n;
+  if (panel.size() < size) panel.resize(size);
+  const GemmFn core = Impl().nn;
+  for (int k0 = 0; k0 < p; k0 += kNtPackDepth) {
+    const int kn = std::min(kNtPackDepth, p - k0);
+    PackTransposed(n, kn, b + k0, ldb, panel.data());
+    core(m, n, kn, a + k0, lda, panel.data(), n, c, ldc);
+  }
+}
+
+}  // namespace
+
 void GemmNT(int m, int n, int p, const float* a, int lda, const float* b,
             int ldb, float* c, int ldc) {
   if (m <= 0 || n <= 0 || p <= 0) return;
@@ -269,22 +335,17 @@ void GemmNT(int m, int n, int p, const float* a, int lda, const float* b,
     Impl().nt_rowwise(m, n, p, a, lda, b, ldb, c, ldc);
     return;
   }
-  // C += A * B^T == GemmNN(A, B^T): materialize B^T once and reuse the NN
-  // core, whose row-broadcast inner loop vectorizes far better than a
-  // dot-product kernel (the reduction axis becomes the contiguous one).
-  std::vector<float> bt(static_cast<std::size_t>(p) * n);
-  for (int j = 0; j < n; ++j) {
-    const float* src = b + static_cast<std::size_t>(j) * ldb;
-    for (int k = 0; k < p; ++k) bt[static_cast<std::size_t>(k) * n + j] = src[k];
-  }
-  const GemmFn core = Impl().nn;
+  // C += A * B^T == GemmNN(A, B^T): the NN core's row-broadcast inner loop
+  // vectorizes far better than a dot-product kernel (the reduction axis
+  // becomes the contiguous one), and packing B^T costs each executor one
+  // pass over B.
   const int panels = NumPanels(m, 2LL * m * n * p);
   if (panels <= 1) {
-    core(m, n, p, a, lda, bt.data(), n, c, ldc);
+    GemmNTPacked(m, n, p, a, lda, b, ldb, c, ldc);
     return;
   }
-  RunRowPanels(core, panels, m, n, p, a, lda, static_cast<std::size_t>(lda),
-               bt.data(), n, c, ldc);
+  RunRowPanels(GemmNTPacked, panels, m, n, p, a, lda,
+               static_cast<std::size_t>(lda), b, ldb, c, ldc);
 }
 
 void GemmNTRowwise(int m, int n, int p, const float* a, int lda,

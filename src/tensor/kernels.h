@@ -20,8 +20,9 @@ namespace kernels {
 // capability ladder"):
 //  * Cache-blocked (column panels + k panels) with a 4-row register-tiled,
 //    k-unrolled micro-kernel whose inner loop auto-vectorizes; GemmNT at
-//    m >= 8 materializes B^T once and reuses the NN core, below that it
-//    runs the row-wise dot-product core (see GemmNTRowwise).
+//    m >= 8 packs B^T a k block at a time into storage each executing
+//    thread reuses across calls and runs the NN core on each block, below
+//    that it runs the row-wise dot-product core (see GemmNTRowwise).
 //  * Several instantiations of the micro-kernels are compiled — portable,
 //    AVX2+FMA, and (for the serving-plane cores) AVX-512 — and dispatched
 //    once per process by CPUID, overridable downward via PAFEAT_SIMD.
@@ -92,6 +93,36 @@ void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
                         const float* b, int ldb, const float* lanes,
                         float* c);
 
+// Elementwise training cores (kernels_elementwise.cc; DESIGN.md "Tensor
+// kernel layer & threading model"). One portable core serves every SIMD
+// level: it is never dispatched, and its TU builds with contraction off, so
+// each element sees exactly the operations of the scalar source loop (an
+// unfused multiply and add, IEEE division and square root) and the bits do
+// not depend on the host.
+//
+// One Adam step (Kingma & Ba) over n parameters, per element j in order:
+//   m[j] = beta1 * m[j] + (1 - beta1) * grad[j]
+//   v[j] = beta2 * v[j] + (1 - beta2) * grad[j] * grad[j]
+//   param[j] -= learning_rate * (m[j] / bias1) /
+//               (sqrt(v[j] / bias2) + epsilon)
+// where bias1 = 1 - beta1^t and bias2 = 1 - beta2^t are the step's
+// bias corrections. The four arrays must not overlap.
+struct AdamCoefficients {
+  float learning_rate;
+  float beta1;
+  float beta2;
+  float epsilon;
+  float bias1;
+  float bias2;
+};
+void AdamUpdate(const AdamCoefficients& coefficients, int n,
+                const float* grad, float* m, float* v, float* param);
+// ReLU in place, x < 0 ? 0 : x: -0 and NaN keep their bits.
+void Relu(int n, float* data);
+// ReLU's gradient from the activated output: grad = activated <= 0 ? 0 :
+// grad, so a NaN activation keeps its gradient and -0 zeroes it.
+void ReluGrad(int n, const float* activated, float* grad);
+
 // The SIMD capability ladder (DESIGN.md "SIMD capability ladder"). Exactly
 // one level is active per process: the highest one that is both compiled in
 // and supported by the CPU, clamped down by the PAFEAT_SIMD environment
@@ -105,7 +136,7 @@ enum class SimdCapability : int {
   kAvx512 = 2,
 };
 
-// The level every kernel above dispatches to (probed once per process).
+// The level every dispatched kernel above runs at (probed once per process).
 SimdCapability ActiveSimdCapability();
 
 // True when `level` is compiled in and supported by this CPU (kGeneric is

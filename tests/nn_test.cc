@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -117,6 +118,53 @@ TEST(MlpTest, BackwardReturnsInputGradient) {
     minus.At(0, c) -= eps;
     const double fd = (scalar_out(plus) - scalar_out(minus)) / (2.0 * eps);
     EXPECT_NEAR(grad_in.At(0, c), fd, 2e-2);
+  }
+}
+
+// BackwardParams skips only the first layer's input gradient: every
+// parameter gradient keeps Backward's bits, for the Q-network trunk's ReLU
+// layers and for the reward classifier's sigmoid net.
+TEST(MlpTest, BackwardParamsMatchesBackwardBitForBit) {
+  MlpConfig trunk;
+  trunk.input_dim = 27;  // 2m + 3 at m = 12
+  trunk.hidden_dims = {16};
+  trunk.output_dim = 16;
+  trunk.hidden_activation = Activation::kRelu;
+  trunk.output_activation = Activation::kRelu;
+  MlpConfig classifier;
+  classifier.input_dim = 12;
+  classifier.hidden_dims = {32};
+  classifier.output_dim = 1;
+  classifier.output_activation = Activation::kSigmoid;
+  for (const MlpConfig& config : {trunk, classifier}) {
+    Rng rng_a(31), rng_b(31), rng_data(37);
+    Mlp with_input_grad(config, &rng_a);
+    Mlp without(config, &rng_b);
+    with_input_grad.ZeroGrad();
+    without.ZeroGrad();
+    // Two batches accumulate, as between two ZeroGrad calls.
+    for (int batch = 0; batch < 2; ++batch) {
+      const Matrix input =
+          Matrix::RandomNormal(32, config.input_dim, 1.0f, &rng_data);
+      const Matrix grad_output =
+          Matrix::RandomNormal(32, config.output_dim, 1.0f, &rng_data);
+      with_input_grad.Forward(input);
+      const Matrix grad_input = with_input_grad.Backward(grad_output);
+      EXPECT_EQ(grad_input.rows(), 32);
+      EXPECT_EQ(grad_input.cols(), config.input_dim);
+      without.Forward(input);
+      without.BackwardParams(grad_output);
+    }
+    const std::vector<Matrix*> want = with_input_grad.Grads();
+    const std::vector<Matrix*> got = without.Grads();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(got[i]->SameShape(*want[i]));
+      EXPECT_EQ(std::memcmp(got[i]->data(), want[i]->data(),
+                            sizeof(float) * got[i]->size()),
+                0)
+          << "gradient " << i << ", input dim " << config.input_dim;
+    }
   }
 }
 
