@@ -14,10 +14,9 @@
 #             pafeat_analyze_{selftest,tree}; the dedicated step makes the
 #             analyzer's verdict a first-class row in the summary table)
 #   generic   The same release binaries re-tested under PAFEAT_SIMD=generic:
-#             the capability ladder's forced-downgrade contract (fp32 plane
-#             bit-identical at every compiled-in level) exercised with the
-#             portable kernels dispatched process-wide, not just through the
-#             per-level test entry points
+#             the capability ladder's forced-downgrade contract (every suite
+#             passes, and every golden holds, at every compiled-in level)
+#             exercised with the portable kernels dispatched process-wide
 #   asan      scripts/check.sh asan  (ASan + UBSan + checked assertions),
 #             with PAFEAT_CACHE_BUDGET=65536 so every reward cache that doesn't
 #             set an explicit budget runs under a binding ~64KB ceiling —
@@ -68,8 +67,9 @@ release_step() {
 # Re-runs the release tree's tests with the SIMD ladder clamped to the
 # portable kernels. No rebuild: the clamp is a process-wide env override, so
 # this leg proves the shipped binary — not a special build — passes with
-# generic dispatch (downgrade tests inside the suite still compare levels
-# pairwise; this leg catches anything that only goes through Impl()).
+# generic dispatch. No test compares two levels in one process, so this leg
+# is what checks generic dispatch process-wide; the pafeat_simd_generic ctest
+# leg covers only the matrix's suites.
 forced_generic_step() {
   PAFEAT_SIMD=generic ctest --test-dir build --output-on-failure -j "$(nproc)"
 }

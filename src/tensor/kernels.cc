@@ -53,19 +53,6 @@ void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
 }  // namespace avx2
 #endif
 
-#ifdef PAFEAT_HAVE_AVX512_TU
-// The AVX-512 level only widens the serving-plane cores (row-wise NT and
-// the first-layer gather). The blocked training kernels stay on the AVX2
-// instantiation: their cache-blocked shapes gain little from 512-bit lanes,
-// and reusing them keeps training bits identical between the two levels.
-namespace avx512 {
-void GemmNTRowwise(int m, int n, int p, const float* a, int lda,
-                   const float* b, int ldb, float* c, int ldc);
-void GemmGatherNN(int m, int n, const float* a, int lda, const int* cols,
-                  int ncols, const float* b, int ldb, float* c, int ldc);
-}  // namespace avx512
-#endif
-
 namespace {
 
 using GemmFn = void (*)(int, int, int, const float*, int, const float*, int,
@@ -84,12 +71,11 @@ struct Dispatch {
   // Row-wise NT core whose per-row bits are independent of m (the batched
   // inference plane's contract). The generic instantiation's NT dot core
   // already has that property (plain 1x1 tile, no cross-row state); the
-  // AVX2/AVX-512 TUs supply dedicated interleaved intrinsics cores because
-  // a portable interleave would let the compiler contract rows differently.
+  // AVX2 TU supplies a dedicated interleaved intrinsics core because a
+  // portable interleave would let the compiler contract rows differently.
   GemmFn nt_rowwise;
   GatherFn gather;
-  // The greedy scan's cut of nt_rowwise (kernels.h). The AVX-512 level keeps
-  // AVX2's pair, since its row-wise core replays AVX2's per-row operations.
+  // The greedy scan's cut of nt_rowwise (kernels.h).
   CarryInitFn carry_init;
   CarryFinishFn carry_finish;
   SimdCapability capability = SimdCapability::kGeneric;
@@ -99,16 +85,6 @@ struct Dispatch {
 SimdCapability ProbeBestCapability() {
 #ifdef PAFEAT_HAVE_AVX2_TU
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-#ifdef PAFEAT_HAVE_AVX512_TU
-    // F for 512-bit float math, DQ for the 256-bit broadcasts the row-pair
-    // packing uses. No core needs BW; it stays required so the set of CPUs
-    // that run this level is unchanged.
-    if (__builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512bw") &&
-        __builtin_cpu_supports("avx512dq")) {
-      return SimdCapability::kAvx512;
-    }
-#endif
     return SimdCapability::kAvx2;
   }
 #endif
@@ -128,13 +104,6 @@ Dispatch MakeDispatch(SimdCapability level) {
                         avx2::RowwiseCarryFinish, SimdCapability::kAvx2};
   }
 #endif
-#ifdef PAFEAT_HAVE_AVX512_TU
-  if (level >= SimdCapability::kAvx512) {
-    dispatch.nt_rowwise = avx512::GemmNTRowwise;
-    dispatch.gather = avx512::GemmGatherNN;
-    dispatch.capability = SimdCapability::kAvx512;
-  }
-#endif
   return dispatch;
 }
 
@@ -147,8 +116,7 @@ const Dispatch& Impl() {
       SimdCapability requested;
       if (!ParseSimdCapability(forced, &requested)) {
         PF_LOG(Warning) << "PAFEAT_SIMD=" << forced
-                        << " is not a capability name ("
-                        << "generic|avx2|avx512); keeping "
+                        << " is not a capability name (generic|avx2); keeping "
                         << SimdCapabilityName(level);
       } else if (requested < level) {
         level = requested;
@@ -442,8 +410,6 @@ bool SimdCapabilityAvailable(SimdCapability level) {
       return true;
     case SimdCapability::kAvx2:
       return ProbeBestCapability() >= SimdCapability::kAvx2;
-    case SimdCapability::kAvx512:
-      return ProbeBestCapability() >= SimdCapability::kAvx512;
   }
   return false;
 }
@@ -454,8 +420,6 @@ const char* SimdCapabilityName(SimdCapability level) {
       return "generic";
     case SimdCapability::kAvx2:
       return "avx2";
-    case SimdCapability::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }
@@ -463,61 +427,13 @@ const char* SimdCapabilityName(SimdCapability level) {
 bool ParseSimdCapability(const char* name, SimdCapability* level) {
   if (name == nullptr || level == nullptr) return false;
   for (SimdCapability candidate :
-       {SimdCapability::kGeneric, SimdCapability::kAvx2,
-        SimdCapability::kAvx512}) {
+       {SimdCapability::kGeneric, SimdCapability::kAvx2}) {
     if (std::strcmp(name, SimdCapabilityName(candidate)) == 0) {
       *level = candidate;
       return true;
     }
   }
   return false;
-}
-
-bool GemmNTRowwiseAt(SimdCapability level, int m, int n, int p,
-                     const float* a, int lda, const float* b, int ldb,
-                     float* c, int ldc) {
-  if (!SimdCapabilityAvailable(level)) return false;
-  switch (level) {
-    case SimdCapability::kGeneric:
-      // The generic dispatch routes row-wise calls to the .inl NT dot core.
-      generic::GemmNT(m, n, p, a, lda, b, ldb, c, ldc);
-      return true;
-#ifdef PAFEAT_HAVE_AVX2_TU
-    case SimdCapability::kAvx2:
-      avx2::GemmNTRowwise(m, n, p, a, lda, b, ldb, c, ldc);
-      return true;
-#endif
-#ifdef PAFEAT_HAVE_AVX512_TU
-    case SimdCapability::kAvx512:
-      avx512::GemmNTRowwise(m, n, p, a, lda, b, ldb, c, ldc);
-      return true;
-#endif
-    default:
-      return false;
-  }
-}
-
-bool GemmGatherNNAt(SimdCapability level, int m, int n, const float* a,
-                    int lda, const int* cols, int ncols, const float* b,
-                    int ldb, float* c, int ldc) {
-  if (!SimdCapabilityAvailable(level)) return false;
-  switch (level) {
-    case SimdCapability::kGeneric:
-      generic::GemmGatherNN(m, n, a, lda, cols, ncols, b, ldb, c, ldc);
-      return true;
-#ifdef PAFEAT_HAVE_AVX2_TU
-    case SimdCapability::kAvx2:
-      avx2::GemmGatherNN(m, n, a, lda, cols, ncols, b, ldb, c, ldc);
-      return true;
-#endif
-#ifdef PAFEAT_HAVE_AVX512_TU
-    case SimdCapability::kAvx512:
-      avx512::GemmGatherNN(m, n, a, lda, cols, ncols, b, ldb, c, ldc);
-      return true;
-#endif
-    default:
-      return false;
-  }
 }
 
 }  // namespace kernels

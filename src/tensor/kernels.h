@@ -23,9 +23,9 @@ namespace kernels {
 //    m >= 8 packs B^T a k block at a time into storage each executing
 //    thread reuses across calls and runs the NN core on each block, below
 //    that it runs the row-wise dot-product core (see GemmNTRowwise).
-//  * Several instantiations of the micro-kernels are compiled — portable,
-//    AVX2+FMA, and (for the serving-plane cores) AVX-512 — and dispatched
-//    once per process by CPUID, overridable downward via PAFEAT_SIMD.
+//  * Two instantiations of the micro-kernels are compiled — portable and
+//    AVX2+FMA — and dispatched once per process by CPUID, overridable
+//    downward via PAFEAT_SIMD.
 //  * Large products additionally split their output-row panels across the
 //    process-wide ThreadPool. Panels are disjoint, panel boundaries are
 //    multiples of the register tile, and every element keeps a fixed
@@ -45,11 +45,9 @@ void GemmNT(int m, int n, int p, const float* a, int lda, const float* b,
 // what GemmNT itself computes below its transpose threshold, making batched
 // Q queries bitwise equal to today's single-row queries by construction.
 // On AVX2 hosts the core interleaves four rows per pass (four independent
-// FMA chains sharing each streamed B row); the AVX-512 core widens that to
-// eight rows per pass while replaying the identical per-row operation
-// sequence, so the two x86 SIMD levels produce bit-identical results (see
-// DESIGN.md "SIMD capability ladder"). Large batches additionally split row
-// panels across the thread pool.
+// FMA chains sharing each streamed B row) without changing any row's
+// operations. Large batches additionally split row panels across the thread
+// pool.
 void GemmNTRowwise(int m, int n, int p, const float* a, int lda,
                    const float* b, int ldb, float* c, int ldc);
 
@@ -72,10 +70,10 @@ void GemmGatherNN(int m, int n, const float* a, int lda, const int* cols,
 // "Inference fast path"). GemmNTRowwise fixes every output element's
 // operations at every level: one kRowwiseLanes-lane accumulator that starts
 // at +0 and walks k in full blocks of kRowwiseLanes (a fused multiply-add
-// per lane on AVX2 and AVX-512, a separate multiply and add on the generic
-// level), then a scalar tail from 0, then the lane adds in order. The pair
-// below cuts that sequence at a block boundary, so a caller whose leading
-// columns change only in known ways can keep the lanes between products:
+// per lane on AVX2, a separate multiply and add on the generic level), then
+// a scalar tail from 0, then the lane adds in order. The pair below cuts
+// that sequence at a block boundary, so a caller whose leading columns
+// change only in known ways can keep the lanes between products:
 //
 //   RowwiseCarryInit:    lanes[j][t] = lane t of (row a . row j of B) after
 //                        the blocks [0, k_end)
@@ -84,8 +82,7 @@ void GemmGatherNN(int m, int n, const float* a, int lda, const int* cols,
 //
 // With k_begin == k_end (multiples of kRowwiseLanes, at most p), Init then
 // Finish adds to each c[j] exactly the bits a one-row GemmNTRowwise adds.
-// `lanes` is n x kRowwiseLanes. AVX-512 dispatches AVX2's pair: its
-// row-wise core replays AVX2's per-row operations.
+// `lanes` is n x kRowwiseLanes.
 inline constexpr int kRowwiseLanes = 8;
 void RowwiseCarryInit(int n, int k_end, const float* a, const float* b,
                       int ldb, float* lanes);
@@ -126,14 +123,13 @@ void ReluGrad(int n, const float* activated, float* grad);
 // The SIMD capability ladder (DESIGN.md "SIMD capability ladder"). Exactly
 // one level is active per process: the highest one that is both compiled in
 // and supported by the CPU, clamped down by the PAFEAT_SIMD environment
-// variable ("generic", "avx2", "avx512") when set. The override can only
-// lower the level — requesting an unavailable level runs the best available
-// one — which is what lets the forced-downgrade test matrix run the same
-// binary at every level the host supports.
+// variable ("generic", "avx2") when set. The override can only lower the
+// level — requesting an unavailable level runs the best available one —
+// which is what lets the forced-downgrade test matrix run the same binary at
+// every level the host supports.
 enum class SimdCapability : int {
   kGeneric = 0,
   kAvx2 = 1,
-  kAvx512 = 2,
 };
 
 // The level every dispatched kernel above runs at (probed once per process).
@@ -143,25 +139,13 @@ SimdCapability ActiveSimdCapability();
 // always available). Independent of the PAFEAT_SIMD clamp.
 bool SimdCapabilityAvailable(SimdCapability level);
 
-// Stable lower-case name ("generic", "avx2", "avx512") — the tokens
-// PAFEAT_SIMD accepts and the bench/JSON tag.
+// Stable lower-case name ("generic", "avx2") — the tokens PAFEAT_SIMD
+// accepts and the bench/JSON tag.
 const char* SimdCapabilityName(SimdCapability level);
 
 // Parses a SimdCapabilityName token; returns false (and leaves *level
 // untouched) on anything else.
 bool ParseSimdCapability(const char* name, SimdCapability* level);
-
-// Test-only direct entry points: run one capability level's single-threaded
-// core, bypassing dispatch and the thread-pool row split. Return false
-// without touching C when the level is unavailable on this host. These exist
-// so one process can compare levels bitwise (tests/simd_dispatch_test.cc);
-// production code always goes through the dispatched kernels above.
-bool GemmNTRowwiseAt(SimdCapability level, int m, int n, int p,
-                     const float* a, int lda, const float* b, int ldb,
-                     float* c, int ldc);
-bool GemmGatherNNAt(SimdCapability level, int m, int n, const float* a,
-                    int lda, const int* cols, int ncols, const float* b,
-                    int ldb, float* c, int ldc);
 
 }  // namespace kernels
 }  // namespace pafeat

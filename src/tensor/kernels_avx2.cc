@@ -138,8 +138,7 @@ void GemmNTRowwise(int m, int n, int p, const float* a, int lda,
   }
 }
 
-// The carry pair (kernels.h) cuts DotRow at a block boundary; the AVX-512
-// level dispatches it too.
+// The carry pair (kernels.h) cuts DotRow at a block boundary.
 void RowwiseCarryInit(int n, int k_end, const float* a, const float* b,
                       int ldb, float* lanes) {
   for (int j = 0; j < n; ++j) {

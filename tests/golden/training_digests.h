@@ -3,8 +3,8 @@
 
 // Frozen training digests for TrainingGoldenTest (its TrainingDigest and
 // RunBoundedTraining define the recipes; Fnv1a64 below is the hash). One
-// value per SIMD group: generic, and avx2 shared with avx512, whose fp32
-// kernels replay avx2's operation sequence bit for bit. The values hold for
+// value per SIMD level: generic, and avx2 for every x86-64 host with AVX2
+// and FMA, the widest level the library dispatches. The values hold for
 // the portable build flags (Release -O2 with the per-TU kernel flags of
 // src/CMakeLists.txt, Debug, and the sanitizer and checked builds); a build
 // that retunes the whole library for one CPU is outside the contract.
@@ -19,8 +19,10 @@
 // recorded at commit 696a6b9 with num_shards = 1 at 1 and 8 threads; there
 // the SITP digest differed at 4 shards, where each shard drew its own
 // exploration nomination; Feat hands every scheduler that single-shard
-// stream, Rng(seed).Fork(iteration, 0). A deliberate re-record copies the
-// "computed" value the failing test prints.
+// stream, Rng(seed).Fork(iteration, 0). The avx2 values hold on every
+// x86-64 host with AVX2 and FMA; none changed when the wider level that
+// shared them was deleted. A deliberate re-record copies the "computed"
+// value the failing test prints.
 
 #include <cstddef>
 #include <cstdint>
@@ -37,7 +39,7 @@ namespace golden {
 
 struct TrainingGolden {
   uint64_t generic;
-  uint64_t avx2;  // also avx512
+  uint64_t avx2;  // x86-64 hosts with AVX2 and FMA
 };
 
 // Plain FEAT: SmallDataset, DefaultFeatOptions(50, 23), 4 envs, mfr 0.5.
@@ -93,10 +95,9 @@ class Fnv1a64 {
   uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-// The frozen value for the active SIMD level: generic has its own, and the
-// avx512 fp32 kernels replay avx2's operation sequence, so they share one.
+// The frozen value for the active SIMD level.
 inline uint64_t ExpectedDigest(const TrainingGolden& golden) {
-  return kernels::ActiveSimdCapability() >= kernels::SimdCapability::kAvx2
+  return kernels::ActiveSimdCapability() == kernels::SimdCapability::kAvx2
              ? golden.avx2
              : golden.generic;
 }

@@ -1,7 +1,10 @@
 #include "tensor/kernels.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
-#include <tuple>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,20 +22,9 @@ std::vector<float> RandomVec(size_t size, Rng* rng) {
   return v;
 }
 
-std::vector<SimdCapability> AvailableLevels() {
-  std::vector<SimdCapability> levels;
-  for (SimdCapability level :
-       {SimdCapability::kGeneric, SimdCapability::kAvx2,
-        SimdCapability::kAvx512}) {
-    if (kernels::SimdCapabilityAvailable(level)) levels.push_back(level);
-  }
-  return levels;
-}
-
 TEST(SimdDispatchTest, NameAndParseRoundTrip) {
   for (SimdCapability level :
-       {SimdCapability::kGeneric, SimdCapability::kAvx2,
-        SimdCapability::kAvx512}) {
+       {SimdCapability::kGeneric, SimdCapability::kAvx2}) {
     SimdCapability parsed = static_cast<SimdCapability>(-1);
     ASSERT_TRUE(kernels::ParseSimdCapability(kernels::SimdCapabilityName(level),
                                              &parsed));
@@ -49,117 +41,77 @@ TEST(SimdDispatchTest, GenericAlwaysAvailable) {
   EXPECT_TRUE(kernels::SimdCapabilityAvailable(SimdCapability::kGeneric));
 }
 
-// The active level is the probed best clamped down by PAFEAT_SIMD. Under the
-// forced-downgrade ctest matrix this test runs once per level: when the
-// variable names an available level the clamp must land exactly there; when
-// it names a level above the host's best, the clamp is a no-op.
+// The active level is the best level the CPU reports, clamped down by
+// PAFEAT_SIMD. The best level is asked of the CPU here, not through the
+// library's probe, so a probe that fell back to generic on an AVX2 host fails
+// this test (every other test would pass, since each golden is picked by the
+// active level). Under the forced-downgrade ctest matrix this runs once per
+// level: a clamp to an available level lands exactly there, a clamp above the
+// best and a value that names no level keep the best.
 TEST(SimdDispatchTest, ActiveLevelHonorsEnvironmentClamp) {
-  const SimdCapability active = kernels::ActiveSimdCapability();
-  ASSERT_TRUE(kernels::SimdCapabilityAvailable(active));
-  const char* requested = std::getenv("PAFEAT_SIMD");
-  if (requested == nullptr) GTEST_SKIP() << "PAFEAT_SIMD not set";
-  SimdCapability want = SimdCapability::kGeneric;
-  ASSERT_TRUE(kernels::ParseSimdCapability(requested, &want))
-      << "matrix passed unparseable PAFEAT_SIMD=" << requested;
-  if (kernels::SimdCapabilityAvailable(want)) {
-    EXPECT_EQ(active, want) << "clamp to an available level must be exact";
-  } else {
-    EXPECT_LT(static_cast<int>(active), static_cast<int>(want))
-        << "requesting an unavailable level keeps the best available one";
+#if defined(__x86_64__) || defined(_M_X64)
+  const SimdCapability best =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")
+          ? SimdCapability::kAvx2
+          : SimdCapability::kGeneric;
+#else
+  const SimdCapability best = SimdCapability::kGeneric;
+#endif
+  EXPECT_EQ(kernels::SimdCapabilityAvailable(SimdCapability::kAvx2),
+            best == SimdCapability::kAvx2);
+  SimdCapability want = best;
+  SimdCapability requested = best;
+  const char* forced = std::getenv("PAFEAT_SIMD");
+  if (forced != nullptr && kernels::ParseSimdCapability(forced, &requested)) {
+    want = std::min(best, requested);
   }
+  EXPECT_EQ(kernels::SimdCapabilityName(kernels::ActiveSimdCapability()),
+            std::string(kernels::SimdCapabilityName(want)))
+      << "PAFEAT_SIMD=" << (forced == nullptr ? "(unset)" : forced);
 }
 
-// The AVX-512 rowwise core packs two rows' 8-lane accumulators per register
-// but replays the AVX2 per-row operation sequence exactly (same FMA lane
-// math, same scalar tail, same in-order lane reduction), so the two levels
-// must agree bit for bit on every shape — including ragged tails that
-// exercise the 8-row, 4-row and single-row paths.
-TEST(SimdDispatchTest, RowwiseAvx2AndAvx512AreBitIdentical) {
-  if (!kernels::SimdCapabilityAvailable(SimdCapability::kAvx512)) {
-    GTEST_SKIP() << "host has no AVX-512";
-  }
-  for (const auto& [m, n, p] :
-       std::vector<std::tuple<int, int, int>>{{1, 1, 1},
-                                              {3, 5, 17},
-                                              {8, 2, 64},
-                                              {9, 7, 33},
-                                              {16, 4, 147},
-                                              {21, 2, 2043}}) {
-    Rng rng(401 + m * 131 + n * 17 + p);
-    const std::vector<float> a = RandomVec(static_cast<size_t>(m) * p, &rng);
-    const std::vector<float> b = RandomVec(static_cast<size_t>(n) * p, &rng);
-    std::vector<float> c2(static_cast<size_t>(m) * n, 0.5f);
-    std::vector<float> c5 = c2;
-    ASSERT_TRUE(kernels::GemmNTRowwiseAt(SimdCapability::kAvx2, m, n, p,
-                                         a.data(), p, b.data(), p, c2.data(),
-                                         n));
-    ASSERT_TRUE(kernels::GemmNTRowwiseAt(SimdCapability::kAvx512, m, n, p,
-                                         a.data(), p, b.data(), p, c5.data(),
-                                         n));
-    for (size_t i = 0; i < c2.size(); ++i) {
-      ASSERT_EQ(c2[i], c5[i]) << "shape (" << m << "," << n << "," << p
-                              << ") element " << i;
-    }
-  }
-}
-
-// Every available level's rowwise core must match the dispatched GemmNT on
-// sub-transpose-threshold shapes (the single-row contract), up to the level's
-// own rounding — for the active level the match is bitwise by construction.
-TEST(SimdDispatchTest, RowwiseAtActiveLevelMatchesDispatchedKernel) {
-  const SimdCapability active = kernels::ActiveSimdCapability();
-  const int m = 6, n = 3, p = 93;  // below the m >= 8 transpose threshold
-  Rng rng(77);
-  const std::vector<float> a = RandomVec(static_cast<size_t>(m) * p, &rng);
-  const std::vector<float> b = RandomVec(static_cast<size_t>(n) * p, &rng);
-  std::vector<float> want(static_cast<size_t>(m) * n, 0.0f);
-  kernels::GemmNT(m, n, p, a.data(), p, b.data(), p, want.data(), n);
-  std::vector<float> got(static_cast<size_t>(m) * n, 0.0f);
-  ASSERT_TRUE(kernels::GemmNTRowwiseAt(active, m, n, p, a.data(), p, b.data(),
-                                       p, got.data(), n));
-  for (size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], want[i]);
-}
-
-// Gather keeps a per-level contract: one rounded accumulate per column entry
-// in list order. Levels agree with a double-precision reference to float
-// tolerance, and each level is self-consistent with the zero-masked full
-// product (covered in masked_inference_test at the active level).
+// The gather's bit contract at the active level, through dispatch: every
+// element of C takes one rounded accumulate per list entry, in list order,
+// starting from its old value. At avx2 the accumulate is a fused
+// multiply-add; at generic it is a separate multiply and add (the x86-64
+// test TU has no FMA to contract them into). The shapes cover the 4-row tile
+// and its remainder rows, widths on and off the vector width, an empty list,
+// and pool row splits at the largest products.
 TEST(SimdDispatchTest, GatherAtEachLevelMatchesReference) {
-  const int m = 5, n = 19, width = 40;
-  const std::vector<int> cols = {0, 3, 4, 9, 17, 31, 39};
-  const int ncols = static_cast<int>(cols.size());
-  Rng rng(1234);
-  const std::vector<float> a = RandomVec(static_cast<size_t>(m) * width, &rng);
-  const std::vector<float> b =
-      RandomVec(static_cast<size_t>(width) * n, &rng);
-  std::vector<double> ref(static_cast<size_t>(m) * n, 0.0);
-  for (int i = 0; i < m; ++i) {
-    for (const int k : cols) {
-      for (int j = 0; j < n; ++j) {
-        ref[i * n + j] += static_cast<double>(a[i * width + k]) * b[k * n + j];
+  const bool fused = kernels::ActiveSimdCapability() == SimdCapability::kAvx2;
+  const int features = 1020;
+  for (const int m : {1, 3, 4, 128, 130}) {
+    for (const int n : {19, 32, 33, 64}) {
+      for (const int ncols : {0, 1, 7, 64, 510}) {
+        Rng rng(9001 + m * 7919 + n * 131 + ncols);
+        const std::vector<float> a =
+            RandomVec(static_cast<size_t>(m) * features, &rng);
+        const std::vector<float> b =
+            RandomVec(static_cast<size_t>(features) * n, &rng);
+        std::vector<int> cols = rng.SampleWithoutReplacement(features, ncols);
+        std::sort(cols.begin(), cols.end());
+        std::vector<float> c = RandomVec(static_cast<size_t>(m) * n, &rng);
+        std::vector<float> want = c;
+        for (int i = 0; i < m; ++i) {
+          for (int j = 0; j < n; ++j) {
+            float acc = want[static_cast<size_t>(i) * n + j];
+            for (const int k : cols) {
+              const float x = a[static_cast<size_t>(i) * features + k];
+              const float y = b[static_cast<size_t>(k) * n + j];
+              acc = fused ? std::fma(x, y, acc) : acc + x * y;
+            }
+            want[static_cast<size_t>(i) * n + j] = acc;
+          }
+        }
+        kernels::GemmGatherNN(m, n, a.data(), features, cols.data(), ncols,
+                              b.data(), n, c.data(), n);
+        ASSERT_EQ(std::memcmp(c.data(), want.data(), c.size() * sizeof(float)),
+                  0)
+            << kernels::SimdCapabilityName(kernels::ActiveSimdCapability())
+            << " rows " << m << " width " << n << " columns " << ncols;
       }
     }
   }
-  for (SimdCapability level : AvailableLevels()) {
-    std::vector<float> c(static_cast<size_t>(m) * n, 0.0f);
-    ASSERT_TRUE(kernels::GemmGatherNNAt(level, m, n, a.data(), width,
-                                        cols.data(), ncols, b.data(), n,
-                                        c.data(), n));
-    for (size_t i = 0; i < c.size(); ++i) {
-      ASSERT_NEAR(c[i], ref[i], 1e-4)
-          << kernels::SimdCapabilityName(level) << " element " << i;
-    }
-  }
-}
-
-TEST(SimdDispatchTest, UnavailableLevelLeavesOutputUntouched) {
-  float c = 3.25f;
-  const float a = 1.0f, b = 2.0f;
-  if (!kernels::SimdCapabilityAvailable(SimdCapability::kAvx512)) {
-    EXPECT_FALSE(kernels::GemmNTRowwiseAt(SimdCapability::kAvx512, 1, 1, 1, &a,
-                                          1, &b, 1, &c, 1));
-  }
-  EXPECT_EQ(c, 3.25f);
 }
 
 }  // namespace

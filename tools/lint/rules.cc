@@ -67,8 +67,8 @@ bool RawThreadAllowed(const std::string& path) {
 bool RawAllocAllowed(const std::string& path) {
   return Contains(path, "src/tensor/") || Contains(path, "src/nn/workspace.");
 }
-// Per-capability kernel TUs (kernels_generic.cc / kernels_avx2.cc /
-// kernels_avx512.cc and the shared kernels_impl.inl) own all intrinsics.
+// Per-capability kernel TUs (kernels_generic.cc / kernels_avx2.cc and the
+// shared kernels_impl.inl) own all intrinsics.
 bool IntrinsicsAllowed(const std::string& path) {
   return Contains(path, "src/tensor/kernels_");
 }
