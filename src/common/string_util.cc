@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -57,18 +58,24 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
 }
 
 bool ParseInt(std::string_view text, int* out) {
-  std::string owned = Trim(text);
-  if (owned.empty()) return false;
-  char* end = nullptr;
-  // strtoll saturates past the long long range, so anything it returns
-  // outside int range is out of range here.
-  const long long value = std::strtoll(owned.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' ||
-      value < std::numeric_limits<int>::min() ||
+  long long value = 0;
+  if (!ParseLongLong(text, &value) || value < std::numeric_limits<int>::min() ||
       value > std::numeric_limits<int>::max()) {
     return false;
   }
   *out = static_cast<int>(value);
+  return true;
+}
+
+bool ParseLongLong(std::string_view text, long long* out) {
+  std::string owned = Trim(text);
+  if (owned.empty()) return false;
+  char* end = nullptr;
+  // strtoll saturates past the long long range and reports it in errno.
+  errno = 0;
+  const long long value = std::strtoll(owned.c_str(), &end, 10);
+  if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
+  *out = value;
   return true;
 }
 

@@ -23,10 +23,13 @@ std::string FormatDouble(double value, int digits);
 bool StartsWith(std::string_view text, std::string_view prefix);
 
 // Parses helpers returning false on malformed input instead of throwing.
-// ParseInt rejects values outside int range rather than wrapping them;
-// ParseDouble rejects non-finite values ("nan", "inf", overflow such as
-// "1e400"); ParseFloat also rejects finite values beyond float range.
+// ParseInt and ParseLongLong take a whole decimal integer with optional
+// surrounding whitespace and reject values outside their type's range
+// rather than wrapping or saturating them; ParseDouble rejects non-finite
+// values ("nan", "inf", overflow such as "1e400"); ParseFloat also rejects
+// finite values beyond float range.
 bool ParseInt(std::string_view text, int* out);
+bool ParseLongLong(std::string_view text, long long* out);
 bool ParseDouble(std::string_view text, double* out);
 bool ParseFloat(std::string_view text, float* out);
 

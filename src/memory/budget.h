@@ -14,9 +14,11 @@ namespace pafeat {
 //
 // A configured value > 0 is a byte count; exactly 0 is an explicit
 // "unlimited" that stops the chain; any negative value means "resolve the
-// default chain". The resolved value is std::size_t bytes with 0 meaning
-// unlimited. (The replay buffer's budget is plain bytes: FeatConfig::
-// replay_budget_bytes.)
+// default chain". The variable must hold a whole decimal byte count (0 is
+// unlimited); any other value resolves as if it were unset, and the first
+// such resolution in a process logs a warning. The resolved value is
+// std::size_t bytes with 0 meaning unlimited. (The replay buffer's budget is
+// plain bytes: FeatConfig::replay_budget_bytes.)
 inline constexpr long long kMemoryBudgetDefault = -1;
 inline constexpr long long kMemoryBudgetUnlimited = 0;
 

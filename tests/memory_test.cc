@@ -5,7 +5,9 @@
 // bit-identical at any thread count.
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -17,6 +19,7 @@
 #include "core/feat.h"
 #include "data/synthetic.h"
 #include "golden/training_digests.h"
+#include "memory/budget.h"
 #include "memory/reward_cache.h"
 #include "rl/replay_buffer.h"
 
@@ -44,6 +47,56 @@ double MustClaimAndPublish(TieredRewardCache* cache, const PackedMask& key,
             TieredRewardCache::Probe::kClaimed);
   cache->Publish(key, value);
   return value;
+}
+
+constexpr char kCacheBudgetVariable[] = "PAFEAT_CACHE_BUDGET";
+
+// Restores PAFEAT_CACHE_BUDGET when a test ends: the asan CI leg runs the
+// whole suite with it set to 65536.
+class CacheBudgetVariableGuard {
+ public:
+  CacheBudgetVariableGuard() {
+    if (const char* value = std::getenv(kCacheBudgetVariable)) saved_ = value;
+  }
+  ~CacheBudgetVariableGuard() {
+    if (saved_) {
+      setenv(kCacheBudgetVariable, saved_->c_str(), 1);
+    } else {
+      unsetenv(kCacheBudgetVariable);
+    }
+  }
+  CacheBudgetVariableGuard(const CacheBudgetVariableGuard&) = delete;
+  CacheBudgetVariableGuard& operator=(const CacheBudgetVariableGuard&) =
+      delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+TEST(MemoryBudgetTest, ConfiguredValueWinsOverTheVariable) {
+  CacheBudgetVariableGuard guard;
+  setenv(kCacheBudgetVariable, "65536", 1);
+  EXPECT_EQ(ResolveCacheBudgetBytes(4096), 4096u);
+  EXPECT_EQ(ResolveCacheBudgetBytes(kMemoryBudgetUnlimited), 0u);
+  EXPECT_EQ(ResolveCacheBudgetBytes(kMemoryBudgetDefault), 65536u);
+}
+
+// The variable takes a whole decimal byte count; anything else resolves as
+// if it were unset (unlimited), never as a number read off its front.
+TEST(MemoryBudgetTest, VariableTakesOnlyAWholeDecimalByteCount) {
+  CacheBudgetVariableGuard guard;
+  unsetenv(kCacheBudgetVariable);
+  EXPECT_EQ(ResolveCacheBudgetBytes(kMemoryBudgetDefault), 0u);
+  const std::vector<std::pair<const char*, std::size_t>> cases = {
+      {"", 0},       {"65536", 65536}, {" 4096 ", 4096},
+      {"0", 0},      {"64KB", 0},      {"1e6", 0},
+      {"0x100", 0},  {"-5", 0},        {"abc", 0},
+      {"99999999999999999999", 0}};
+  for (const auto& [value, bytes] : cases) {
+    setenv(kCacheBudgetVariable, value, 1);
+    EXPECT_EQ(ResolveCacheBudgetBytes(kMemoryBudgetDefault), bytes)
+        << kCacheBudgetVariable << "=\"" << value << '"';
+  }
 }
 
 TEST(TieredRewardCacheTest, HitMissAndWindowedTraffic) {

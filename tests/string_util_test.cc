@@ -1,5 +1,7 @@
 #include "common/string_util.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace pafeat {
@@ -83,6 +85,22 @@ TEST(ParseIntTest, ValidAndInvalid) {
     EXPECT_FALSE(ParseInt(text, &value)) << text;
   }
   EXPECT_EQ(value, -2147483647 - 1);  // untouched on failure
+}
+
+TEST(ParseLongLongTest, ValidAndInvalid) {
+  long long value = 0;
+  EXPECT_TRUE(ParseLongLong(" 4294967296 ", &value));
+  EXPECT_EQ(value, 4294967296LL);
+  EXPECT_TRUE(ParseLongLong("-9223372036854775808", &value));
+  EXPECT_EQ(value, std::numeric_limits<long long>::min());
+  EXPECT_TRUE(ParseLongLong("9223372036854775807", &value));
+  EXPECT_EQ(value, std::numeric_limits<long long>::max());
+  for (const char* text : {"", "64KB", "1e6", "0x100", "3.5",
+                           "9223372036854775808", "-9223372036854775809",
+                           "99999999999999999999"}) {
+    EXPECT_FALSE(ParseLongLong(text, &value)) << text;
+  }
+  EXPECT_EQ(value, std::numeric_limits<long long>::max());  // untouched
 }
 
 TEST(ParseDoubleTest, ValidAndInvalid) {
