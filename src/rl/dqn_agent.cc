@@ -108,32 +108,51 @@ bool DqnAgent::ImportTrainingState(const AgentTrainingState& state) {
   return true;
 }
 
+void LearnerBatch::Resize(int rows, int obs_dim) {
+  if (observations.rows() != rows || observations.cols() != obs_dim) {
+    observations = Matrix(rows, obs_dim);
+    next_observations = Matrix(rows, obs_dim);
+  }
+  actions.resize(rows);
+  rewards.resize(rows);
+  done.resize(rows);
+  task_ids.resize(rows);
+}
+
 double DqnAgent::TrainBatch(const std::vector<BatchItem>& batch) {
   PF_CHECK(!batch.empty());
   const int batch_size = static_cast<int>(batch.size());
   const int obs_dim = static_cast<int>(batch[0].observation.size());
-  const int num_actions = config_.net.num_actions;
-
-  // The batch matrices persist across calls: every row is overwritten
-  // below, so only a new shape allocates.
-  if (observations_.rows() != batch_size || observations_.cols() != obs_dim) {
-    observations_ = Matrix(batch_size, obs_dim);
-    next_observations_ = Matrix(batch_size, obs_dim);
-  }
+  batch_.Resize(batch_size, obs_dim);
   for (int i = 0; i < batch_size; ++i) {
     PF_CHECK_EQ(static_cast<int>(batch[i].observation.size()), obs_dim);
     PF_CHECK_EQ(static_cast<int>(batch[i].next_observation.size()), obs_dim);
     std::copy(batch[i].observation.begin(), batch[i].observation.end(),
-              observations_.Row(i));
+              batch_.observations.Row(i));
     std::copy(batch[i].next_observation.begin(),
-              batch[i].next_observation.end(), next_observations_.Row(i));
+              batch[i].next_observation.end(), batch_.next_observations.Row(i));
+    batch_.actions[i] = batch[i].action;
+    batch_.rewards[i] = batch[i].reward;
+    batch_.done[i] = batch[i].done ? 1 : 0;
+    batch_.task_ids[i] = batch[i].task_id;
   }
+  return TrainBatch(batch_);
+}
+
+double DqnAgent::TrainBatch(const LearnerBatch& batch) {
+  const int batch_size = batch.rows();
+  PF_CHECK_GT(batch_size, 0);
+  PF_CHECK_EQ(batch.next_observations.rows(), batch_size);
+  PF_CHECK_EQ(static_cast<int>(batch.actions.size()), batch_size);
+  const int num_actions = config_.net.num_actions;
 
   // TD targets from the frozen target network (Eqn 1b); with double_dqn the
   // action is chosen by the online network and only evaluated by the target.
-  const Matrix next_q = target_->Predict(next_observations_);
+  const Matrix next_q = target_->Predict(batch.next_observations);
   Matrix online_next_q;
-  if (config_.double_dqn) online_next_q = online_->Predict(next_observations_);
+  if (config_.double_dqn) {
+    online_next_q = online_->Predict(batch.next_observations);
+  }
   std::vector<double> targets(batch_size);
   for (int i = 0; i < batch_size; ++i) {
     double max_next;
@@ -152,11 +171,11 @@ double DqnAgent::TrainBatch(const std::vector<BatchItem>& batch) {
     if (config_.use_popart) {
       // The target network predicts normalized values; denormalize with the
       // task's statistics before bootstrapping.
-      const auto [mean, stddev] = PopArtStats(batch[i].task_id);
+      const auto [mean, stddev] = PopArtStats(batch.task_ids[i]);
       max_next = max_next * stddev + mean;
     }
-    targets[i] = batch[i].reward +
-                 (batch[i].done ? 0.0 : config_.gamma * max_next);
+    targets[i] = batch.rewards[i] +
+                 (batch.done[i] != 0 ? 0.0 : config_.gamma * max_next);
   }
 
   if (config_.use_popart) {
@@ -164,7 +183,7 @@ double DqnAgent::TrainBatch(const std::vector<BatchItem>& batch) {
     // normalize the regression targets (simplified PopArt: statistics
     // adaptation without the output-preserving weight correction).
     for (int i = 0; i < batch_size; ++i) {
-      const int task = batch[i].task_id;
+      const int task = batch.task_ids[i];
       EnsurePopArtSize(task);
       if (!popart_init_[task]) {
         popart_mean_[task] = targets[i];
@@ -179,18 +198,18 @@ double DqnAgent::TrainBatch(const std::vector<BatchItem>& batch) {
       }
     }
     for (int i = 0; i < batch_size; ++i) {
-      const auto [mean, stddev] = PopArtStats(batch[i].task_id);
+      const auto [mean, stddev] = PopArtStats(batch.task_ids[i]);
       targets[i] = (targets[i] - mean) / stddev;
     }
   }
 
   // Forward + squared-error loss on the taken actions (Eqn 1a).
-  const Matrix q = online_->Forward(observations_);
+  const Matrix q = online_->Forward(batch.observations);
   Matrix grad(batch_size, num_actions);
   double loss = 0.0;
   const float inv_batch = 1.0f / batch_size;
   for (int i = 0; i < batch_size; ++i) {
-    const int action = batch[i].action;
+    const int action = batch.actions[i];
     PF_CHECK_GE(action, 0);
     PF_CHECK_LT(action, num_actions);
     const double error = q.At(i, action) - targets[i];

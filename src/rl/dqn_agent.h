@@ -33,6 +33,23 @@ struct DqnConfig {
   float popart_beta = 0.02f;  // EMA rate of the target statistics
 };
 
+// A training batch in the learner's layout: row i of the two matrices is
+// sample i's observation and next observation (observation_dim floats
+// each), beside its action, stored reward, done flag and task. Callers keep
+// one and refill it before every gradient step; Resize allocates only when
+// the shape changes.
+struct LearnerBatch {
+  Matrix observations;
+  Matrix next_observations;
+  std::vector<int> actions;
+  std::vector<float> rewards;
+  std::vector<uint8_t> done;
+  std::vector<int> task_ids;  // PopArt's per-task normalizers
+
+  int rows() const { return observations.rows(); }
+  void Resize(int rows, int obs_dim);
+};
+
 // Dueling Deep Q-Network agent (paper Eqns 1a-1c): an online DuelingNet
 // trained by TD regression against a periodically-synchronized target
 // network, with epsilon-greedy behaviour. This is the "global agent" of
@@ -58,6 +75,9 @@ class DqnAgent {
                         float* q_out) const;
 
   // One gradient step on a batch; returns the TD loss (Eqn 1a).
+  double TrainBatch(const LearnerBatch& batch);
+  // The same step on per-sample vectors, packed into the agent's own
+  // LearnerBatch first.
   double TrainBatch(const std::vector<BatchItem>& batch);
 
   float CurrentEpsilon() const;
@@ -102,9 +122,8 @@ class DqnAgent {
   std::vector<double> popart_sq_;
   std::vector<bool> popart_init_;
 
-  // TrainBatch's dense (batch x obs_dim) inputs, kept between calls.
-  Matrix observations_;
-  Matrix next_observations_;
+  // The BatchItem overload's packed batch, kept between calls.
+  LearnerBatch batch_;
 };
 
 }  // namespace pafeat

@@ -13,8 +13,9 @@
 namespace pafeat {
 
 // Bounded FIFO replay buffer of whole trajectories (Algorithm 1 keeps one
-// buffer B^k per seen task), sampled uniformly over stored transitions.
-// Each trajectory is stored with a priority and a byte charge; under a byte
+// buffer B^k per seen task), sampled uniformly over stored transitions (a
+// trajectory's steps). Each trajectory is stored as its start state and its
+// decisions (Trajectory), with a priority and a byte charge; under a byte
 // budget (DESIGN.md "Bounded memory plane") the lowest-(priority, insertion
 // order) trajectories are evicted first. The ITS reads the most recent
 // trajectories (Eqn 4a's load module).
@@ -23,12 +24,12 @@ namespace pafeat {
 // pointers into the stored trajectories, and both mutation entry points —
 // AddTrajectory (FIFO capacity eviction) and EvictToBudget (priority-ordered
 // byte-budget eviction) — can destroy trajectories those pointers live in.
-// Callers that hold sampled pointers across statements (e.g. the learner's
-// sample-then-materialize split) register the borrow with a ReadGuard; the
-// mutation entry points assert (in checked builds) that no borrow is
-// outstanding, and pafeat-analyze enforces the same contract statically
-// (borrow-across-mutation). The flag is plain state: guards must be created
-// and destroyed on the thread that owns the buffer.
+// Callers that hold sampled pointers across statements (e.g. the learner,
+// which samples every update before filling any batch) register the borrow
+// with a ReadGuard; the mutation entry points assert (in checked builds)
+// that no borrow is outstanding, and pafeat-analyze enforces the same
+// contract statically (borrow-across-mutation). The flag is plain state:
+// guards must be created and destroyed on the thread that owns the buffer.
 class ReplayBuffer {
  public:
   // `byte_budget` = 0 is unbounded.
@@ -77,9 +78,10 @@ class ReplayBuffer {
   // like AddTrajectory.
   void EvictToBudget();
 
-  // Samples `count` transitions uniformly (with replacement). The pointers
-  // are only stable until the next mutation — see the borrow contract.
-  std::vector<const Transition*> SampleTransitions(int count, Rng* rng) const;
+  // Samples `count` transitions uniformly (with replacement), each as a
+  // (trajectory, step) handle. The handles are only stable until the next
+  // mutation — see the borrow contract.
+  std::vector<StepRef> SampleTransitions(int count, Rng* rng) const;
 
   // The most recent `count` trajectories, newest last (fewer if not enough).
   // Same borrow contract as SampleTransitions.
@@ -99,8 +101,10 @@ class ReplayBuffer {
   int num_transitions() const { return num_transitions_; }
   int num_trajectories() const { return static_cast<int>(records_.size()); }
   bool empty() const { return num_transitions_ == 0; }
-  // Resident bytes: a fixed per-trajectory charge plus, per transition, the
-  // Transition and both state masks.
+  // Charged bytes, the quantity the byte budget bounds: per trajectory
+  // 56 B, plus 80 + 2m B per transition. A fixed formula (the size of the
+  // two-mask record the buffer once held), not a measurement; it is an
+  // upper bound on the bytes the stored trajectories hold.
   std::size_t bytes() const { return bytes_; }
   // Running total of trajectories evicted (FIFO capacity + byte budget).
   long long evictions() const { return evictions_; }

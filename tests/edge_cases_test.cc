@@ -33,7 +33,7 @@ TEST(EdgeCaseTest, FeatWithAbsoluteRewardsTrains) {
   // Absolute rewards live in [0, 1].
   for (const Trajectory* trajectory :
        feat.task_runtime(0).buffer->RecentTrajectories(5)) {
-    for (const Transition& t : trajectory->transitions) {
+    for (const StoredStep& t : trajectory->steps) {
       EXPECT_GE(t.reward, 0.0f);
       EXPECT_LE(t.reward, 1.0f);
     }

@@ -128,7 +128,7 @@ TEST_F(FeatTest, RewardShaperOnlyAffectsStoredRewards) {
   for (int slot = 0; slot < feat.num_tasks(); ++slot) {
     for (const Trajectory* trajectory :
          feat.task_runtime(slot).buffer->RecentTrajectories(10)) {
-      for (const Transition& t : trajectory->transitions) {
+      for (const StoredStep& t : trajectory->steps) {
         EXPECT_FLOAT_EQ(t.reward, 0.0f);
       }
       EXPECT_GT(trajectory->episode_return, 0.0);  // true performance intact
@@ -192,8 +192,8 @@ TEST_F(FeatTest, CustomizedInitialStatesAreUsed) {
   for (int slot = 0; slot < feat.num_tasks(); ++slot) {
     for (const Trajectory* trajectory :
          feat.task_runtime(slot).buffer->RecentTrajectories(10)) {
-      EXPECT_LE(trajectory->transitions.size(), 5u);
-      EXPECT_EQ(trajectory->transitions.front().state.position, 5);
+      EXPECT_LE(trajectory->num_steps(), 5);
+      EXPECT_EQ(trajectory->StateBefore(0).position, 5);
     }
   }
 }

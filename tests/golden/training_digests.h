@@ -77,16 +77,18 @@ class Fnv1a64 {
     Scalar<int32_t>(state.position);
     Mask(state.mask);
   }
-  // A stored trajectory: its return, then per transition the state, next
-  // state, action, reward bits and done flag.
+  // A stored trajectory: its return, then per step the state, next state
+  // (both rebuilt by Trajectory::StateBefore), action, reward bits and done
+  // flag.
   void StoredTrajectory(const Trajectory& trajectory) {
     Scalar(trajectory.episode_return);
-    for (const Transition& transition : trajectory.transitions) {
-      State(transition.state);
-      State(transition.next_state);
-      Scalar<int32_t>(transition.action);
-      Scalar(transition.reward);
-      Scalar<uint8_t>(transition.done ? 1 : 0);
+    for (int s = 0; s < trajectory.num_steps(); ++s) {
+      const StoredStep& step = trajectory.steps[s];
+      State(trajectory.StateBefore(s));
+      State(trajectory.StateBefore(s + 1));
+      Scalar<int32_t>(step.action);
+      Scalar(step.reward);
+      Scalar<uint8_t>(step.done ? 1 : 0);
     }
   }
   uint64_t value() const { return hash_; }

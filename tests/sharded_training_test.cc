@@ -78,11 +78,13 @@ std::string DumpReplayBuffers(const Feat& feat) {
          buffer.RecentTrajectories(buffer.num_trajectories())) {
       out << " traj return " << DoubleBits(trajectory->episode_return)
           << "\n";
-      for (const Transition& t : trajectory->transitions) {
+      for (int s = 0; s < trajectory->num_steps(); ++s) {
+        const StoredStep& t = trajectory->steps[s];
         out << "  ";
-        AppendState(t.state, &out);
-        out << " a" << t.action << " r" << FloatBits(t.reward) << ' ';
-        AppendState(t.next_state, &out);
+        AppendState(trajectory->StateBefore(s), &out);
+        out << " a" << static_cast<int>(t.action) << " r"
+            << FloatBits(t.reward) << ' ';
+        AppendState(trajectory->StateBefore(s + 1), &out);
         out << " d" << t.done << "\n";
       }
     }

@@ -65,7 +65,7 @@ std::string DumpRun(Feat& feat) {
       uint64_t bits = 0;
       std::memcpy(&bits, &trajectory.episode_return, sizeof(bits));
       out << ' ' << bits << '/' << priority << '/'
-          << trajectory.transitions.size() << '\n';
+          << trajectory.num_steps() << '\n';
     });
   }
   return out.str();
@@ -294,6 +294,104 @@ TEST_F(WarmResumeTest, InflatedLengthFieldsAreRejectedBeforeAllocating) {
             << " at byte " << field.offset;
       }
     }
+  }
+}
+
+TEST_F(WarmResumeTest, CorruptReplayRecordIsRejected) {
+  // A replay record is stored as its start state and its decisions, so the
+  // loader takes only steps the scan can take, chained into one scan. Each
+  // patch below once restored, and the action and position ones then killed
+  // the next Train (a failed action check; a read far outside the task
+  // representation).
+  PaFeat pafeat(&problem_a_, dataset_.SeenTaskIndices(), ResumeConfig());
+  pafeat.Train(2);
+  const std::vector<std::uint8_t> blob = pafeat.SerializeTrainingState();
+  ByteWriter feat_state;
+  pafeat.feat().SerializeTrainingState(&feat_state);
+  const std::size_t m = problem_a_.num_features();
+  std::size_t count_offset = 0;
+  for (const LengthField& field :
+       LocateLengthFields(blob, feat_state.data().size(), m)) {
+    if (std::string(field.name) == "transition count") {
+      count_offset = field.offset;
+    }
+  }
+  ASSERT_GT(count_offset, 0u);
+  // The first task's first trajectory: per step its position, mask, next
+  // position, next mask, action, reward and done byte.
+  std::uint32_t steps = 0;
+  std::memcpy(&steps, &blob[count_offset], sizeof(steps));
+  ASSERT_GE(steps, 2u);
+  const std::size_t stride = 2 * (4 + m) + 4 + 4 + 1;
+  const auto position_at = [&](std::uint32_t s) {
+    return count_offset + 4 + s * stride;
+  };
+  const auto mask_at = [&](std::uint32_t s) { return position_at(s) + 4; };
+  const auto next_position_at = [&](std::uint32_t s) {
+    return mask_at(s) + m;
+  };
+  const auto next_mask_at = [&](std::uint32_t s) {
+    return next_position_at(s) + 4;
+  };
+  const auto action_at = [&](std::uint32_t s) { return next_mask_at(s) + m; };
+  const auto read_i32 = [&](std::size_t offset) {
+    std::int32_t value = 0;
+    std::memcpy(&value, &blob[offset], sizeof(value));
+    return value;
+  };
+  std::uint32_t deselect = steps;
+  for (std::uint32_t s = 0; s < steps && deselect == steps; ++s) {
+    if (read_i32(action_at(s)) == 0) deselect = s;
+  }
+  ASSERT_LT(deselect, steps) << "the patch needs a deselect step";
+
+  {
+    PaFeat control(&problem_b_, dataset_.SeenTaskIndices(), ResumeConfig());
+    std::string error;
+    ASSERT_TRUE(control.RestoreTrainingState(blob, &error)) << error;
+  }
+
+  struct Patch {
+    const char* what;
+    std::size_t offset;
+    std::int32_t value;  // written as int32, or as one byte when is_byte
+    bool is_byte;
+    const char* reason;
+  };
+  const std::int32_t position0 = read_i32(position_at(0));
+  const std::uint32_t deselect_position =
+      static_cast<std::uint32_t>(read_i32(position_at(deselect)));
+  const std::vector<Patch> patches = {
+      {"action 7", action_at(0), 7, false, "action is not 0 or 1"},
+      {"position -100000000", position_at(0), -100000000, false,
+       "outside [0, m)"},
+      {"position m", position_at(0), static_cast<std::int32_t>(m), false,
+       "outside [0, m)"},
+      {"mask byte 2", mask_at(0), 2, true, "mask byte is not 0 or 1"},
+      {"next position + 2", next_position_at(0), position0 + 2, false,
+       "not its state advanced"},
+      {"next bit flipped after a deselect",
+       next_mask_at(deselect) + deselect_position,
+       1 - blob[next_mask_at(deselect) + deselect_position], true,
+       "not its state advanced"},
+      {"state off the previous next state", position_at(1),
+       read_i32(position_at(1)) + 1, false, "previous step's next state"},
+  };
+  for (const Patch& patch : patches) {
+    std::vector<std::uint8_t> hostile = blob;
+    if (patch.is_byte) {
+      hostile[patch.offset] = static_cast<std::uint8_t>(patch.value);
+    } else {
+      std::memcpy(&hostile[patch.offset], &patch.value, sizeof(patch.value));
+    }
+    ASSERT_NE(hostile, blob) << patch.what;
+    PaFeat target(&problem_b_, dataset_.SeenTaskIndices(), ResumeConfig());
+    std::string error;
+    EXPECT_FALSE(target.RestoreTrainingState(hostile, &error)) << patch.what;
+    EXPECT_NE(error.find("replay"), std::string::npos)
+        << patch.what << ": " << error;
+    EXPECT_NE(error.find(patch.reason), std::string::npos)
+        << patch.what << ": " << error;
   }
 }
 
