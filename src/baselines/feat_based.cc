@@ -117,8 +117,7 @@ void GoExploreProvider::OnTrajectory(int task_slot,
   state.mask.assign(num_features_, 0);
   state.position = 0;
   for (int action : actions) {
-    if (action == 1) state.mask[state.position] = 1;
-    ++state.position;
+    AdvanceState(action, &state);
     if (state.position >= num_features_) break;
     const std::string key =
         MaskKey(state.mask) + static_cast<char>(state.position & 0xff) +

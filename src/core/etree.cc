@@ -58,10 +58,7 @@ EnvState ETree::PrefixToState(const std::vector<int>& prefix) const {
   PF_CHECK_LE(static_cast<int>(prefix.size()), num_features_);
   EnvState state;
   state.mask.assign(num_features_, 0);
-  for (size_t i = 0; i < prefix.size(); ++i) {
-    if (prefix[i] == 1) state.mask[i] = 1;
-  }
-  state.position = static_cast<int>(prefix.size());
+  for (int action : prefix) AdvanceState(action, &state);
   return state;
 }
 
