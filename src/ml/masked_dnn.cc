@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 
@@ -10,6 +11,38 @@
 #include "nn/optimizer.h"
 
 namespace pafeat {
+
+void SubsetRecord::Restart(const FeatureMask& mask, std::size_t sum_size,
+                           int max_cols) {
+  const int m = static_cast<int>(mask.size());
+  key.assign((mask.size() + 63) / 64, 0);
+  cols.clear();
+  cols.reserve(static_cast<std::size_t>(std::max(max_cols, 0)));
+  for (int c = 0; c < m; ++c) {
+    if (!mask[c]) continue;
+    key[c >> 6] |= std::uint64_t{1} << (c & 63);
+    cols.push_back(c);
+  }
+  sum.assign(sum_size, 0.0f);
+  folded = 0;
+}
+
+void SubsetRecord::Select(int column) {
+  std::uint64_t& word = key[column >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (column & 63);
+  if (word & bit) return;
+  word |= bit;
+  if (cols.empty() || column > cols.back()) {
+    cols.push_back(column);
+    return;
+  }
+  const auto at = std::lower_bound(cols.begin(), cols.end(), column);
+  if (at - cols.begin() < folded) {
+    std::fill(sum.begin(), sum.end(), 0.0f);
+    folded = 0;
+  }
+  cols.insert(at, column);
+}
 
 MaskedDnnClassifier::MaskedDnnClassifier(const MaskedDnnConfig& config)
     : config_(config) {}
@@ -50,8 +83,6 @@ void MaskedDnnClassifier::Fit(const Matrix& features,
   net_config.output_activation = Activation::kSigmoid;
   net_ = std::make_unique<Mlp>(net_config, rng);
   w0t_ = Matrix();
-  all_cols_.resize(m);
-  std::iota(all_cols_.begin(), all_cols_.end(), 0);
 
   AdamOptimizer optimizer(config_.learning_rate);
   std::vector<int> order = rows;
@@ -111,8 +142,7 @@ std::vector<float> MaskedDnnClassifier::Predict(const Matrix& features,
 }
 
 std::vector<float> MaskedDnnClassifier::PredictBlock(
-    const Matrix& block, const FeatureMask& mask,
-    FirstLayerCarry* carry) const {
+    const Matrix& block, const FeatureMask& mask) const {
   PF_CHECK(net_ != nullptr);
   const int m = block.cols();
   PF_CHECK_EQ(m, net_->config().input_dim);
@@ -126,30 +156,13 @@ std::vector<float> MaskedDnnClassifier::PredictBlock(
   // An all-zero mask is legal (the empty subset): the gather list is empty
   // and the first layer reduces to bias + activation, exactly matching a
   // fully zero-masked input.
-  std::vector<int> selected = mask.empty() ? all_cols_ : MaskToIndices(mask);
-
-  // The carried sum is the gather over carry->cols; when those columns open
-  // the selected list, folding in the rest replays the one-pass chain
-  // exactly (Mlp::AccumulateGathered). Anything else restarts from zero.
-  FirstLayerCarry fresh;
-  if (carry == nullptr) carry = &fresh;
-  const std::size_t count =
-      static_cast<std::size_t>(rows) * net_->layer_output_dim(0);
-  if (carry->sum.size() != count || carry->cols.size() > selected.size() ||
-      !std::equal(carry->cols.begin(), carry->cols.end(), selected.begin())) {
-    carry->cols.clear();
-    carry->sum.assign(count, 0.0f);
-  }
-  const int done = static_cast<int>(carry->cols.size());
-  net_->AccumulateGathered(rows, block.data(), m, selected.data() + done,
-                           static_cast<int>(selected.size()) - done, w0t_,
-                           carry->sum.data());
-  carry->cols.swap(selected);
-
+  SubsetRecord record;
+  record.Restart(mask.empty() ? FeatureMask(m, 1) : mask,
+                 record_sum_size(rows), 0);
   InferenceArena* arena = InferenceArena::ThreadLocal();
   ArenaScope scope(arena);
   float* probs = arena->Alloc(static_cast<std::size_t>(rows));
-  net_->FinishGathered(rows, carry->sum.data(), arena, probs);
+  FoldAndFinish(block, &record, arena, probs);
   std::copy(probs, probs + rows, out.begin());
   return out;
 }
@@ -172,11 +185,40 @@ std::vector<float> MaskedDnnClassifier::PredictBlockReference(
   return out;
 }
 
-double MaskedDnnClassifier::EvaluateAucBlock(
+std::size_t MaskedDnnClassifier::record_sum_size(int rows) const {
+  PF_CHECK(net_ != nullptr);
+  return static_cast<std::size_t>(rows) * net_->layer_output_dim(0);
+}
+
+void MaskedDnnClassifier::FoldAndFinish(const Matrix& block,
+                                        SubsetRecord* record,
+                                        InferenceArena* arena,
+                                        float* probs) const {
+  const int rows = block.rows();
+  PF_CHECK_EQ(record->sum.size(), record_sum_size(rows));
+  // The sum holds the gather over the first `folded` columns; folding the
+  // rest replays the one-pass chain exactly (Mlp::AccumulateGathered).
+  const int listed = static_cast<int>(record->cols.size());
+  net_->AccumulateGathered(rows, block.data(), block.cols(),
+                           record->cols.data() + record->folded,
+                           listed - record->folded, w0t_,
+                           record->sum.data());
+  record->folded = listed;
+  net_->FinishGathered(rows, record->sum.data(), arena, probs);
+}
+
+// analyze: hot-path-root
+double MaskedDnnClassifier::EvaluateAucCarried(
     const Matrix& block, const std::vector<float>& block_labels,
-    const FeatureMask& mask, FirstLayerCarry* carry) const {
-  PF_CHECK_EQ(static_cast<int>(block_labels.size()), block.rows());
-  return AucScore(PredictBlock(block, mask, carry), block_labels);
+    SubsetRecord* record) const {
+  const int rows = block.rows();
+  PF_CHECK_EQ(static_cast<int>(block_labels.size()), rows);
+  InferenceArena* arena = InferenceArena::ThreadLocal();
+  ArenaScope scope(arena);
+  float* probs = arena->Alloc(static_cast<std::size_t>(rows));
+  FoldAndFinish(block, record, arena, probs);
+  float* scratch = arena->Alloc(static_cast<std::size_t>(rows));
+  return AucScore(rows, probs, block_labels.data(), scratch);
 }
 
 double MaskedDnnClassifier::EvaluateAuc(const Matrix& features,

@@ -1,12 +1,14 @@
 #ifndef PAFEAT_ML_MASKED_DNN_H_
 #define PAFEAT_ML_MASKED_DNN_H_
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "data/feature_mask.h"
 #include "nn/mlp.h"
+#include "nn/workspace.h"
 #include "tensor/matrix.h"
 
 namespace pafeat {
@@ -23,16 +25,33 @@ struct MaskedDnnConfig {
   double min_keep = 0.3;
 };
 
-// One scan's partial first-layer product (DESIGN.md "Inference fast path"):
-// `sum` holds an eval block times the first-layer weight over the sorted
-// column list `cols`, before the bias (block rows x first-layer width). A
-// reward query whose selected columns extend `cols` gathers only the new
-// ones; any other query restarts the carry from zero. Either way the result
-// is bit-identical to a fresh evaluation. A carry belongs to the one
-// classifier and block that fill it; an empty carry is the fresh case.
-struct FirstLayerCarry {
-  std::vector<int> cols;
+// A scan's subset record (DESIGN.md "First-layer carry along a scan"): the
+// subset as the reward cache's key and as its ascending column list, and
+// the partial first-layer product of an eval block over the list's first
+// `folded` columns (`sum`: block rows x first-layer width, before the
+// bias). A select updates the subset in O(1); a reward miss folds only the
+// columns past `folded` into the sum (MaskedDnnClassifier::
+// EvaluateAucCarried). Folding a list in pieces leaves the bits of folding
+// it at once, so every reward is bit-identical to a fresh evaluation. A
+// record belongs to the one classifier and block that size its sum.
+struct SubsetRecord {
   std::vector<float> sum;
+  PackedMask key;
+  std::vector<int> cols;
+  int folded = 0;
+
+  // Restarts the record at `mask`, O(m): the key and the column list from
+  // the mask, `sum_size` zeroed floats, nothing folded. The list gets room
+  // for `max_cols` columns, so that many selects never allocate.
+  void Restart(const FeatureMask& mask, std::size_t sum_size, int max_cols);
+
+  // Adds `column` (0 <= column < the restarted mask's size) to the subset.
+  // Along a left-to-right scan it lies above every listed column: one key
+  // bit and one append, O(1). A column already in the subset changes
+  // nothing. A start mask with bits past its scan position can put a column
+  // below the last listed one: it goes in at its place, and the sum
+  // restarts if that place is inside the folded prefix.
+  void Select(int column);
 };
 
 // The pretrained reward classifier CLS of Eqn 2: one DNN trained once per
@@ -59,13 +78,11 @@ class MaskedDnnClassifier {
   // block (every row of `block` is evaluated): the first layer gathers only
   // the mask's selected columns, so the cost scales with |mask| rather than
   // the feature count and no masked copy of the block is ever materialized.
-  // With a `carry` whose columns are a prefix of the mask's, only the columns
-  // past that prefix are gathered, and the carry moves up to the mask.
-  // Bit-identical to PredictBlockReference with or without a carry; forward
+  // Runs a fresh SubsetRecord through the fold and finish of
+  // EvaluateAucCarried. Bit-identical to PredictBlockReference; forward
   // passes draw scratch from the calling thread's InferenceArena.
-  // SubsetEvaluator holds such a block for its eval rows.
-  std::vector<float> PredictBlock(const Matrix& block, const FeatureMask& mask,
-                                  FirstLayerCarry* carry = nullptr) const;
+  std::vector<float> PredictBlock(const Matrix& block,
+                                  const FeatureMask& mask) const;
 
   // Reference implementation kept for the bitwise-equivalence tests: builds
   // the zero-masked copy (BuildMaskedBatch) and runs it full-width through
@@ -73,12 +90,18 @@ class MaskedDnnClassifier {
   std::vector<float> PredictBlockReference(const Matrix& block,
                                            const FeatureMask& mask) const;
 
-  // AUC of PredictBlock against the block's labels — the cache-miss cost of
-  // SubsetEvaluator::Reward.
-  double EvaluateAucBlock(const Matrix& block,
-                          const std::vector<float>& block_labels,
-                          const FeatureMask& mask,
-                          FirstLayerCarry* carry = nullptr) const;
+  // The reward's one miss path (SubsetEvaluator): folds the record's
+  // unfolded columns into its sum, finishes the forward pass from the sum
+  // and returns the AUC of the scores against the block's labels. `record`
+  // must be sized for this classifier and `block` (record_sum_size). A
+  // warm call draws all its scratch from the calling thread's
+  // InferenceArena and does not touch the heap.
+  double EvaluateAucCarried(const Matrix& block,
+                            const std::vector<float>& block_labels,
+                            SubsetRecord* record) const;
+
+  // Floats in a record's sum for a block of `rows` rows.
+  std::size_t record_sum_size(int rows) const;
 
   // AUC of the masked prediction over the given rows — the paper's P(.) in
   // the reward function.
@@ -96,14 +119,16 @@ class MaskedDnnClassifier {
  private:
   Matrix BuildMaskedBatch(const Matrix& features, const std::vector<int>& rows,
                           const FeatureMask& mask) const;
+  // The fold and finish shared by PredictBlock and EvaluateAucCarried:
+  // writes block.rows() probabilities to `probs`.
+  void FoldAndFinish(const Matrix& block, SubsetRecord* record,
+                     InferenceArena* arena, float* probs) const;
 
   MaskedDnnConfig config_;
   std::unique_ptr<Mlp> net_;
-  // Inference operands prepared once per Fit: the transposed first-layer
-  // weight (feature-indexed rows, what the gather kernel walks) and the
-  // identity column list used when a mask selects everything.
+  // The transposed first-layer weight (feature-indexed rows, what the gather
+  // kernel walks), prepared once per Fit.
   Matrix w0t_;
-  std::vector<int> all_cols_;
 };
 
 }  // namespace pafeat

@@ -1,9 +1,7 @@
 #include "ml/metrics.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "common/logging.h"
+#include "tensor/kernels.h"
 
 namespace pafeat {
 
@@ -51,38 +49,31 @@ double F1Score(const std::vector<float>& scores,
 double AucScore(const std::vector<float>& scores,
                 const std::vector<float>& labels) {
   PF_CHECK_EQ(scores.size(), labels.size());
-  const size_t n = scores.size();
-  long long positives = 0;
-  for (float y : labels) {
-    if (y > 0.5f) ++positives;
+  std::vector<float> scratch(scores.size());
+  return AucScore(static_cast<int>(scores.size()), scores.data(),
+                  labels.data(), scratch.data());
+}
+
+double AucScore(int n, const float* scores, const float* labels,
+                float* scratch) {
+  PF_CHECK_GE(n, 0);
+  PF_CHECK_LT(n, 1 << 30);  // PairwiseTwiceU's per-positive int count
+  // Positives fill the scratch from the front, negatives from the back; the
+  // count does not depend on either set's order.
+  int positives = 0;
+  int negatives = 0;
+  for (int i = 0; i < n; ++i) {
+    if (labels[i] > 0.5f) {
+      scratch[positives++] = scores[i];
+    } else {
+      scratch[n - 1 - negatives++] = scores[i];
+    }
   }
-  const long long negatives = static_cast<long long>(n) - positives;
   if (positives == 0 || negatives == 0) return 0.5;
-
-  // Midrank-based AUC: AUC = (sum of positive ranks - P(P+1)/2) / (P * N).
-  std::vector<int> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return scores[a] < scores[b]; });
-
-  std::vector<double> ranks(n);
-  size_t i = 0;
-  while (i < n) {
-    size_t j = i;
-    while (j + 1 < n && scores[order[j + 1]] == scores[order[i]]) ++j;
-    const double midrank = 0.5 * (i + j) + 1.0;
-    for (size_t k = i; k <= j; ++k) ranks[order[k]] = midrank;
-    i = j + 1;
-  }
-
-  double positive_rank_sum = 0.0;
-  for (size_t k = 0; k < n; ++k) {
-    if (labels[k] > 0.5f) positive_rank_sum += ranks[k];
-  }
-  const double auc =
-      (positive_rank_sum - 0.5 * positives * (positives + 1)) /
-      (static_cast<double>(positives) * negatives);
-  return auc;
+  const long long twice_u = kernels::PairwiseTwiceU(
+      positives, scratch, negatives, scratch + positives);
+  return 0.5 * static_cast<double>(twice_u) /
+         (static_cast<double>(positives) * negatives);
 }
 
 }  // namespace pafeat

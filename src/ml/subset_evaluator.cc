@@ -26,24 +26,47 @@ SubsetEvaluator::SubsetEvaluator(const Matrix* features,
   }
 }
 
-double SubsetEvaluator::EvaluateUncached(const FeatureMask& mask) const {
+void SubsetEvaluator::StartRecord(const FeatureMask& mask, int max_cols,
+                                  SubsetRecord* record) const {
   PF_CHECK_EQ(static_cast<int>(mask.size()), features_->cols());
-  return classifier_->EvaluateAucBlock(eval_block_, eval_labels_, mask);
+  record->Restart(mask, classifier_->record_sum_size(eval_block_.rows()),
+                  max_cols);
 }
 
-double SubsetEvaluator::Reward(const FeatureMask& mask,
-                               FirstLayerCarry* carry) const {
+double SubsetEvaluator::EvaluateUncached(const FeatureMask& mask) const {
+  SubsetRecord record;
+  StartRecord(mask, 0, &record);
+  return classifier_->EvaluateAucCarried(eval_block_, eval_labels_, &record);
+}
+
+double SubsetEvaluator::Reward(SubsetRecord* record) const {
+  double value = 0.0;
+  if (cache_.AcquireOrWait(record->key, &value) ==
+      TieredRewardCache::Probe::kHit) {
+    return value;
+  }
+  return ComputeAndPublish(record);
+}
+
+double SubsetEvaluator::Reward(const FeatureMask& mask) const {
   PF_CHECK_EQ(static_cast<int>(mask.size()), features_->cols());
-  PackedMask key = PackMask(mask);
+  const PackedMask key = PackMask(mask);
   double value = 0.0;
   if (cache_.AcquireOrWait(key, &value) == TieredRewardCache::Probe::kHit) {
     return value;
   }
-  // This caller claimed the key: compute outside the lock so different masks
-  // evaluate concurrently, then publish (waking any stampede waiters).
+  SubsetRecord record;
+  StartRecord(mask, 0, &record);
+  return ComputeAndPublish(&record);
+}
+
+double SubsetEvaluator::ComputeAndPublish(SubsetRecord* record) const {
+  // This caller claimed the key: compute outside the lock so different
+  // subsets evaluate concurrently, then publish (waking any stampede
+  // waiters).
   const double reward =
-      classifier_->EvaluateAucBlock(eval_block_, eval_labels_, mask, carry);
-  cache_.Publish(std::move(key), reward);
+      classifier_->EvaluateAucCarried(eval_block_, eval_labels_, record);
+  cache_.Publish(record->key, reward);
   return reward;
 }
 

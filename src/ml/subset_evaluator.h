@@ -22,11 +22,13 @@ namespace pafeat {
 // ml.reward_hit_us against ml.reward_miss_us, benchmark/README.md).
 //
 // The evaluation rows are gathered into a contiguous block once at
-// construction; a cache miss runs the classifier's column-gathered fast path
-// over that block, so the per-miss cost scales with the subset size rather
-// than the full feature count, and no masked copy is materialized. A miss
-// along a left-to-right scan that carries its first-layer sum costs only the
-// newly selected columns (FirstLayerCarry).
+// construction. Every cache miss runs one path: a SubsetRecord folded,
+// finished and scored by MaskedDnnClassifier::EvaluateAucCarried over that
+// block, so its cost scales with the columns the record has not folded yet
+// rather than the feature count, and no masked copy is materialized. A scan
+// keeps its record between steps (FeatureSelectionEnv), so a miss along it
+// costs only the newly selected columns; the mask forms below build a fresh
+// record on a miss.
 //
 // The cache behind Reward is a bounded TieredRewardCache (DESIGN.md "Bounded
 // memory plane"): the byte budget resolves through ResolveCacheBudgetBytes
@@ -44,17 +46,26 @@ class SubsetEvaluator {
                   const MaskedDnnClassifier* classifier,
                   long long cache_budget_bytes = kMemoryBudgetDefault);
 
-  // Cached AUC reward of the subset. A scan passes its `carry` (owned by the
-  // caller, used with this evaluator only): a miss then gathers only the
-  // columns selected since the carry's last miss. A hit leaves the carry
-  // behind; the next miss folds in every column it skipped. The reward is
-  // bit-identical with or without a carry.
-  double Reward(const FeatureMask& mask,
-                FirstLayerCarry* carry = nullptr) const;
+  // Restarts `record` at `mask` for this evaluator's eval block, O(m)
+  // (SubsetRecord::Restart). A scan restarts its record here, then selects
+  // into it and asks Reward(record) after every select.
+  void StartRecord(const FeatureMask& mask, int max_cols,
+                   SubsetRecord* record) const;
+
+  // Cached AUC reward of the record's subset, probed with the record's key.
+  // A miss folds the columns the record selected since its last miss and
+  // publishes a copy of the key; a hit leaves the record's sum behind, and
+  // the next miss folds in every column it skipped. The record is owned by
+  // the caller and used with this evaluator only.
+  double Reward(SubsetRecord* record) const;
+
+  // Cached AUC reward of the subset: packs the mask into the key, and only
+  // on a miss builds a fresh record for the same miss path.
+  double Reward(const FeatureMask& mask) const;
 
   // The cache-miss cost of Reward, without touching the cache: one AUC
-  // evaluation of the subset over the precomputed eval block, the same code
-  // as a miss with an empty carry. Exposed for benchmarks and tests.
+  // evaluation of the subset over the precomputed eval block, the miss path
+  // on a fresh record. Exposed for benchmarks and tests.
   double EvaluateUncached(const FeatureMask& mask) const;
 
   // Reward of the full feature set (the P_all baseline of Eqn 6a).
@@ -95,6 +106,10 @@ class SubsetEvaluator {
   }
 
  private:
+  // The miss path of both Reward forms, for a key this caller claimed:
+  // evaluate the record outside the cache lock, then publish.
+  double ComputeAndPublish(SubsetRecord* record) const;
+
   const Matrix* features_;
   std::vector<float> labels_;
   std::vector<int> eval_rows_;

@@ -163,10 +163,16 @@ void Mlp::FinishImpl(int rows, const float* sum, InferenceArena* arena,
   ArenaScope scope(arena);
   const std::size_t count = static_cast<std::size_t>(rows) * out_dim;
   float* hidden = num_layers() == 1 ? out : arena->Alloc(count);
-  // The bias goes onto a copy, leaving the sum for the next query.
-  std::copy(sum, sum + count, hidden);
-  AddBiasRows(rows, out_dim, first.bias.data(), hidden);
-  ApplyActivation(first.activation, hidden, static_cast<int>(count));
+  // The bias goes onto a copy, leaving the sum for the next query. A ReLU
+  // layer does copy, bias and activation in one pass with the same bits; a
+  // net whose first layer is its output keeps the three steps.
+  if (first.activation == Activation::kRelu) {
+    kernels::AddBiasRelu(rows, out_dim, sum, first.bias.data(), hidden);
+  } else {
+    std::copy(sum, sum + count, hidden);
+    AddBiasRows(rows, out_dim, first.bias.data(), hidden);
+    ApplyActivation(first.activation, hidden, static_cast<int>(count));
+  }
   if (num_layers() > 1) {
     PredictTailImpl(1, rows, hidden, arena, out, rowwise);
   }

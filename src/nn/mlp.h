@@ -74,13 +74,14 @@ class Mlp {
                        float* out) const;
 
   // The two halves of PredictGathered, for callers that keep the first-layer
-  // sum between queries (a scan's FirstLayerCarry). AccumulateGathered adds
+  // sum between queries (a scan's SubsetRecord). AccumulateGathered adds
   // the listed columns' share of the first-layer product to `sum` (rows x
   // first-layer width, before the bias) with kernels::GemmGatherNN: one
   // rounded add per list entry, in list order, so accumulating [c1..cj] and
   // later [cj+1..ck] leaves exactly the bits of one pass over [c1..ck].
-  // FinishGathered adds the bias, applies the activation and runs the
-  // remaining layers from `sum`, which it leaves untouched.
+  // FinishGathered adds the bias, applies the activation (one fused pass for
+  // ReLU, kernels::AddBiasRelu) and runs the remaining layers from `sum`,
+  // which it leaves untouched.
   void AccumulateGathered(int rows, const float* x, int ldx, const int* cols,
                           int ncols, const Matrix& w0t, float* sum) const;
   void FinishGathered(int rows, const float* sum, InferenceArena* arena,

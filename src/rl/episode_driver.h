@@ -42,11 +42,12 @@ class EpisodeDriver {
   // Empty = store the raw reward.
   using RewardShapeFn = std::function<double(double raw_reward, Rng* rng)>;
 
-  // Copies `env` (a representation vector, the state, and the first-layer
-  // reward carry of about eval rows x classifier width floats) so concurrent
-  // episodes on the same task cannot interfere: each driver's scan folds its
-  // reward misses into its own carry. The reward cache behind the evaluator
-  // stays shared and locked. `rng` is the episode's forked stream.
+  // Copies `env` (a representation vector, the state, and the scan's subset
+  // record with its first-layer reward sum of about eval rows x classifier
+  // width floats) so concurrent episodes on the same task cannot interfere:
+  // each driver's scan folds its reward misses into its own record. The
+  // reward cache behind the evaluator stays shared and locked. `rng` is the
+  // episode's forked stream.
   EpisodeDriver(const FeatureSelectionEnv& env, const Rng& rng);
 
   // Default initial state (empty subset, position 0). Either start records

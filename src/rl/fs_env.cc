@@ -24,10 +24,19 @@ FeatureSelectionEnv::FeatureSelectionEnv(
   Reset();
 }
 
+namespace {
+
+// The record's subset against the mask it must mirror (checked builds).
+bool RecordMatchesMask(const SubsetRecord& record, const FeatureMask& mask) {
+  return record.key == PackMask(mask) && record.cols == MaskToIndices(mask);
+}
+
+}  // namespace
+
 void FeatureSelectionEnv::Reset() {
   state_.mask.assign(num_features_, 0);
   state_.position = 0;
-  current_performance_ = evaluator_->Reward(state_.mask, &carry_);
+  RestartRecord();
 }
 
 void FeatureSelectionEnv::ResetTo(const EnvState& state) {
@@ -35,24 +44,33 @@ void FeatureSelectionEnv::ResetTo(const EnvState& state) {
   PF_CHECK_GE(state.position, 0);
   PF_CHECK_LE(state.position, num_features_);
   state_ = state;
-  current_performance_ = evaluator_->Reward(state_.mask, &carry_);
+  RestartRecord();
+}
+
+void FeatureSelectionEnv::RestartRecord() {
+  evaluator_->StartRecord(state_.mask, max_selectable_, &record_);
+  current_performance_ = evaluator_->Reward(&record_);
 }
 
 bool FeatureSelectionEnv::Done() const {
   return state_.position >= num_features_ ||
-         MaskCount(state_.mask) >= max_selectable_;
+         static_cast<int>(record_.cols.size()) >= max_selectable_;
 }
 
 void FeatureSelectionEnv::ObservationForInto(const EnvState& state,
                                              float* out) const {
   float* cursor = std::copy(task_representation_.begin(),
                             task_representation_.end(), out);
-  for (uint8_t bit : state.mask) *cursor++ = bit ? 1.0f : 0.0f;
+  int selected = 0;
+  for (uint8_t bit : state.mask) {
+    *cursor++ = bit ? 1.0f : 0.0f;
+    selected += bit ? 1 : 0;
+  }
   *cursor++ = static_cast<float>(state.position) / num_features_;
   *cursor++ = state.position < num_features_
                   ? task_representation_[state.position]
                   : 0.0f;
-  *cursor++ = static_cast<float>(MaskCount(state.mask)) / num_features_;
+  *cursor++ = static_cast<float>(selected) / num_features_;
 }
 
 void FeatureSelectionEnv::ObservationInto(float* out) const {
@@ -74,10 +92,12 @@ double FeatureSelectionEnv::Step(int action) {
   PF_CHECK(!Done());
   PF_CHECK(action == kActionDeselect || action == kActionSelect);
   const double previous_performance = current_performance_;
+  if (action == kActionSelect) record_.Select(state_.position);
   AdvanceState(action, &state_);
+  PF_DCHECK(RecordMatchesMask(record_, state_.mask));
   // Deselect leaves the subset (and hence its performance) unchanged.
   if (action == kActionSelect) {
-    current_performance_ = evaluator_->Reward(state_.mask, &carry_);
+    current_performance_ = evaluator_->Reward(&record_);
   }
   return reward_mode_ == RewardMode::kDelta
              ? current_performance_ - previous_performance

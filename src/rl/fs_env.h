@@ -46,8 +46,13 @@ class FeatureSelectionEnv {
   // Restores a customized state (the ITE entry point).
   void ResetTo(const EnvState& state);
 
+  // O(1): the scan has passed the last feature, or the subset holds
+  // max_selectable() features.
   bool Done() const;
   const EnvState& state() const { return state_; }
+  // The scan's subset record (key, ascending columns, first-layer reward
+  // sum): restarted by Reset and ResetTo, advanced by every select.
+  const SubsetRecord& subset_record() const { return record_; }
 
   // Dense observation of the current state.
   std::vector<float> Observation() const;
@@ -57,11 +62,13 @@ class FeatureSelectionEnv {
   // observation_dim() floats directly into a caller-provided row (usually a
   // slice of the iteration's batch matrix). Bit-identical to the vector
   // forms — same layout [repr | mask | position | repr[pos] | selected].
+  // One pass over the mask writes its floats and counts the selected ones.
   void ObservationInto(float* out) const;
   void ObservationForInto(const EnvState& state, float* out) const;
 
   // Applies `action` to the feature at the current scan position and returns
-  // the reward (per `reward_mode`). Requires !Done().
+  // the reward (per `reward_mode`). Requires !Done(). A select adds the
+  // column to the subset record in O(1) and asks for the reward from it.
   double Step(int action);
 
   // Performance P of the current subset (Eqn 2) — the quantity the E-Tree
@@ -75,6 +82,10 @@ class FeatureSelectionEnv {
   RewardMode reward_mode() const { return reward_mode_; }
 
  private:
+  // Restarts the record at the state's mask and looks up its reward: the
+  // one O(m) step of a scan, shared by Reset and ResetTo.
+  void RestartRecord();
+
   std::vector<float> task_representation_;
   const SubsetEvaluator* evaluator_;
   double max_feature_ratio_;
@@ -83,11 +94,13 @@ class FeatureSelectionEnv {
   int max_selectable_;
   EnvState state_;
   double current_performance_ = 0.0;
-  // The scan's first-layer reward sum (FirstLayerCarry): a reward miss after
-  // a select gathers only the columns selected since the previous miss. Each
-  // copy of the environment owns its carry, so concurrent episodes never
-  // share one; it is scratch and never checkpointed.
-  FirstLayerCarry carry_;
+  // The scan's subset record (SubsetRecord): the state's subset as a cache
+  // key and a column list, kept up by every select, and the first-layer
+  // reward sum, so a reward miss after a select gathers only the columns
+  // selected since the previous miss. Each copy of the environment owns its
+  // record, so concurrent episodes never share one; it is scratch and never
+  // checkpointed.
+  SubsetRecord record_;
 };
 
 }  // namespace pafeat

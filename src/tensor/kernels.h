@@ -90,8 +90,8 @@ void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
                         const float* b, int ldb, const float* lanes,
                         float* c);
 
-// Elementwise training cores (kernels_elementwise.cc; DESIGN.md "Tensor
-// kernel layer & threading model"). One portable core serves every SIMD
+// Elementwise cores (kernels_elementwise.cc; DESIGN.md "Tensor kernel
+// layer & threading model"). One portable core serves every SIMD
 // level: it is never dispatched, and its TU builds with contraction off, so
 // each element sees exactly the operations of the scalar source loop (an
 // unfused multiply and add, IEEE division and square root) and the bits do
@@ -119,6 +119,19 @@ void Relu(int n, float* data);
 // ReLU's gradient from the activated output: grad = activated <= 0 ? 0 :
 // grad, so a NaN activation keeps its gradient and -0 zeroes it.
 void ReluGrad(int n, const float* activated, float* grad);
+// A first layer's finish in one pass over a rows x cols buffer: per element,
+// s = sum + bias[c] and out = s < 0 ? 0 : s. That is one rounded add and
+// Relu's select, so it leaves exactly the bits of copying the sum, adding
+// the bias row and applying Relu (-0, NaN and subnormals included). `sum`
+// and `out` must not overlap.
+void AddBiasRelu(int rows, int cols, const float* sum, const float* bias,
+                 float* out);
+// Twice the Mann-Whitney U of two score sets, counted pair by pair in
+// integers: the sum over every (p, n) of 2 [n < p] + [n == p]. Exact for
+// any order of either set; ±0 compare equal and a NaN pair counts 0.
+// Requires num_neg < 2^30.
+long long PairwiseTwiceU(int num_pos, const float* pos, int num_neg,
+                         const float* neg);
 
 // The SIMD capability ladder (DESIGN.md "SIMD capability ladder"). Exactly
 // one level is active per process: the highest one that is both compiled in

@@ -1,4 +1,5 @@
-// Elementwise training cores: the Adam update and ReLU with its gradient.
+// Elementwise cores: the Adam update, ReLU with its gradient, the fused
+// first-layer finish (bias plus ReLU) and the AUC's pairwise count.
 //
 // Built -O3 -fno-math-errno -ffp-contract=off at the baseline ISA (see
 // src/CMakeLists.txt), where GCC vectorizes each loop below and none of the
@@ -18,8 +19,12 @@
 // The ReLU forms are written as unconditional selects: at -O3 they become a
 // compare and a mask (cmpltps + andnps) instead of a branch that
 // mispredicts on sign-mixed sums. At -O2 GCC 12 branches on either form.
+// The pairwise count does no float arithmetic, only compares, so no flag
+// can change its result; -O3 turns its inner loop into packed compares and
+// integer adds, which is where its speed comes from.
 
 #include <cmath>
+#include <cstddef>
 
 #include "tensor/kernels.h"
 
@@ -51,6 +56,31 @@ void Relu(int n, float* __restrict data) {
 void ReluGrad(int n, const float* __restrict activated,
               float* __restrict grad) {
   for (int i = 0; i < n; ++i) grad[i] = activated[i] <= 0.0f ? 0.0f : grad[i];
+}
+
+void AddBiasRelu(int rows, int cols, const float* __restrict sum,
+                 const float* __restrict bias, float* __restrict out) {
+  for (int r = 0; r < rows; ++r) {
+    const float* in = sum + static_cast<std::size_t>(r) * cols;
+    float* row = out + static_cast<std::size_t>(r) * cols;
+    for (int c = 0; c < cols; ++c) {
+      const float s = in[c] + bias[c];
+      row[c] = s < 0.0f ? 0.0f : s;
+    }
+  }
+}
+
+long long PairwiseTwiceU(int num_pos, const float* __restrict pos,
+                         int num_neg, const float* __restrict neg) {
+  long long twice_u = 0;
+  for (int i = 0; i < num_pos; ++i) {
+    const float p = pos[i];
+    // 2 [n < p] + [n == p] = [n < p] + [n <= p]; at most 2 num_neg < 2^31.
+    int count = 0;
+    for (int j = 0; j < num_neg; ++j) count += (neg[j] < p) + (neg[j] <= p);
+    twice_u += count;
+  }
+  return twice_u;
 }
 
 }  // namespace kernels

@@ -386,5 +386,92 @@ TEST(ConcurrencyStressTest, ServingRendezvousStress) {
   EXPECT_EQ(stats.live_now, 0);
 }
 
+// Shutdown racing Select: tenants hammer the server while another thread
+// shuts it down partway through. Every response is either kOk with the
+// standalone scan's subset or kShutdown with an empty mask, a tenant that
+// has seen kShutdown never sees anything else, every attempt lands in
+// exactly one counter, nothing is left queued or live, and every thread
+// returns (a hang fails the test by its timeout).
+TEST(ConcurrencyStressTest, ShutdownRacesSelect) {
+  constexpr int kM = 12;
+  constexpr int kReprs = 8;
+  constexpr int kClients = 6;
+  constexpr int kShutdownAfter = 60;   // completed requests before shutdown
+  constexpr int kAfterShutdown = 3;    // requests each tenant sends after
+
+  const AgentCheckpoint checkpoint = MakeServingStressCheckpoint(kM, 0x5d0);
+  std::vector<std::vector<float>> reprs;
+  std::vector<FeatureMask> expected;
+  const CheckpointedSelector standalone(checkpoint);
+  Rng repr_rng(0x5d1);
+  for (int i = 0; i < kReprs; ++i) {
+    std::vector<float> repr(kM);
+    for (float& value : repr) {
+      value = static_cast<float>(repr_rng.Uniform(-1.0, 1.0));
+    }
+    expected.push_back(standalone.SelectForRepresentation(repr));
+    reprs.push_back(std::move(repr));
+  }
+
+  ServerConfig config;
+  config.max_batch = 4;
+  SelectionServer server(checkpoint, config);
+
+  std::atomic<int> attempts{0};
+  std::atomic<int> ok{0};
+  std::atomic<int> shut_out{0};
+  std::atomic<int> failures{0};
+  // lint: allow(raw-thread): tenants and the shutdown must race unmanaged
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      // Each tenant runs until the shutdown reaches it, then a few more.
+      bool seen_shutdown = false;
+      int after = 0;
+      for (int i = 0; !seen_shutdown || after++ < kAfterShutdown; ++i) {
+        const int idx = (c + i) % kReprs;
+        attempts.fetch_add(1);
+        const SelectionResponse response = server.Select(reprs[idx]);
+        if (response.status == AdmissionStatus::kOk && !seen_shutdown &&
+            response.mask == expected[idx]) {
+          ok.fetch_add(1);
+        } else if (response.status == AdmissionStatus::kShutdown &&
+                   response.mask.empty()) {
+          seen_shutdown = true;
+          shut_out.fetch_add(1);
+        } else {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  // lint: allow(raw-thread): shuts the server down under the tenants above
+  std::thread closer([&] {
+    while (ok.load() < kShutdownAfter && shut_out.load() == 0 &&
+           failures.load() == 0) {
+      std::this_thread::yield();
+    }
+    server.Shutdown();
+    server.Shutdown();  // idempotent
+  });
+  // lint: allow(raw-thread): joining the stress threads spawned above
+  for (std::thread& client : clients) client.join();
+  closer.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(ok.load(), kShutdownAfter);
+  EXPECT_GE(shut_out.load(), kClients * (kAfterShutdown + 1));
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(ok.load()));
+  EXPECT_EQ(stats.rejected_shutdown, static_cast<uint64_t>(shut_out.load()));
+  EXPECT_EQ(stats.completed + stats.rejected_shutdown +
+                stats.rejected_queue_full,
+            static_cast<uint64_t>(attempts.load()));
+  EXPECT_EQ(stats.rejected_bad_request, 0u);
+  EXPECT_EQ(stats.queued_now, 0);
+  EXPECT_EQ(stats.live_now, 0);
+}
+
 }  // namespace
 }  // namespace pafeat

@@ -439,5 +439,39 @@ TEST(KernelsTest, ReluMatchesBranch) {
   }
 }
 
+TEST(KernelsTest, AddBiasReluMatchesCopyBiasRelu) {
+  // The fused first-layer finish against the three steps it replaces: copy
+  // the sum, add the bias row (Mlp's AddBiasRows loop), apply Relu. Sums
+  // include -0, NaN and subnormals, and biases include -0 and subnormals,
+  // so -0 + -0, x + -x and subnormal rounding all reach the add.
+  const float kDenorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> specials = {
+      0.0f, -0.0f, kDenorm, -kDenorm, 1e-40f, -1e-40f,
+      FromBits(0x7fc00000u), FromBits(0xffc0beefu), 3.0f, -3.0f};
+  const int num_specials = static_cast<int>(specials.size());
+  for (const int rows : {1, 3, 4, 8, 128, 130}) {
+    for (const int cols : {1, 7, 8, 32, 33, 64}) {
+      Rng rng(rows * 131 + cols);
+      const int count = rows * cols;
+      std::vector<float> sum(count), bias(cols);
+      for (int i = 0; i < count; ++i) {
+        sum[i] = i % 3 == 0 ? specials[(i + rows) % num_specials]
+                            : static_cast<float>(rng.Normal(0.0, 1.0));
+      }
+      for (int c = 0; c < cols; ++c) {
+        bias[c] = c % 4 == 0 ? specials[(c + cols) % 6]
+                             : static_cast<float>(rng.Normal(0.0, 0.5));
+      }
+      std::vector<float> fused(count), stepped = sum;
+      kernels::AddBiasRelu(rows, cols, sum.data(), bias.data(), fused.data());
+      for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < cols; ++c) stepped[r * cols + c] += bias[c];
+      }
+      kernels::Relu(count, stepped.data());
+      EXPECT_TRUE(SameBits(fused, stepped)) << rows << " x " << cols;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pafeat

@@ -1,7 +1,7 @@
 // Tests for the masked-subset inference fast path (DESIGN.md "Inference
 // fast path"): column-gathered first-layer products must be bit-identical
 // to the full-width reference on zero-masked inputs, a reward miss that
-// carries its scan's first-layer sum must equal a fresh evaluation bit for
+// folds into its scan's subset record must equal a fresh evaluation bit for
 // bit, the reward evaluator must dedup concurrent cache misses, and the
 // per-thread inference arena must stop allocating once warm.
 
@@ -125,8 +125,8 @@ std::vector<int> CarryEvalRows() {
 }
 
 TEST(MaskedInferenceTest, CarriedRewardMatchesFreshAlongScans) {
-  // Random left-to-right scans, each on a fresh evaluator: every mask of a
-  // scan is new, so every call misses and folds into the carry. Each reward
+  // Random left-to-right scans, each on a fresh evaluator: every subset of a
+  // scan is new, so every call misses and folds into the record. Each reward
   // must equal the fresh evaluation exactly, for a hidden trunk and for a
   // single-layer classifier (whose first layer is the output).
   const std::vector<std::vector<int>> hidden_configs = {{64}, {}};
@@ -142,20 +142,23 @@ TEST(MaskedInferenceTest, CarriedRewardMatchesFreshAlongScans) {
       for (int scan = 0; scan < 3; ++scan) {
         const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
                                         &classifier);
-        FirstLayerCarry carry;
         FeatureMask mask(m, 0);
+        SubsetRecord record;
+        evaluator.StartRecord(mask, m, &record);
         // The first scan at each density opens with column 0.
         for (int p = 0; p < m; ++p) {
           const bool opens = scan == 0 && p == 0;
           if (!opens && !rng.Bernoulli(select_prob)) continue;
           mask[p] = 1;
+          record.Select(p);
           const long long misses = evaluator.cache_misses();
-          const double carried = evaluator.Reward(mask, &carry);
+          const double carried = evaluator.Reward(&record);
           ASSERT_EQ(evaluator.cache_misses(), misses + 1);
           ASSERT_EQ(carried, evaluator.EvaluateUncached(mask))
               << "hidden layers " << hidden.size() << " p=" << select_prob
               << " scan " << scan << " column " << p;
-          ASSERT_EQ(carry.cols, MaskToIndices(mask));
+          ASSERT_EQ(record.cols, MaskToIndices(mask));
+          ASSERT_EQ(record.folded, static_cast<int>(record.cols.size()));
         }
       }
     }
@@ -164,8 +167,8 @@ TEST(MaskedInferenceTest, CarriedRewardMatchesFreshAlongScans) {
 
 TEST(MaskedInferenceTest, CarryLagsBehindCacheHits) {
   // Every other subset of the scan is cached before the scan runs, so half
-  // the calls hit and leave the carry behind; the next miss folds in every
-  // column the carry skipped.
+  // the calls hit and leave the record's sum behind; the next miss folds in
+  // every column the sum skipped.
   Matrix features;
   std::vector<float> labels;
   const MaskedDnnClassifier classifier =
@@ -174,35 +177,43 @@ TEST(MaskedInferenceTest, CarryLagsBehindCacheHits) {
   const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
                                   &classifier);
   Rng rng(0x1a95);
+  std::vector<int> selects;
   std::vector<FeatureMask> scan;
   FeatureMask mask(m, 0);
   for (int p = 0; p < m; ++p) {
     if (!rng.Bernoulli(0.4)) continue;
     mask[p] = 1;
+    selects.push_back(p);
     scan.push_back(mask);
   }
   ASSERT_GE(scan.size(), 8u);
   for (size_t i = 0; i < scan.size(); i += 2) evaluator.Reward(scan[i]);
 
-  FirstLayerCarry carry;
+  SubsetRecord record;
+  evaluator.StartRecord(FeatureMask(m, 0), m, &record);
   for (size_t i = 0; i < scan.size(); ++i) {
+    record.Select(selects[i]);
     const long long hits = evaluator.cache_hits();
-    const std::vector<int> carried_before = carry.cols;
-    const double carried = evaluator.Reward(scan[i], &carry);
+    const int folded_before = record.folded;
+    const double carried = evaluator.Reward(&record);
     ASSERT_EQ(carried, evaluator.EvaluateUncached(scan[i])) << "step " << i;
+    ASSERT_EQ(record.cols, MaskToIndices(scan[i]));
     if (i % 2 == 0) {
       ASSERT_EQ(evaluator.cache_hits(), hits + 1);
-      ASSERT_EQ(carry.cols, carried_before);  // a hit leaves the carry behind
+      ASSERT_EQ(record.folded, folded_before);  // a hit leaves the sum behind
+      ASSERT_LT(record.folded, static_cast<int>(record.cols.size()));
     } else {
-      ASSERT_EQ(carry.cols, MaskToIndices(scan[i]));
+      ASSERT_EQ(record.folded, static_cast<int>(record.cols.size()));
     }
   }
 }
 
 TEST(MaskedInferenceTest, CarryRestartsOnNonExtendingMask) {
-  // A mask whose selected columns do not start with the carried ones — a
+  // Only a restart starts a subset that does not extend the record: a
   // shorter subset, a column inserted before the carried tail, a disjoint
-  // jump (an ITE ResetTo) — restarts the carry from zero.
+  // jump (an ITE ResetTo). Each restart folds its whole list from zero, and
+  // a select that extends the list folds only the new column; every reward
+  // equals the fresh evaluation.
   Matrix features;
   std::vector<float> labels;
   const MaskedDnnClassifier classifier =
@@ -210,21 +221,61 @@ TEST(MaskedInferenceTest, CarryRestartsOnNonExtendingMask) {
   const int m = features.cols();
   const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
                                   &classifier);
-  const std::vector<std::vector<int>> sequence = {
-      {2, 5, 9},         // fresh
-      {2, 5, 9, 17},     // extends
-      {2, 5},            // shorter: restart
-      {2, 3, 5, 9},      // a column inside the carried list: restart
-      {2, 3, 5, 9, 30},  // extends again
-      {1, 31, 39},       // disjoint jump: restart
-      {0, 1, 31, 39},    // a column before the carried list: restart
+  struct Move {
+    std::vector<int> cols;
+    bool restart;  // false: select the last column into the previous list
   };
-  FirstLayerCarry carry;
-  for (const std::vector<int>& cols : sequence) {
-    const FeatureMask mask = IndicesToMask(cols, m);
-    ASSERT_EQ(evaluator.Reward(mask, &carry), evaluator.EvaluateUncached(mask))
+  const std::vector<Move> sequence = {
+      {{2, 5, 9}, true},          // fresh
+      {{2, 5, 9, 17}, false},     // extends
+      {{2, 5}, true},             // shorter
+      {{2, 3, 5, 9}, true},       // a column inside the carried list
+      {{2, 3, 5, 9, 30}, false},  // extends again
+      {{1, 31, 39}, true},        // disjoint jump
+      {{0, 1, 31, 39}, true},     // a column before the carried list
+  };
+  SubsetRecord record;
+  for (const Move& move : sequence) {
+    const FeatureMask mask = IndicesToMask(move.cols, m);
+    if (move.restart) {
+      evaluator.StartRecord(mask, m, &record);
+      ASSERT_EQ(record.folded, 0);
+    } else {
+      const int folded_before = record.folded;
+      record.Select(move.cols.back());
+      ASSERT_EQ(record.folded, folded_before);
+    }
+    ASSERT_EQ(record.cols, move.cols);
+    ASSERT_EQ(record.key, PackMask(mask));
+    ASSERT_EQ(evaluator.Reward(&record), evaluator.EvaluateUncached(mask))
         << MaskToString(mask);
-    ASSERT_EQ(carry.cols, cols);
+    ASSERT_EQ(record.cols, move.cols);
+    ASSERT_EQ(record.folded, static_cast<int>(move.cols.size()));
+  }
+}
+
+TEST(MaskedInferenceTest, RecordSelectKeepsOrderPastTheScanPosition) {
+  // A start mask with bits past its scan position: a select below the last
+  // listed column goes in at its place (restarting the sum when it lands in
+  // the folded prefix), and a select of a listed column changes nothing.
+  Matrix features;
+  std::vector<float> labels;
+  const MaskedDnnClassifier classifier =
+      FitSmallClassifier(&features, &labels, 40);
+  const int m = features.cols();
+  const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
+                                  &classifier);
+  SubsetRecord record;
+  FeatureMask mask = IndicesToMask({4, 20, 33}, m);
+  evaluator.StartRecord(mask, 0, &record);
+  ASSERT_EQ(evaluator.Reward(&record), evaluator.EvaluateUncached(mask));
+  for (int column : {7, 20, 2, 38, 35}) {
+    mask[column] = 1;
+    record.Select(column);
+    ASSERT_EQ(record.cols, MaskToIndices(mask)) << column;
+    ASSERT_EQ(record.key, PackMask(mask)) << column;
+    ASSERT_EQ(evaluator.Reward(&record), evaluator.EvaluateUncached(mask))
+        << MaskToString(mask);
   }
 }
 
@@ -236,38 +287,43 @@ TEST(MaskedInferenceTest, CarryCoversEmptyAndAllOnesMasks) {
   const int m = features.cols();
   const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
                                   &classifier);
-  FirstLayerCarry carry;
   const FeatureMask empty(m, 0);
   const FeatureMask all(m, 1);
   FeatureMask first_only(m, 0);
   first_only[0] = 1;
-  // Empty -> all-ones extends the empty carried list; all-ones -> {0} is a
-  // restart.
-  for (const FeatureMask& mask : {empty, all, first_only}) {
-    ASSERT_EQ(evaluator.Reward(mask, &carry), evaluator.EvaluateUncached(mask))
-        << MaskToString(mask);
-  }
+  // Empty -> all-ones extends the empty list one select at a time; all-ones
+  // -> {0} is a restart.
+  SubsetRecord record;
+  evaluator.StartRecord(empty, m, &record);
+  ASSERT_EQ(evaluator.Reward(&record), evaluator.EvaluateUncached(empty));
+  for (int c = 0; c < m; ++c) record.Select(c);
+  ASSERT_EQ(evaluator.Reward(&record), evaluator.EvaluateUncached(all));
+  ASSERT_EQ(record.folded, m);
+  evaluator.StartRecord(first_only, m, &record);
+  ASSERT_EQ(evaluator.Reward(&record), evaluator.EvaluateUncached(first_only));
+  ASSERT_EQ(record.cols, std::vector<int>{0});
 
   // At the classifier: the implicit all-features mask (an empty vector)
-  // carries like the explicit one, and an all-zero mask restarts the carry
-  // down to nothing.
+  // runs the explicit all-ones subset, and an all-zero mask gathers
+  // nothing.
   const Matrix block = features.SelectRows(CarryEvalRows());
-  FirstLayerCarry block_carry;
   FeatureMask half(m, 0);
   for (int c = 0; c < m / 2; ++c) half[c] = 1;
   for (const FeatureMask& mask : {half, FeatureMask{}, empty}) {
-    EXPECT_EQ(classifier.PredictBlock(block, mask, &block_carry),
+    EXPECT_EQ(classifier.PredictBlock(block, mask),
               classifier.PredictBlockReference(block, mask))
         << MaskToString(mask);
-    EXPECT_EQ(static_cast<int>(block_carry.cols.size()),
+    SubsetRecord fresh;
+    evaluator.StartRecord(mask.empty() ? all : mask, 0, &fresh);
+    EXPECT_EQ(static_cast<int>(fresh.cols.size()),
               mask.empty() ? m : MaskCount(mask));
   }
 }
 
 TEST(MaskedInferenceTest, CarryCopiedWithEnvStaysExact) {
-  // Episode drivers copy the environment, carry included. A copy taken
-  // mid-scan must continue exactly, and so must the original, each on its
-  // own carry.
+  // Episode drivers copy the environment, subset record included. A copy
+  // taken mid-scan must continue exactly, and so must the original, each on
+  // its own record.
   Matrix features;
   std::vector<float> labels;
   const MaskedDnnClassifier classifier =
@@ -291,7 +347,7 @@ TEST(MaskedInferenceTest, CarryCopiedWithEnvStaysExact) {
     expect_exact(env);
   }
   // The copy scans the same columns with a different pattern, so its
-  // subsets are new misses on the carry it inherited.
+  // subsets are new misses on the record it inherited.
   for (int p = 0; !copy.Done(); ++p) {
     copy.Step(p % 2 == 0 ? kActionDeselect : kActionSelect);
     expect_exact(copy);

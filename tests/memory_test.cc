@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -21,6 +22,9 @@
 #include "golden/training_digests.h"
 #include "memory/budget.h"
 #include "memory/reward_cache.h"
+#include "ml/masked_dnn.h"
+#include "ml/subset_evaluator.h"
+#include "rl/fs_env.h"
 #include "rl/replay_buffer.h"
 
 namespace pafeat {
@@ -236,6 +240,126 @@ TEST(TieredRewardCacheTest, ImportBypassesTrafficAndDuplicates) {
             TieredRewardCache::Probe::kHit);
   EXPECT_EQ(value, 0.75);
   EXPECT_EQ(cache.live_entries(), 1u);
+}
+
+// The cache's memory property under seeded random budgets: after every
+// epoch close the charge is the fixed formula over what is resident, the
+// live count is what is resident, and the charge is within budget unless
+// every resident entry was published or hit in the epoch just closed (the
+// hot set may overshoot for one epoch). Keys of one to three words vary the
+// charge per entry.
+TEST(TieredRewardCacheTest, ResidentBytesWithinBudgetAfterEveryEpochClose) {
+  const std::size_t entry = OneEntryBytes();  // a one-word key's charge
+  Rng rng(0xb0d6e7);
+  std::vector<std::size_t> budgets = {0, entry - 1, 3 * entry, 7 * entry};
+  while (budgets.size() < 12) {
+    budgets.push_back(static_cast<std::size_t>(
+        rng.UniformInt(static_cast<int>(40 * entry))));
+  }
+  uint64_t next_key = 1;
+  for (const std::size_t budget : budgets) {
+    TieredRewardCache cache(budget);
+    cache.SetManualEpochControl(true);
+    int overshoots = 0;
+    for (int epoch = 0; epoch < 30; ++epoch) {
+      std::set<PackedMask> touched;
+      // Hit some resident entries (chosen before the publishes, so every
+      // probe is a hit), then publish fresh keys.
+      std::vector<std::pair<PackedMask, double>> resident;
+      cache.ExportEntries(&resident);
+      const int hits = resident.empty() ? 0 : rng.UniformInt(6);
+      for (int h = 0; h < hits; ++h) {
+        const auto& [key, want] = resident[rng.UniformInt(
+            static_cast<int>(resident.size()))];
+        double value = 0.0;
+        ASSERT_EQ(cache.AcquireOrWait(key, &value),
+                  TieredRewardCache::Probe::kHit);
+        ASSERT_EQ(value, want);
+        touched.insert(key);
+      }
+      const int publishes = rng.UniformInt(12);
+      for (int p = 0; p < publishes; ++p) {
+        PackedMask key(1 + rng.UniformInt(3), 0);
+        key[0] = next_key++;
+        MustClaimAndPublish(&cache, key, static_cast<double>(key[0]));
+        touched.insert(key);
+      }
+      cache.AdvanceEpoch();
+
+      const std::string where = "budget " + std::to_string(budget) +
+                                " epoch " + std::to_string(epoch);
+      cache.ExportEntries(&resident);
+      std::size_t charged = 0;
+      bool all_hot = true;
+      for (const auto& [key, value] : resident) {
+        charged += 2 * sizeof(uint64_t) * key.size() + 96;
+        if (touched.count(key) == 0) all_hot = false;
+      }
+      ASSERT_EQ(cache.bytes(), charged) << where;
+      ASSERT_EQ(cache.live_entries(), resident.size()) << where;
+      if (budget == 0) continue;  // unbounded
+      if (cache.bytes() > budget) {
+        ASSERT_TRUE(all_hot) << where << ": " << cache.bytes()
+                             << " bytes resident with a cold entry";
+        ++overshoots;
+      }
+    }
+    if (budget > 0 && budget < entry) {
+      EXPECT_GT(overshoots, 0) << "a budget below one entry must overshoot";
+    }
+  }
+}
+
+// The same budgets under the reward path: environment scans over a wide
+// task with the cache evicting at every episode close, so the records' sums
+// lag behind hits and restart at every Reset/ResetTo against entries that
+// come and go. Every reward must carry the fresh evaluation's bits.
+TEST(TieredRewardCacheTest, ScanRewardsExactUnderRandomBudgets) {
+  const int m = 70;
+  Rng rng(0x5ca7);
+  const Matrix features = Matrix::RandomNormal(64, m, 1.0f, &rng);
+  std::vector<float> labels(64);
+  std::vector<int> rows(64);
+  for (int r = 0; r < 64; ++r) {
+    labels[r] = features.At(r, 3) - features.At(r, 66) > 0.0f ? 1.0f : 0.0f;
+    rows[r] = r;
+  }
+  MaskedDnnConfig config;
+  config.hidden_dims = {16};
+  config.epochs = 2;
+  MaskedDnnClassifier classifier(config);
+  classifier.Fit(features, labels, rows, &rng);
+  const std::vector<float> representation(m, 0.25f);
+  for (int trial = 0; trial < 4; ++trial) {
+    const long long budget = 1 + rng.UniformInt(3000);
+    const SubsetEvaluator evaluator(&features, labels, rows, &classifier,
+                                    budget);
+    evaluator.SetManualCacheControl(true);
+    FeatureSelectionEnv env(representation, &evaluator, 0.6);
+    for (int episode = 0; episode < 12; ++episode) {
+      if (episode % 3 == 2) {
+        EnvState start;
+        start.mask.assign(m, 0);
+        start.position = rng.UniformInt(m / 2);
+        for (int c = 0; c < start.position; ++c) {
+          start.mask[c] = rng.Bernoulli(0.2) ? 1 : 0;
+        }
+        env.ResetTo(start);
+      } else {
+        env.Reset();
+      }
+      while (!env.Done()) {
+        env.Step(rng.Bernoulli(0.4) ? kActionSelect : kActionDeselect);
+        const double carried = env.current_performance();
+        const double fresh = evaluator.EvaluateUncached(env.state().mask);
+        ASSERT_EQ(std::memcmp(&carried, &fresh, sizeof(double)), 0)
+            << "budget " << budget << " episode " << episode << " "
+            << MaskToString(env.state().mask);
+      }
+      evaluator.AdvanceCacheEpoch();
+    }
+    EXPECT_GT(evaluator.cache_evictions(), 0) << "budget " << budget;
+  }
 }
 
 Trajectory MakeTrajectory(int transitions, double episode_return,

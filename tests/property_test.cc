@@ -1,8 +1,8 @@
 // Parameterized property suites over the core invariants: environment
-// episode algebra across feature counts and budgets, stored trajectories
-// rebuilding the live scan, E-Tree consistency under random trajectory
-// streams, ITS probability-simplex properties, and reward-mode
-// equivalences.
+// episode algebra and the scan's subset record across feature counts and
+// budgets, stored trajectories rebuilding the live scan, E-Tree consistency
+// under random trajectory streams, ITS probability-simplex properties, and
+// reward-mode equivalences.
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -103,9 +103,104 @@ TEST_P(EnvEpisodeSweep, ObservationDimensionIsStable) {
   }
 }
 
+// The environment's subset record against the mask it mirrors, at every
+// step of random episodes: its count, key and column list must equal
+// MaskCount, PackMask and MaskToIndices of the state's mask, Done() must be
+// the mask-counting definition, and the performance must carry the fresh
+// evaluation's bits. Episodes start from the default state, ITE prefix
+// states (ETree::PrefixToState), Go-Explore archive states, arbitrary masks
+// (bits past the scan position too) and masks already at the budget; some
+// are copied mid-scan and both copies run on. At m = 65 and 130 the key
+// spans two and three words.
+TEST_P(EnvEpisodeSweep, SubsetRecordMatchesMaskAtEveryStep) {
+  const double mfr = std::get<1>(GetParam());
+  const int m = num_features_;
+  FeatureSelectionEnv env(repr_, evaluator_.get(), mfr);
+  const auto expect_record = [&](const FeatureSelectionEnv& e,
+                                 const std::string& where) {
+    const SubsetRecord& record = e.subset_record();
+    const FeatureMask& mask = e.state().mask;
+    ASSERT_EQ(static_cast<int>(record.cols.size()), MaskCount(mask)) << where;
+    ASSERT_EQ(record.key, PackMask(mask)) << where;
+    ASSERT_EQ(record.cols, MaskToIndices(mask)) << where;
+    ASSERT_EQ(e.Done(), e.state().position >= m ||
+                            MaskCount(mask) >= e.max_selectable())
+        << where;
+    const double performance = e.current_performance();
+    const double fresh = evaluator_->EvaluateUncached(mask);
+    ASSERT_EQ(std::memcmp(&performance, &fresh, sizeof(double)), 0)
+        << where << ": " << performance << " vs " << fresh;
+  };
+  Rng rng(41 + m);
+  ETree tree(m);
+  GoExploreProvider archive(m, /*use_probability=*/1.0);
+  const SeenTaskRuntime no_task;
+  int custom_starts = 0;
+  for (int episode = 0; episode < 20; ++episode) {
+    const int kind = episode % 5;
+    std::optional<EnvState> start;
+    std::vector<int> path;  // decisions from the root, for the tree/archive
+    if (kind == 1 && tree.root_visits() > 0) {
+      path = tree.SelectPrefix(1.0, m - 1);
+      start = tree.PrefixToState(path);
+    } else if (kind == 2) {
+      if (std::optional<EpisodeStart> s = archive.Propose(0, no_task, &rng)) {
+        path = s->prefix;
+        start = s->state;
+      }
+    } else if (kind == 3) {
+      start.emplace();
+      start->mask.resize(m);
+      for (uint8_t& bit : start->mask) bit = rng.Bernoulli(0.3);
+      start->position = rng.UniformInt(m);
+    } else if (kind == 4) {
+      // Already at the budget: Done from the start, no step to take.
+      start.emplace();
+      start->mask.assign(m, 0);
+      for (int c : rng.SampleWithoutReplacement(m, env.max_selectable())) {
+        start->mask[c] = 1;
+      }
+      start->position = rng.UniformInt(m);
+    }
+    if (start.has_value()) {
+      env.ResetTo(*start);
+      ++custom_starts;
+    } else {
+      env.Reset();
+    }
+    const std::string where = "episode " + std::to_string(episode);
+    ASSERT_NO_FATAL_FAILURE(expect_record(env, where + " start"));
+    if (kind == 4) {
+      ASSERT_TRUE(env.Done()) << where;
+    }
+
+    std::optional<FeatureSelectionEnv> copy;
+    for (int step = 0; !env.Done(); ++step) {
+      const int action = rng.Bernoulli(0.5) ? kActionSelect : kActionDeselect;
+      env.Step(action);
+      path.push_back(action);
+      ASSERT_NO_FATAL_FAILURE(
+          expect_record(env, where + " step " + std::to_string(step)));
+      if (step == 2 && episode % 2 == 0) copy.emplace(env);
+    }
+    // The copy runs on from its own record with a denser pattern, so its
+    // subsets are new to the cache.
+    for (int step = 0; copy.has_value() && !copy->Done(); ++step) {
+      copy->Step(rng.Bernoulli(0.7) ? kActionSelect : kActionDeselect);
+      ASSERT_NO_FATAL_FAILURE(
+          expect_record(*copy, where + " copy step " + std::to_string(step)));
+    }
+    if (kind <= 2) {
+      tree.AddTrajectory(path, env.current_performance());
+      archive.OnTrajectory(0, path, env.current_performance());
+    }
+  }
+  EXPECT_GE(custom_starts, 8);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     FeatureCountsAndBudgets, EnvEpisodeSweep,
-    ::testing::Combine(::testing::Values(4, 9, 16, 33),
+    ::testing::Combine(::testing::Values(4, 9, 16, 33, 65, 130),
                        ::testing::Values(0.2, 0.5, 1.0)));
 
 class ReplayRebuildSweep
