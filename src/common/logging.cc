@@ -21,8 +21,6 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-LogLevel MinLogLevel() { return g_min_level; }
-
 void SetMinLogLevel(LogLevel level) { g_min_level = level; }
 
 namespace internal {

@@ -17,9 +17,6 @@ namespace pafeat {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-// Returns the process-wide minimum level that is actually emitted.
-LogLevel MinLogLevel();
-
 // Sets the process-wide minimum level. Not thread-safe; call it from main()
 // before spawning workers.
 void SetMinLogLevel(LogLevel level);

@@ -25,23 +25,6 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-// Accumulates timing statistics over repeated measurements.
-class TimingStats {
- public:
-  void Add(double seconds) {
-    total_ += seconds;
-    ++count_;
-  }
-
-  double total_seconds() const { return total_; }
-  int count() const { return count_; }
-  double MeanSeconds() const { return count_ == 0 ? 0.0 : total_ / count_; }
-
- private:
-  double total_ = 0.0;
-  int count_ = 0;
-};
-
 }  // namespace pafeat
 
 #endif  // PAFEAT_COMMON_TIMER_H_

@@ -345,9 +345,4 @@ FeatureMask CheckpointedSelector::SelectForRepresentation(
   return GreedySelectSubset(*net_, representation, max_feature_ratio_);
 }
 
-std::vector<FeatureMask> CheckpointedSelector::SelectForRepresentations(
-    const std::vector<std::vector<float>>& representations) const {
-  return GreedySelectSubsets(*net_, representations, max_feature_ratio_);
-}
-
 }  // namespace pafeat

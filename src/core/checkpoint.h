@@ -110,12 +110,6 @@ class CheckpointedSelector {
   FeatureMask SelectForRepresentation(
       const std::vector<float>& representation) const;
 
-  // Batched greedy subsets through the lock-step scan — the multi-task
-  // serving entry point (result i is bit-identical to
-  // SelectForRepresentation(reprs[i])).
-  std::vector<FeatureMask> SelectForRepresentations(
-      const std::vector<std::vector<float>>& representations) const;
-
   int num_features() const { return (net_->config().input_dim - 3) / 2; }
   double max_feature_ratio() const { return max_feature_ratio_; }
 

@@ -11,7 +11,6 @@
 #include "common/timer.h"
 #include "core/greedy_policy.h"
 #include "core/its.h"
-#include "core/sitp.h"
 #include "nn/workspace.h"
 #include "rl/episode_driver.h"
 
@@ -46,7 +45,7 @@ std::vector<double> ItsScheduler::Probabilities(
                                            *task.context->evaluator,
                                            task.context->full_feature_reward));
   }
-  return ScheduleProbabilities(progress, temperature_, min_share_of_uniform_);
+  return ScheduleProbabilities(progress);
 }
 
 Feat::Feat(FsProblem* problem, std::vector<int> seen_label_indices,
@@ -78,12 +77,7 @@ Feat::Feat(FsProblem* problem, std::vector<int> seen_label_indices,
   dqn.net.num_actions = kNumActions;
   Rng agent_rng = rng_.Fork(0xa6e17);
   agent_ = std::make_unique<DqnAgent>(dqn, &agent_rng);
-
-  if (config_.success_prioritized_scheduling) {
-    scheduler_ = std::make_unique<SitpScheduler>();
-  } else {
-    scheduler_ = std::make_unique<UniformScheduler>();
-  }
+  scheduler_ = std::make_unique<UniformScheduler>();
 }
 
 int Feat::AddTask(int label_index) {
@@ -250,20 +244,15 @@ IterationStats Feat::RunIteration() {
 
   // --- Buffer Filling Phase (Algorithm 1 lines 4-18) ---
   const int num_episodes = config_.envs_per_iteration;
+  std::vector<double>& probabilities = stats.task_probabilities;
   if (focus_slot_ >= 0) {
     PF_CHECK_LT(focus_slot_, num_tasks());
-    last_probabilities_.assign(tasks_.size(), 0.0);
-    last_probabilities_[focus_slot_] = 1.0;
+    probabilities.assign(tasks_.size(), 0.0);
+    probabilities[focus_slot_] = 1.0;
   } else {
-    // The scheduler stream forks off a fresh root-seeded generator (not
-    // rng_) on the (iteration, 0) path: scheduler draws must not advance
-    // the planning stream.
-    Rng scheduler_stream = Rng(config_.seed).Fork(iteration_index_, 0);
-    scheduler_->BeginIteration(&scheduler_stream);
-    last_probabilities_ = scheduler_->Probabilities(tasks_);
+    probabilities = scheduler_->Probabilities(tasks_);
   }
-  PF_CHECK_EQ(last_probabilities_.size(), tasks_.size());
-  stats.task_probabilities = last_probabilities_;
+  PF_CHECK_EQ(probabilities.size(), tasks_.size());
 
   // Plan all N episodes on this thread (task choice, customized initial
   // state, per-episode RNG, reward-shaper context), then deal them
@@ -273,7 +262,7 @@ IterationStats Feat::RunIteration() {
   std::vector<EpisodePlan> plans(num_episodes);
   for (int i = 0; i < num_episodes; ++i) {
     EpisodePlan& plan = plans[i];
-    plan.slot = rng_.SampleDiscrete(last_probabilities_);
+    plan.slot = rng_.SampleDiscrete(probabilities);
     if (state_provider_ != nullptr) {
       plan.start = state_provider_->Propose(plan.slot, tasks_[plan.slot],
                                             &rng_);
@@ -292,6 +281,8 @@ IterationStats Feat::RunIteration() {
     CollectShard(plans, c, collectors, &trajectories, &episode_actions);
   });
 
+  // Episode returns each task keeps in SeenTaskRuntime::recent_returns.
+  constexpr int kRecentReturnsWindow = 32;
   for (int i = 0; i < num_episodes; ++i) {
     Trajectory& trajectory = trajectories[i];
     if (trajectory.steps.empty()) continue;
@@ -304,7 +295,7 @@ IterationStats Feat::RunIteration() {
     task.buffer->AddTrajectory(std::move(trajectory));
     task.recent_returns.push_back(episode_return);
     while (static_cast<int>(task.recent_returns.size()) >
-           config_.recent_returns_window) {
+           kRecentReturnsWindow) {
       task.recent_returns.pop_front();
     }
     ++stats.episodes;

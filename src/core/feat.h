@@ -46,13 +46,6 @@ struct FeatConfig {
   // (ReplayBuffer::bytes; DESIGN.md "Bounded memory plane"); 0 = unlimited.
   // Over budget, the lowest-return trajectories are evicted first.
   std::size_t replay_budget_bytes = 0;
-  // Success-induced task prioritization (arXiv 2301.00691) as the scheduler
-  // default instead of uniform: tasks whose recent success rate moved the
-  // most get more episodes, with an exploration nomination drawn from the
-  // reserved scheduler RNG stream. An ablation alternative to the ITS —
-  // PaFeatConfig::use_its still overrides whatever the Feat default is.
-  bool success_prioritized_scheduling = false;
-  int recent_returns_window = 32;
   DqnConfig dqn;                 // dqn.net.input_dim is filled automatically
   uint64_t seed = 7;
 };
@@ -64,6 +57,8 @@ struct SeenTaskRuntime {
   const TaskContext* context = nullptr;
   std::unique_ptr<FeatureSelectionEnv> env;
   std::unique_ptr<ReplayBuffer> buffer;
+  // The task's latest episode returns, oldest first: at most
+  // kRecentReturnsWindow (Feat::RunIteration).
   std::deque<double> recent_returns;
 
   double AverageRecentReturn() const;
@@ -77,12 +72,7 @@ struct SeenTaskRuntime {
 class TaskScheduler {
  public:
   virtual ~TaskScheduler() = default;
-  // Called once per iteration before Probabilities (skipped in focus mode)
-  // with the iteration's reserved scheduler RNG stream — forked on the
-  // (iteration, 0) path off a fresh root-seeded generator, so a scheduler
-  // that draws from it cannot perturb the planning stream, and its draws
-  // never depend on the thread count. The default consumes nothing.
-  virtual void BeginIteration(Rng* stream) { (void)stream; }
+  // Called once per iteration (skipped in focus mode).
   virtual std::vector<double> Probabilities(
       const std::vector<SeenTaskRuntime>& tasks) = 0;
 };
@@ -93,21 +83,17 @@ class UniformScheduler : public TaskScheduler {
       const std::vector<SeenTaskRuntime>& tasks) override;
 };
 
-// ITS as a scheduler hook (paper §III-C).
+// ITS as a scheduler hook (paper §III-C): each task's progress over its
+// `recent_n` most recent trajectories, allocated by ScheduleProbabilities at
+// its default temperature and floor.
 class ItsScheduler : public TaskScheduler {
  public:
-  explicit ItsScheduler(int recent_n, double temperature = 0.2,
-                        double min_share_of_uniform = 0.5)
-      : recent_n_(recent_n),
-        temperature_(temperature),
-        min_share_of_uniform_(min_share_of_uniform) {}
+  explicit ItsScheduler(int recent_n) : recent_n_(recent_n) {}
   std::vector<double> Probabilities(
       const std::vector<SeenTaskRuntime>& tasks) override;
 
  private:
   int recent_n_;
-  double temperature_;
-  double min_share_of_uniform_;
 };
 
 // Hook: customizes the initial state of an episode (Algorithm 1 line 6 /
@@ -259,9 +245,6 @@ class Feat {
   DqnAgent& agent() { return *agent_; }
   const FeatConfig& config() const { return config_; }
   FsProblem& problem() { return *problem_; }
-  const std::vector<double>& last_probabilities() const {
-    return last_probabilities_;
-  }
 
  private:
   // One planned unit of the buffer-filling phase.
@@ -300,10 +283,10 @@ class Feat {
   std::unique_ptr<TaskScheduler> scheduler_;
   std::unique_ptr<InitialStateProvider> state_provider_;
   std::unique_ptr<RewardShaper> reward_shaper_;
-  std::vector<double> last_probabilities_;
   int focus_slot_ = -1;
-  // 0-based index of the next RunIteration call; keys the scheduler
-  // stream's fork path.
+  // 0-based index of the next RunIteration call: saved with the training
+  // state, and nonzero once this Feat has run, which RestoreTrainingState
+  // refuses.
   uint64_t iteration_index_ = 0;
   // Running replay-eviction total at the end of the previous iteration
   // (buffers only expose running counters; cache traffic drains windows).

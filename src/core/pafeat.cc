@@ -1,7 +1,6 @@
 #include "core/pafeat.h"
 
 #include "common/logging.h"
-#include "common/timer.h"
 
 namespace pafeat {
 
@@ -10,9 +9,10 @@ PaFeat::PaFeat(FsProblem* problem, std::vector<int> seen_label_indices,
     : config_(config) {
   feat_ = std::make_unique<Feat>(problem, seen_label_indices, config.feat);
   if (config.use_its) {
-    feat_->SetScheduler(std::make_unique<ItsScheduler>(
-        config.its_recent_n, config.its_temperature,
-        config.its_min_share_of_uniform));
+    // Trajectories per task that Eqn 4a's load module reads.
+    constexpr int kItsRecentTrajectories = 8;
+    feat_->SetScheduler(
+        std::make_unique<ItsScheduler>(kItsRecentTrajectories));
   }
   if (config.use_ite) {
     auto explorer = std::make_unique<IntraTaskExplorer>(
@@ -85,23 +85,6 @@ bool PaFeat::RestoreTrainingState(const std::vector<std::uint8_t>& blob,
 FeatureMask PaFeat::SelectFeatures(int unseen_label_index,
                                    double* execution_seconds) {
   return feat_->SelectForTask(unseen_label_index, execution_seconds);
-}
-
-std::vector<FeatureMask> PaFeat::SelectFeaturesForTasks(
-    const std::vector<int>& unseen_label_indices,
-    double* execution_seconds) {
-  WallTimer timer;
-  std::vector<std::vector<float>> reprs;
-  reprs.reserve(unseen_label_indices.size());
-  for (int label_index : unseen_label_indices) {
-    reprs.push_back(feat_->problem().ComputeTaskRepresentation(label_index));
-  }
-  std::vector<FeatureMask> masks =
-      feat_->SelectForRepresentations(reprs);
-  if (execution_seconds != nullptr) {
-    *execution_seconds = timer.ElapsedSeconds();
-  }
-  return masks;
 }
 
 FeatureMask PaFeat::FurtherTrain(

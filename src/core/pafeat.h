@@ -17,9 +17,6 @@ namespace pafeat {
 struct PaFeatConfig {
   FeatConfig feat;
   IteConfig ite;
-  int its_recent_n = 8;
-  double its_temperature = 0.2;
-  double its_min_share_of_uniform = 0.5;
   bool use_its = true;  // Inter-Task Scheduler (w/o ITS ablation: false)
   bool use_ite = true;  // Intra-Task Explorer (w/o ITE ablation: false)
 };
@@ -44,16 +41,6 @@ class PaFeat {
   FeatureMask SelectFeatures(int unseen_label_index,
                              double* execution_seconds = nullptr);
 
-  // Fast feature selection for several unseen tasks at once: the per-step Q
-  // queries of all tasks run through the batched inference plane (one
-  // forward pass per feature position instead of one per task per
-  // position). Mask i is bit-identical to SelectFeatures(unseen[i]).
-  // `execution_seconds` (optional) receives the total wall time over the
-  // batch.
-  std::vector<FeatureMask> SelectFeaturesForTasks(
-      const std::vector<int>& unseen_label_indices,
-      double* execution_seconds = nullptr);
-
   // §IV-D: further training on one (now labeled) unseen task. The callback,
   // when set, is invoked every `callback_every` iterations with the current
   // greedy selection for the task. Returns the final selection.
@@ -67,9 +54,7 @@ class PaFeat {
   // Restore requires a freshly constructed PaFeat over the same problem,
   // task list and ablation switches; on failure it returns false with a
   // reason in `error` and the instance must be discarded. A restored run
-  // continues bit-identically to the uninterrupted one (the SITP scheduler's
-  // internal success trace is the one documented approximation — it
-  // re-primes on the first resumed iteration).
+  // continues bit-identically to the uninterrupted one.
   std::vector<std::uint8_t> SerializeTrainingState() const;
   bool RestoreTrainingState(const std::vector<std::uint8_t>& blob,
                             std::string* error);

@@ -32,9 +32,6 @@ class Standardizer {
   // Returns a standardized copy of all rows.
   Matrix Transform(const Matrix& features) const;
 
-  const std::vector<float>& means() const { return means_; }
-  const std::vector<float>& stddevs() const { return stddevs_; }
-
  private:
   std::vector<float> means_;
   std::vector<float> stddevs_;

@@ -23,7 +23,6 @@ class Table {
 
   const Matrix& features() const { return features_; }
   const Matrix& labels() const { return labels_; }
-  Matrix* mutable_features() { return &features_; }
 
   const std::vector<std::string>& feature_names() const {
     return feature_names_;

@@ -78,7 +78,6 @@ class SubsetEvaluator {
   long long cache_misses() const { return cache_.total_misses(); }
   long long cache_evictions() const { return cache_.total_evictions(); }
   std::size_t cache_bytes() const { return cache_.bytes(); }
-  std::size_t cache_entries() const { return cache_.live_entries(); }
 
   // Drains the per-iteration telemetry window: every hit/miss/eviction lands
   // in exactly one drain, attributed at resolve time — a stampede waiter

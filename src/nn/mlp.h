@@ -109,7 +109,6 @@ class Mlp {
 
   int num_layers() const { return static_cast<int>(layers_.size()); }
   const Matrix& layer_weight(int i) const { return layers_[i].weight; }
-  int layer_input_dim(int i) const { return layers_[i].weight.cols(); }
   int layer_output_dim(int i) const { return layers_[i].weight.rows(); }
 
   // Backpropagates dL/d(output) through the cached forward pass, accumulating

@@ -8,36 +8,14 @@
 
 namespace pafeat {
 
-SgdOptimizer::SgdOptimizer(float learning_rate, float momentum)
-    : learning_rate_(learning_rate), momentum_(momentum) {}
+namespace {
 
-void SgdOptimizer::Step(const std::vector<Matrix*>& params,
-                        const std::vector<Matrix*>& grads) {
-  PF_CHECK_EQ(params.size(), grads.size());
-  if (velocity_.empty() && momentum_ > 0.0f) {
-    for (Matrix* p : params) velocity_.emplace_back(p->rows(), p->cols());
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    Matrix& p = *params[i];
-    const Matrix& g = *grads[i];
-    PF_CHECK(p.SameShape(g));
-    if (momentum_ > 0.0f) {
-      Matrix& vel = velocity_[i];
-      vel.Scale(momentum_);
-      vel.Axpy(1.0f, g);
-      p.Axpy(-learning_rate_, vel);
-    } else {
-      p.Axpy(-learning_rate_, g);
-    }
-  }
-}
+// Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEpsilon = 1e-8f;
 
-AdamOptimizer::AdamOptimizer(float learning_rate, float beta1, float beta2,
-                             float epsilon)
-    : learning_rate_(learning_rate),
-      beta1_(beta1),
-      beta2_(beta2),
-      epsilon_(epsilon) {}
+}  // namespace
 
 void AdamOptimizer::Step(const std::vector<Matrix*>& params,
                          const std::vector<Matrix*>& grads) {
@@ -50,10 +28,10 @@ void AdamOptimizer::Step(const std::vector<Matrix*>& params,
   }
   PF_CHECK_EQ(m_.size(), params.size());
   ++step_;
-  const float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(step_));
-  const float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(step_));
+  const float bias1 = 1.0f - std::pow(kBeta1, static_cast<float>(step_));
+  const float bias2 = 1.0f - std::pow(kBeta2, static_cast<float>(step_));
   const kernels::AdamCoefficients coefficients{
-      learning_rate_, beta1_, beta2_, epsilon_, bias1, bias2};
+      learning_rate_, kBeta1, kBeta2, kEpsilon, bias1, bias2};
   for (size_t i = 0; i < params.size(); ++i) {
     Matrix& p = *params[i];
     const Matrix& g = *grads[i];

@@ -1,50 +1,24 @@
 #ifndef PAFEAT_NN_OPTIMIZER_H_
 #define PAFEAT_NN_OPTIMIZER_H_
 
-#include <memory>
 #include <vector>
 
 #include "tensor/matrix.h"
 
 namespace pafeat {
 
-// First-order optimizer interface over a fixed set of parameter tensors.
-// The parameter/gradient lists must have the same shapes on every Step call
-// (state such as Adam moments is keyed by position).
-class Optimizer {
+// Adam (Kingma & Ba, 2015) — the optimizer the paper uses for all networks —
+// over a fixed set of parameter tensors. The parameter/gradient lists must
+// have the same shapes on every Step call (the moments are keyed by
+// position).
+class AdamOptimizer {
  public:
-  virtual ~Optimizer() = default;
+  explicit AdamOptimizer(float learning_rate)
+      : learning_rate_(learning_rate) {}
 
   // Applies one update: params[i] -= f(grads[i]).
-  virtual void Step(const std::vector<Matrix*>& params,
-                    const std::vector<Matrix*>& grads) = 0;
-};
-
-class SgdOptimizer : public Optimizer {
- public:
-  explicit SgdOptimizer(float learning_rate, float momentum = 0.0f);
-
   void Step(const std::vector<Matrix*>& params,
-            const std::vector<Matrix*>& grads) override;
-
- private:
-  float learning_rate_;
-  float momentum_;
-  std::vector<Matrix> velocity_;
-};
-
-// Adam (Kingma & Ba, 2015) — the optimizer the paper uses for all networks.
-class AdamOptimizer : public Optimizer {
- public:
-  explicit AdamOptimizer(float learning_rate, float beta1 = 0.9f,
-                         float beta2 = 0.999f, float epsilon = 1e-8f);
-
-  void Step(const std::vector<Matrix*>& params,
-            const std::vector<Matrix*>& grads) override;
-
-  void set_learning_rate(float lr) { learning_rate_ = lr; }
-  float learning_rate() const { return learning_rate_; }
-  long long step() const { return step_; }
+            const std::vector<Matrix*>& grads);
 
   // Warm-resume persistence (checkpoint v3): the step counter and the
   // moment vectors flattened in parameter order (both empty before the
@@ -62,9 +36,6 @@ class AdamOptimizer : public Optimizer {
 
  private:
   float learning_rate_;
-  float beta1_;
-  float beta2_;
-  float epsilon_;
   long long step_ = 0;
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;

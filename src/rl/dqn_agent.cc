@@ -8,6 +8,13 @@
 
 namespace pafeat {
 
+namespace {
+
+// EMA rate of PopArt's per-task target statistics.
+constexpr float kPopArtBeta = 0.02f;
+
+}  // namespace
+
 DqnAgent::DqnAgent(const DqnConfig& config, Rng* rng) : config_(config) {
   online_ = std::make_unique<DuelingNet>(config.net, rng);
   target_ = std::make_unique<DuelingNet>(config.net, rng);
@@ -146,27 +153,13 @@ double DqnAgent::TrainBatch(const LearnerBatch& batch) {
   PF_CHECK_EQ(static_cast<int>(batch.actions.size()), batch_size);
   const int num_actions = config_.net.num_actions;
 
-  // TD targets from the frozen target network (Eqn 1b); with double_dqn the
-  // action is chosen by the online network and only evaluated by the target.
+  // TD targets from the frozen target network (Eqn 1b).
   const Matrix next_q = target_->Predict(batch.next_observations);
-  Matrix online_next_q;
-  if (config_.double_dqn) {
-    online_next_q = online_->Predict(batch.next_observations);
-  }
   std::vector<double> targets(batch_size);
   for (int i = 0; i < batch_size; ++i) {
-    double max_next;
-    if (config_.double_dqn) {
-      int best = 0;
-      for (int a = 1; a < num_actions; ++a) {
-        if (online_next_q.At(i, a) > online_next_q.At(i, best)) best = a;
-      }
-      max_next = next_q.At(i, best);
-    } else {
-      max_next = next_q.At(i, 0);
-      for (int a = 1; a < num_actions; ++a) {
-        max_next = std::max(max_next, static_cast<double>(next_q.At(i, a)));
-      }
+    double max_next = next_q.At(i, 0);
+    for (int a = 1; a < num_actions; ++a) {
+      max_next = std::max(max_next, static_cast<double>(next_q.At(i, a)));
     }
     if (config_.use_popart) {
       // The target network predicts normalized values; denormalize with the
@@ -190,7 +183,7 @@ double DqnAgent::TrainBatch(const LearnerBatch& batch) {
         popart_sq_[task] = targets[i] * targets[i] + 1.0;
         popart_init_[task] = true;
       } else {
-        const double beta = config_.popart_beta;
+        const double beta = kPopArtBeta;
         popart_mean_[task] =
             (1.0 - beta) * popart_mean_[task] + beta * targets[i];
         popart_sq_[task] =

@@ -23,14 +23,9 @@ struct DqnConfig {
   float epsilon_start = 1.0f;
   float epsilon_end = 0.05f;
   int epsilon_decay_steps = 2000;
-  // Double DQN (van Hasselt et al., 2016): bootstrap with
-  // Q_target(s', argmax_a Q_online(s', a)) instead of max_a Q_target(s', a),
-  // removing the maximization bias. An optional extension beyond the paper.
-  bool double_dqn = false;
   // PopArt baseline: per-task adaptive normalization of TD targets
   // (Hessel et al., 2019). Off for PA-FEAT itself.
   bool use_popart = false;
-  float popart_beta = 0.02f;  // EMA rate of the target statistics
 };
 
 // A training batch in the learner's layout: row i of the two matrices is

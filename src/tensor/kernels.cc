@@ -20,8 +20,8 @@ void GemmNN(int m, int n, int p, const float* a, int lda, const float* b,
             int ldb, float* c, int ldc);
 void GemmTN(int m, int n, int p, const float* a, int lda, const float* b,
             int ldb, float* c, int ldc);
-void GemmNT(int m, int n, int p, const float* a, int lda, const float* b,
-            int ldb, float* c, int ldc);
+void GemmNTRowwise(int m, int n, int p, const float* a, int lda,
+                   const float* b, int ldb, float* c, int ldc);
 void GemmGatherNN(int m, int n, const float* a, int lda, const int* cols,
                   int ncols, const float* b, int ldb, float* c, int ldc);
 void RowwiseCarryInit(int n, int k_end, const float* a, const float* b,
@@ -36,8 +36,6 @@ namespace avx2 {
 void GemmNN(int m, int n, int p, const float* a, int lda, const float* b,
             int ldb, float* c, int ldc);
 void GemmTN(int m, int n, int p, const float* a, int lda, const float* b,
-            int ldb, float* c, int ldc);
-void GemmNT(int m, int n, int p, const float* a, int lda, const float* b,
             int ldb, float* c, int ldc);
 void GemmGatherNN(int m, int n, const float* a, int lda, const int* cols,
                   int ncols, const float* b, int ldb, float* c, int ldc);
@@ -67,12 +65,11 @@ using CarryFinishFn = void (*)(int, int, int, const float*, const float*, int,
 struct Dispatch {
   GemmFn nn;
   GemmFn tn;
-  GemmFn nt;
   // Row-wise NT core whose per-row bits are independent of m (the batched
-  // inference plane's contract). The generic instantiation's NT dot core
-  // already has that property (plain 1x1 tile, no cross-row state); the
-  // AVX2 TU supplies a dedicated interleaved intrinsics core because a
-  // portable interleave would let the compiler contract rows differently.
+  // inference plane's contract). The generic dot core has that property
+  // (plain 1x1 tile, no cross-row state); the AVX2 TU supplies a dedicated
+  // interleaved intrinsics core because a portable interleave would let the
+  // compiler contract rows differently.
   GemmFn nt_rowwise;
   GatherFn gather;
   // The greedy scan's cut of nt_rowwise (kernels.h).
@@ -93,15 +90,15 @@ SimdCapability ProbeBestCapability() {
 
 Dispatch MakeDispatch(SimdCapability level) {
   Dispatch dispatch{generic::GemmNN,           generic::GemmTN,
-                    generic::GemmNT,           generic::GemmNT,
-                    generic::GemmGatherNN,     generic::RowwiseCarryInit,
-                    generic::RowwiseCarryFinish, SimdCapability::kGeneric};
+                    generic::GemmNTRowwise,    generic::GemmGatherNN,
+                    generic::RowwiseCarryInit, generic::RowwiseCarryFinish,
+                    SimdCapability::kGeneric};
 #ifdef PAFEAT_HAVE_AVX2_TU
   if (level >= SimdCapability::kAvx2) {
     dispatch = Dispatch{avx2::GemmNN,           avx2::GemmTN,
-                        avx2::GemmNT,           avx2::GemmNTRowwise,
-                        avx2::GemmGatherNN,     avx2::RowwiseCarryInit,
-                        avx2::RowwiseCarryFinish, SimdCapability::kAvx2};
+                        avx2::GemmNTRowwise,    avx2::GemmGatherNN,
+                        avx2::RowwiseCarryInit, avx2::RowwiseCarryFinish,
+                        SimdCapability::kAvx2};
   }
 #endif
   return dispatch;

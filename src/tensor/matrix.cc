@@ -17,7 +17,6 @@ Matrix::Matrix(int rows, int cols, float fill)
 
 Matrix Matrix::Zeros(int rows, int cols) { return Matrix(rows, cols, 0.0f); }
 
-Matrix Matrix::Ones(int rows, int cols) { return Matrix(rows, cols, 1.0f); }
 
 Matrix Matrix::Identity(int n) {
   Matrix m(n, n);

@@ -20,7 +20,6 @@ class Matrix {
   Matrix(int rows, int cols, float fill);
 
   static Matrix Zeros(int rows, int cols);
-  static Matrix Ones(int rows, int cols);
   static Matrix Identity(int n);
   // Entries drawn i.i.d. uniform in [lo, hi).
   static Matrix RandomUniform(int rows, int cols, float lo, float hi,

@@ -1,8 +1,9 @@
 #ifndef PAFEAT_TESTS_GOLDEN_TRAINING_DIGESTS_H_
 #define PAFEAT_TESTS_GOLDEN_TRAINING_DIGESTS_H_
 
-// Frozen training digests for TrainingGoldenTest (its TrainingDigest and
-// RunBoundedTraining define the recipes; Fnv1a64 below is the hash). One
+// Frozen training digests for TrainingGoldenTest (its TrainingDigest,
+// RunBoundedTraining and RunPopArtTraining define the recipes; Fnv1a64
+// below is the hash). One
 // value per SIMD level: generic, and avx2 for every x86-64 host with AVX2
 // and FMA, the widest level the library dispatches. The values hold for
 // the portable build flags (Release -O2 with the per-TU kernel flags of
@@ -15,14 +16,12 @@
 // threads as the batched collector at {1, 8} threads x {1, 4} shards. The
 // bounded value was recorded at commit 62028bc, where the replay buffer sat
 // on a sharded trajectory store and gave the same digest at 1 and 4 storage
-// shards at {1, 8} threads x {1, 4} collector shards. The SITP value was
-// recorded at commit 696a6b9 with num_shards = 1 at 1 and 8 threads; there
-// the SITP digest differed at 4 shards, where each shard drew its own
-// exploration nomination; Feat hands every scheduler that single-shard
-// stream, Rng(seed).Fork(iteration, 0). The avx2 values hold on every
-// x86-64 host with AVX2 and FMA; none changed when the wider level that
-// shared them was deleted. A deliberate re-record copies the "computed"
-// value the failing test prints.
+// shards at {1, 8} threads x {1, 4} collector shards. The PopArt value was
+// recorded at commit 2553d61, at 1, 3 and 8 threads, before the PopArt EMA
+// rate and the recent-returns window became constants. The avx2 values
+// hold on every x86-64 host with AVX2 and FMA; none changed when the wider
+// level that shared them was deleted. A deliberate re-record copies the
+// "computed" value the failing test prints.
 
 #include <cstddef>
 #include <cstdint>
@@ -53,11 +52,12 @@ inline constexpr TrainingGolden kPaFeatTraining = {0x134321b5449a42d3ULL,
 // 8 envs, 8 iterations.
 inline constexpr TrainingGolden kBoundedFeatTraining = {0xd7bb29645801e272ULL,
                                                         0x33836e619aec4d5dULL};
-// FEAT with the SITP scheduler (FeatConfig::success_prioritized_scheduling):
-// MemoryDataset, DefaultFeatOptions(50, 23), 6 envs, 6 iterations; the
-// bounded recipe plus each iteration's task probabilities.
-inline constexpr TrainingGolden kSitpFeatTraining = {0x331c68210d7ee7f0ULL,
-                                                     0xe5af7554d29dc10fULL};
+// PopArt FEAT (use_popart and extra_rescale_layer, as PopArtSelector sets
+// them): MemoryDataset, DefaultFeatOptions(50, 23), 8 envs, 14 iterations;
+// each iteration's mean loss, the online parameters and the training-state
+// blob.
+inline constexpr TrainingGolden kPopArtFeatTraining = {0xa6386e430e5d48daULL,
+                                                       0x26e61eafb475cfbfULL};
 
 // FNV-1a 64 over raw bytes: the goldens' digest.
 class Fnv1a64 {

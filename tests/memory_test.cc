@@ -2,8 +2,10 @@
 // the tiered reward cache's budget/eviction/telemetry contracts, the replay
 // buffer's budget eviction order, and the end-to-end determinism claim —
 // training under a forced-eviction budget reproduces a frozen digest and is
-// bit-identical at any thread count.
+// bit-identical at any thread count. A PopArt golden pins the training-state
+// blob's PopArt statistics and recent returns the same way.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -462,11 +464,10 @@ struct BoundedOutcome {
 
 // The bounded golden's recipe, in order: each iteration's mean loss, episode
 // count, cache hits/misses/evictions/bytes, replay evictions and replay
-// bytes (then its task probabilities when asked); the online parameters;
-// every stored trajectory with its priority in ForEachStored order.
+// bytes; the online parameters; every stored trajectory with its priority
+// in ForEachStored order.
 uint64_t DigestBounded(const Feat& feat,
-                       const std::vector<IterationStats>& stats,
-                       bool with_task_probabilities = false) {
+                       const std::vector<IterationStats>& stats) {
   golden::Fnv1a64 digest;
   for (const IterationStats& iteration : stats) {
     digest.Scalar(iteration.mean_loss);
@@ -477,9 +478,6 @@ uint64_t DigestBounded(const Feat& feat,
     digest.Scalar<uint64_t>(iteration.cache_bytes);
     digest.Scalar<int64_t>(iteration.replay_evictions);
     digest.Scalar<uint64_t>(iteration.replay_bytes);
-    if (with_task_probabilities) {
-      for (double p : iteration.task_probabilities) digest.Scalar(p);
-    }
   }
   for (float parameter : feat.agent().online_net().SerializeParams()) {
     digest.Scalar(parameter);
@@ -642,43 +640,56 @@ TEST(TrainingGoldenTest, BoundedFeatMatchesGolden) {
   }
 }
 
-// SITP (arXiv 2301.00691) as the scheduler default: MemoryDataset,
-// DefaultFeatOptions(50, 23), 6 envs, 6 iterations, unbounded memory.
-BoundedOutcome RunSitpTraining(int num_threads) {
+struct PopArtOutcome {
+  uint64_t digest = 0;
+  std::size_t fullest_returns = 0;  // the longest recent-returns deque
+};
+
+// PopArt FEAT, configured as PopArtSelector configures it: MemoryDataset,
+// DefaultFeatOptions(50, 23), 8 envs, 14 iterations, long enough that a
+// task's recent-returns window fills. The digest covers each iteration's
+// mean loss, the online parameters and the training-state blob, which holds
+// the PopArt statistics and every task's recent returns.
+PopArtOutcome RunPopArtTraining(int num_threads) {
   SyntheticDataset dataset = MemoryDataset();
   FsProblem problem(dataset.table, DefaultProblemConfig(true), 19);
   FeatConfig config = DefaultFeatOptions(50, 23).feat;
-  config.envs_per_iteration = 6;
+  config.envs_per_iteration = 8;
   config.num_threads = num_threads;
-  config.success_prioritized_scheduling = true;
+  config.dqn.use_popart = true;
+  config.dqn.net.extra_rescale_layer = true;
   Feat feat(&problem, dataset.SeenTaskIndices(), config);
-  BoundedOutcome outcome;
-  for (int i = 0; i < 6; ++i) {
-    outcome.stats.push_back(feat.RunIteration());
+  golden::Fnv1a64 digest;
+  for (int i = 0; i < 14; ++i) digest.Scalar(feat.RunIteration().mean_loss);
+  for (float parameter : feat.agent().online_net().SerializeParams()) {
+    digest.Scalar(parameter);
   }
-  outcome.digest =
-      DigestBounded(feat, outcome.stats, /*with_task_probabilities=*/true);
+  ByteWriter blob;
+  feat.SerializeTrainingState(&blob);
+  digest.Bytes(blob.data().data(), blob.data().size());
+  PopArtOutcome outcome;
+  outcome.digest = digest.value();
+  for (int slot = 0; slot < feat.num_tasks(); ++slot) {
+    outcome.fullest_returns =
+        std::max(outcome.fullest_returns,
+                 feat.task_runtime(slot).recent_returns.size());
+  }
   return outcome;
 }
 
-// SITP training at {1, 3, 8} threads reproduces the frozen digest,
-// scheduler probabilities included, and the scheduler emits a proper
-// distribution every iteration.
-TEST(TrainingGoldenTest, SitpFeatMatchesGolden) {
-  const uint64_t expected = golden::ExpectedDigest(golden::kSitpFeatTraining);
+// PopArt training at {1, 3, 8} threads reproduces the frozen digest: the
+// PopArt EMA rate and the recent-returns window are pinned here.
+TEST(TrainingGoldenTest, PopArtFeatMatchesGolden) {
+  const uint64_t expected =
+      golden::ExpectedDigest(golden::kPopArtFeatTraining);
   for (const int num_threads : {1, 3, 8}) {
-    const BoundedOutcome outcome = RunSitpTraining(num_threads);
-    for (const IterationStats& stats : outcome.stats) {
-      double sum = 0.0;
-      for (double p : stats.task_probabilities) {
-        EXPECT_GE(p, 0.0);
-        sum += p;
-      }
-      EXPECT_NEAR(sum, 1.0, 1e-9);
-    }
+    const PopArtOutcome outcome = RunPopArtTraining(num_threads);
+    const std::string config = "num_threads=" + std::to_string(num_threads);
+    EXPECT_EQ(outcome.fullest_returns, 32u)
+        << "no recent-returns window filled, " << config;
     EXPECT_EQ(outcome.digest, expected)
-        << golden::DescribeComputed(outcome.digest)
-        << " for SITP Feat num_threads=" << num_threads;
+        << golden::DescribeComputed(outcome.digest) << " for PopArt Feat "
+        << config;
   }
 }
 

@@ -222,31 +222,6 @@ TEST(MlpTest, CopyParamsFromMakesNetworksIdentical) {
   EXPECT_FLOAT_EQ(a.Predict(input).At(0, 0), b.Predict(input).At(0, 0));
 }
 
-TEST(OptimizerTest, SgdConvergesOnQuadratic) {
-  // Minimize 0.5 * ||w - t||^2; gradient = w - t.
-  Matrix w(1, 3, 0.0f);
-  const Matrix target = Matrix::RowVector({1.0f, -2.0f, 0.5f});
-  SgdOptimizer sgd(0.2f);
-  for (int step = 0; step < 100; ++step) {
-    Matrix grad = w;
-    grad.Sub(target);
-    sgd.Step({&w}, {&grad});
-  }
-  for (int c = 0; c < 3; ++c) EXPECT_NEAR(w.At(0, c), target.At(0, c), 1e-4f);
-}
-
-TEST(OptimizerTest, SgdMomentumConverges) {
-  Matrix w(1, 2, 5.0f);
-  const Matrix target = Matrix::RowVector({-1.0f, 2.0f});
-  SgdOptimizer sgd(0.05f, 0.9f);
-  for (int step = 0; step < 300; ++step) {
-    Matrix grad = w;
-    grad.Sub(target);
-    sgd.Step({&w}, {&grad});
-  }
-  for (int c = 0; c < 2; ++c) EXPECT_NEAR(w.At(0, c), target.At(0, c), 1e-2f);
-}
-
 TEST(OptimizerTest, AdamConvergesOnQuadratic) {
   Matrix w(1, 3, 4.0f);
   const Matrix target = Matrix::RowVector({1.0f, -2.0f, 0.5f});

@@ -398,68 +398,6 @@ TEST(DqnAgentTest, TrainReducesLoss) {
   EXPECT_LT(last, first);
 }
 
-TEST(DqnAgentTest, DoubleDqnLearnsBanditToo) {
-  Rng rng(36);
-  DqnConfig config = SmallDqnConfig(3);
-  config.gamma = 0.0f;
-  config.double_dqn = true;
-  DqnAgent agent(config, &rng);
-  std::vector<BatchItem> batch;
-  for (int i = 0; i < 16; ++i) {
-    BatchItem item;
-    item.observation = {1.0f, 0.0f, 0.0f};
-    item.next_observation = {1.0f, 0.0f, 0.0f};
-    item.action = i % 2;
-    item.reward = item.action == 1 ? 1.0f : 0.0f;
-    item.done = true;
-    batch.push_back(item);
-  }
-  for (int step = 0; step < 300; ++step) agent.TrainBatch(batch);
-  const std::vector<float> q = QValuesOf(agent, {1.0f, 0.0f, 0.0f});
-  EXPECT_NEAR(q[1], 1.0f, 0.1f);
-  EXPECT_NEAR(q[0], 0.0f, 0.1f);
-}
-
-TEST(DqnAgentTest, DoubleDqnBootstrapsChain) {
-  // Same two-step chain as the plain-DQN test; the double estimator must
-  // converge to the same values when the MDP is deterministic.
-  Rng rng(38);
-  DqnConfig config = SmallDqnConfig(2);
-  config.gamma = 0.5f;
-  config.double_dqn = true;
-  config.target_sync_every = 5;
-  DqnAgent agent(config, &rng);
-  std::vector<BatchItem> batch;
-  for (int i = 0; i < 8; ++i) {
-    BatchItem first;
-    first.observation = {1.0f, 0.0f};
-    first.next_observation = {0.0f, 1.0f};
-    first.action = 1;
-    first.reward = 0.0f;
-    first.done = false;
-    BatchItem second;
-    second.observation = {0.0f, 1.0f};
-    second.next_observation = {0.0f, 0.0f};
-    second.action = 1;
-    second.reward = 1.0f;
-    second.done = true;
-    BatchItem null_a = first;
-    null_a.action = 0;
-    null_a.next_observation = {0.0f, 0.0f};
-    null_a.done = true;
-    BatchItem null_b = second;
-    null_b.action = 0;
-    null_b.reward = 0.0f;
-    batch.push_back(first);
-    batch.push_back(second);
-    batch.push_back(null_a);
-    batch.push_back(null_b);
-  }
-  for (int step = 0; step < 500; ++step) agent.TrainBatch(batch);
-  EXPECT_NEAR(QValuesOf(agent, {0.0f, 1.0f})[1], 1.0f, 0.15f);
-  EXPECT_NEAR(QValuesOf(agent, {1.0f, 0.0f})[1], 0.5f, 0.15f);
-}
-
 TEST(DqnAgentTest, PopArtStatsTrackTargets) {
   Rng rng(41);
   DqnConfig config = SmallDqnConfig(2);
