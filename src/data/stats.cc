@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "tensor/kernels.h"
 
 namespace pafeat {
 namespace {
@@ -67,31 +68,25 @@ double PearsonCorrelation(const std::vector<float>& a,
   return cov / std::sqrt(var_a * var_b);
 }
 
-// Both passes below walk the rows in list order and every column in its own
-// double accumulator, so each column sees PearsonCorrelation's operations in
-// its order. This TU builds without FMA, so no multiply-add is fused.
+// The column passes run in the dispatched statistics cores
+// (tensor/kernels.h): per column, one double accumulator takes the listed
+// rows in order with no multiply-add fused, so each column sees
+// PearsonCorrelation's operations in its order at every SIMD level.
 ColumnMoments ComputeColumnMoments(const Matrix& features,
                                    const std::vector<int>& rows) {
   PF_CHECK(!rows.empty());
   const int m = features.cols();
+  const int num_rows = static_cast<int>(rows.size());
   ColumnMoments moments;
   moments.means.assign(m, 0.0);
   moments.centered_sum_squares.assign(m, 0.0);
-  double* means = moments.means.data();
-  double* sum_squares = moments.centered_sum_squares.data();
-  for (int r : rows) {
-    const float* x = features.Row(r);
-    for (int c = 0; c < m; ++c) means[c] += x[c];
-  }
+  kernels::ColumnSums(m, features.data(), m, rows.data(), num_rows,
+                      moments.means.data());
   const double n = static_cast<double>(rows.size());
-  for (int c = 0; c < m; ++c) means[c] /= n;
-  for (int r : rows) {
-    const float* x = features.Row(r);
-    for (int c = 0; c < m; ++c) {
-      const double d = x[c] - means[c];
-      sum_squares[c] += d * d;
-    }
-  }
+  for (double& mean : moments.means) mean /= n;
+  kernels::ColumnCenteredSquares(m, features.data(), m, rows.data(), num_rows,
+                                 moments.means.data(),
+                                 moments.centered_sum_squares.data());
   return moments;
 }
 
@@ -113,13 +108,10 @@ std::vector<float> TaskRepresentation(const Matrix& features,
   }
 
   std::vector<double> cross(m, 0.0);
-  double* cov = cross.data();
-  const double* means = moments.means.data();
-  for (int r : rows) {
-    const float* x = features.Row(r);
-    const double dy = labels[r] - label_mean;
-    for (int c = 0; c < m; ++c) cov[c] += (x[c] - means[c]) * dy;
-  }
+  kernels::ColumnCrossSums(m, features.data(), m, rows.data(),
+                           static_cast<int>(rows.size()),
+                           moments.means.data(), labels.data(), label_mean,
+                           cross.data());
 
   std::vector<float> repr(m);
   for (int c = 0; c < m; ++c) {
@@ -127,7 +119,7 @@ std::vector<float> TaskRepresentation(const Matrix& features,
     const double pearson =
         var < 1e-12 || label_sum_squares < 1e-12
             ? 0.0
-            : cov[c] / std::sqrt(var * label_sum_squares);
+            : cross[c] / std::sqrt(var * label_sum_squares);
     repr[c] = static_cast<float>(std::abs(pearson));
   }
   return repr;

@@ -86,6 +86,8 @@ class TieredRewardCache {
   long long total_evictions() const;
 
   std::size_t bytes() const;
+  // Resident entries, slab plus pending. No library code reads it: it is
+  // the budget tests' resident-count hook, checked against ExportEntries.
   std::size_t live_entries() const;
 
   // Persistence: exports every resident entry (slab in slot order, then

@@ -13,8 +13,9 @@
 namespace pafeat {
 namespace kernels {
 
-// Single-threaded cores instantiated from kernels_impl.inl (plus the
-// serving-plane cores defined directly in the per-capability TUs).
+// Single-threaded cores instantiated from kernels_impl.inl and
+// kernels_stats.inl (plus the serving-plane cores defined directly in the
+// per-capability TUs).
 namespace generic {
 void GemmNN(int m, int n, int p, const float* a, int lda, const float* b,
             int ldb, float* c, int ldc);
@@ -29,6 +30,15 @@ void RowwiseCarryInit(int n, int k_end, const float* a, const float* b,
 void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
                         const float* b, int ldb, const float* lanes,
                         float* c);
+// The column statistics (kernels_stats.inl, built in kernels_elementwise.cc).
+void ColumnSums(int m, const float* x, int ldx, const int* rows, int num_rows,
+                double* sums);
+void ColumnCenteredSquares(int m, const float* x, int ldx, const int* rows,
+                           int num_rows, const double* means,
+                           double* sum_squares);
+void ColumnCrossSums(int m, const float* x, int ldx, const int* rows,
+                     int num_rows, const double* means, const float* labels,
+                     double label_mean, double* cross);
 }  // namespace generic
 
 #ifdef PAFEAT_HAVE_AVX2_TU
@@ -48,6 +58,16 @@ void RowwiseCarryInit(int n, int k_end, const float* a, const float* b,
 void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
                         const float* b, int ldb, const float* lanes,
                         float* c);
+// The column statistics (kernels_stats.inl, built in kernels_avx2_stats.cc
+// without FMA).
+void ColumnSums(int m, const float* x, int ldx, const int* rows, int num_rows,
+                double* sums);
+void ColumnCenteredSquares(int m, const float* x, int ldx, const int* rows,
+                           int num_rows, const double* means,
+                           double* sum_squares);
+void ColumnCrossSums(int m, const float* x, int ldx, const int* rows,
+                     int num_rows, const double* means, const float* labels,
+                     double label_mean, double* cross);
 }  // namespace avx2
 #endif
 
@@ -61,6 +81,11 @@ using CarryInitFn = void (*)(int, int, const float*, const float*, int,
                              float*);
 using CarryFinishFn = void (*)(int, int, int, const float*, const float*, int,
                                const float*, float*);
+using ColumnSumsFn = void (*)(int, const float*, int, const int*, int, double*);
+using ColumnSquaresFn = void (*)(int, const float*, int, const int*, int,
+                                 const double*, double*);
+using ColumnCrossFn = void (*)(int, const float*, int, const int*, int,
+                               const double*, const float*, double, double*);
 
 struct Dispatch {
   GemmFn nn;
@@ -75,6 +100,11 @@ struct Dispatch {
   // The greedy scan's cut of nt_rowwise (kernels.h).
   CarryInitFn carry_init;
   CarryFinishFn carry_finish;
+  // The task representation's column statistics: the same bits at every
+  // level, so only their speed is dispatched.
+  ColumnSumsFn column_sums;
+  ColumnSquaresFn column_squares;
+  ColumnCrossFn column_cross;
   SimdCapability capability = SimdCapability::kGeneric;
 };
 
@@ -92,13 +122,15 @@ Dispatch MakeDispatch(SimdCapability level) {
   Dispatch dispatch{generic::GemmNN,           generic::GemmTN,
                     generic::GemmNTRowwise,    generic::GemmGatherNN,
                     generic::RowwiseCarryInit, generic::RowwiseCarryFinish,
-                    SimdCapability::kGeneric};
+                    generic::ColumnSums,       generic::ColumnCenteredSquares,
+                    generic::ColumnCrossSums,  SimdCapability::kGeneric};
 #ifdef PAFEAT_HAVE_AVX2_TU
   if (level >= SimdCapability::kAvx2) {
     dispatch = Dispatch{avx2::GemmNN,           avx2::GemmTN,
                         avx2::GemmNTRowwise,    avx2::GemmGatherNN,
                         avx2::RowwiseCarryInit, avx2::RowwiseCarryFinish,
-                        SimdCapability::kAvx2};
+                        avx2::ColumnSums,       avx2::ColumnCenteredSquares,
+                        avx2::ColumnCrossSums,  SimdCapability::kAvx2};
   }
 #endif
   return dispatch;
@@ -397,6 +429,30 @@ void RowwiseCarryFinish(int n, int p, int k_begin, const float* a,
   PF_DCHECK(DisjointFromC(c, 1, n, lanes, n, kRowwiseLanes))
       << "RowwiseCarryFinish: C aliases the lanes";
   Impl().carry_finish(n, p, k_begin, a, b, ldb, lanes, c);
+}
+
+void ColumnSums(int m, const float* x, int ldx, const int* rows, int num_rows,
+                double* sums) {
+  if (m <= 0 || num_rows <= 0) return;
+  PF_DCHECK_GE(ldx, m);
+  Impl().column_sums(m, x, ldx, rows, num_rows, sums);
+}
+
+void ColumnCenteredSquares(int m, const float* x, int ldx, const int* rows,
+                           int num_rows, const double* means,
+                           double* sum_squares) {
+  if (m <= 0 || num_rows <= 0) return;
+  PF_DCHECK_GE(ldx, m);
+  Impl().column_squares(m, x, ldx, rows, num_rows, means, sum_squares);
+}
+
+void ColumnCrossSums(int m, const float* x, int ldx, const int* rows,
+                     int num_rows, const double* means, const float* labels,
+                     double label_mean, double* cross) {
+  if (m <= 0 || num_rows <= 0) return;
+  PF_DCHECK_GE(ldx, m);
+  Impl().column_cross(m, x, ldx, rows, num_rows, means, labels, label_mean,
+                      cross);
 }
 
 SimdCapability ActiveSimdCapability() { return Impl().capability; }

@@ -133,6 +133,30 @@ void AddBiasRelu(int rows, int cols, const float* sum, const float* bias,
 long long PairwiseTwiceU(int num_pos, const float* pos, int num_neg,
                          const float* neg);
 
+// Column statistics of the task representation (data/stats.cc; DESIGN.md
+// "Task representation"), dispatched like the GEMMs but with the same bits
+// at every level. x is row-major with row stride ldx; each core walks the
+// num_rows row indices in `rows`, in list order, and *accumulates* into one
+// double per column c in [0, m) (callers pass zeroed output for a plain
+// sum). Each float is widened to double first, then per listed row r:
+//
+//   ColumnSums:             sums[c]        += x[r][c]
+//   ColumnCenteredSquares:  sum_squares[c] += d * d,  d = x[r][c] - means[c]
+//   ColumnCrossSums:        cross[c]       += (x[r][c] - means[c]) * dy,
+//                                             dy = labels[r] - label_mean
+//
+// one rounded operation at a time (no multiply-add is fused), exactly as a
+// row-at-a-time loop over the list computes them. Outputs must not overlap
+// the inputs; nothing is allocated.
+void ColumnSums(int m, const float* x, int ldx, const int* rows, int num_rows,
+                double* sums);
+void ColumnCenteredSquares(int m, const float* x, int ldx, const int* rows,
+                           int num_rows, const double* means,
+                           double* sum_squares);
+void ColumnCrossSums(int m, const float* x, int ldx, const int* rows,
+                     int num_rows, const double* means, const float* labels,
+                     double label_mean, double* cross);
+
 // The SIMD capability ladder (DESIGN.md "SIMD capability ladder"). Exactly
 // one level is active per process: the highest one that is both compiled in
 // and supported by the CPU, clamped down by the PAFEAT_SIMD environment

@@ -1,5 +1,7 @@
 // Elementwise cores: the Adam update, ReLU with its gradient, the fused
-// first-layer finish (bias plus ReLU) and the AUC's pairwise count.
+// first-layer finish (bias plus ReLU) and the AUC's pairwise count, plus the
+// generic instantiation of the task representation's column statistics
+// (kernels_stats.inl), which kernels.cc dispatches beside its AVX2 twin.
 //
 // Built -O3 -fno-math-errno -ffp-contract=off at the baseline ISA (see
 // src/CMakeLists.txt), where GCC vectorizes each loop below and none of the
@@ -27,6 +29,10 @@
 #include <cstddef>
 
 #include "tensor/kernels.h"
+
+#define PAFEAT_STATS_NAMESPACE generic
+#include "tensor/kernels_stats.inl"
+#undef PAFEAT_STATS_NAMESPACE
 
 namespace pafeat {
 namespace kernels {

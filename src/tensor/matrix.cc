@@ -90,10 +90,6 @@ void Matrix::Sub(const Matrix& other) {
   for (size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
 }
 
-void Matrix::Scale(float scalar) {
-  for (float& v : data_) v *= scalar;
-}
-
 void Matrix::Axpy(float scalar, const Matrix& other) {
   PF_CHECK(SameShape(other));
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += scalar * other.data_[i];

@@ -48,8 +48,6 @@ class Matrix {
   void Add(const Matrix& other);
   // this = this - other.
   void Sub(const Matrix& other);
-  // this = this * scalar.
-  void Scale(float scalar);
   // this = this + scalar * other (axpy).
   void Axpy(float scalar, const Matrix& other);
   // Elementwise product (Hadamard).

