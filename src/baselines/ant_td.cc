@@ -35,7 +35,7 @@ FeatureMask AntTdSelector::SelectForUnseen(FsProblem* problem,
   std::vector<double> heuristic(m, 1e-6);
   for (int label_index : label_indices) {
     const std::vector<float> labels =
-        problem->table().LabelColumn(label_index);
+        problem->LabelColumn(label_index);
     for (int f = 0; f < m; ++f) {
       heuristic[f] += MutualInformationWithLabel(
           features, f, labels, problem->train_rows(), config_.mi_bins);
@@ -51,7 +51,7 @@ FeatureMask AntTdSelector::SelectForUnseen(FsProblem* problem,
   const std::vector<int> fit_rows(rows.begin(), rows.begin() + fit_count);
   const std::vector<int> val_rows(rows.begin() + fit_count, rows.end());
   const std::vector<float> unseen_labels =
-      problem->table().LabelColumn(unseen_label_index);
+      problem->LabelColumn(unseen_label_index);
   std::vector<float> val_labels(val_rows.size());
   for (size_t i = 0; i < val_rows.size(); ++i) {
     val_labels[i] = unseen_labels[val_rows[i]];

@@ -33,7 +33,7 @@ FeatureMask GrroLsSelector::SelectForUnseen(FsProblem* problem,
   std::vector<double> relevance(m, 0.0);
   for (int label_index : label_indices) {
     const std::vector<float> labels =
-        problem->table().LabelColumn(label_index);
+        problem->LabelColumn(label_index);
     for (int f = 0; f < m; ++f) {
       relevance[f] +=
           MutualInformationWithLabel(features, f, labels, rows, config_.mi_bins);

@@ -30,7 +30,7 @@ FeatureMask KBestSelector::SelectForUnseen(FsProblem* problem,
   WallTimer timer;
   const int m = problem->num_features();
   const std::vector<float> labels =
-      problem->table().LabelColumn(unseen_label_index);
+      problem->LabelColumn(unseen_label_index);
   const std::vector<int>& rows = problem->train_rows();
 
   std::vector<double> scores(m);

@@ -94,7 +94,7 @@ FeatureMask MdfsSelector::SelectForUnseen(FsProblem* problem,
   Matrix y(x.rows(), static_cast<int>(label_indices.size()));
   for (size_t l = 0; l < label_indices.size(); ++l) {
     const std::vector<float> labels =
-        problem->table().LabelColumn(label_indices[l]);
+        problem->LabelColumn(label_indices[l]);
     for (int r = 0; r < x.rows(); ++r) {
       // Center labels to {-1, +1} so the regression targets are balanced.
       y.At(r, static_cast<int>(l)) = labels[rows[r]] > 0.5f ? 1.0f : -1.0f;

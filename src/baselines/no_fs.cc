@@ -10,7 +10,7 @@ DownstreamScore EvaluateDnnAllFeatures(FsProblem* problem, int label_index,
                                        uint64_t seed) {
   PF_CHECK(problem != nullptr);
   Rng rng(seed);
-  const std::vector<float> labels = problem->table().LabelColumn(label_index);
+  const std::vector<float> labels = problem->LabelColumn(label_index);
 
   MaskedDnnConfig dnn_config = config;
   dnn_config.min_keep = 1.0;  // no mask dropout: a plain all-features DNN

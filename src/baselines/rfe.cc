@@ -24,7 +24,7 @@ FeatureMask RfeSelector::SelectForUnseen(FsProblem* problem,
   const int m = problem->num_features();
   const int target = TargetSubsetSize(m, max_feature_ratio_);
   const std::vector<float> labels =
-      problem->table().LabelColumn(unseen_label_index);
+      problem->LabelColumn(unseen_label_index);
   Rng rng(0x8fe1u + unseen_label_index);
 
   std::vector<int> surviving(m);

@@ -12,7 +12,7 @@ DownstreamScore EvaluateSubsetDownstream(FsProblem* problem, int label_index,
   PF_CHECK(problem != nullptr);
   PF_CHECK_EQ(static_cast<int>(mask.size()), problem->num_features());
   Rng rng(seed);
-  const std::vector<float> labels = problem->table().LabelColumn(label_index);
+  const std::vector<float> labels = problem->LabelColumn(label_index);
 
   LinearSvm svm;
   svm.Fit(problem->std_features(), labels, problem->train_rows(), mask, &rng);

@@ -656,12 +656,12 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
                    words * sizeof(uint64_t) + sizeof(double))) {
       return fail("corrupt training state (reward-cache entry count)");
     }
+    PackedMask key(words);
     for (uint32_t e = 0; e < entry_count; ++e) {
-      PackedMask key(words);
       in->Raw(key.data(), static_cast<std::size_t>(words) * sizeof(uint64_t));
       const double value = in->F64();
       if (!in->ok()) return fail("truncated training state (reward cache)");
-      task.context->evaluator->ImportCacheEntry(std::move(key), value);
+      task.context->evaluator->ImportCacheEntry(key, value);
     }
   }
 

@@ -23,7 +23,6 @@ namespace pafeat {
 struct TaskContext {
   int label_index = 0;
   std::string name;
-  std::vector<float> labels;
   std::vector<float> representation;
   std::unique_ptr<MaskedDnnClassifier> classifier;
   std::unique_ptr<SubsetEvaluator> evaluator;
@@ -52,7 +51,10 @@ inline constexpr int kMinProblemRows = 4;
 
 // A fast-feature-selection problem instance: one structured-data table with
 // a shared feature space, a train/test split, standardized features, and
-// lazily-built per-task contexts.
+// lazily-built per-task contexts. The problem holds one feature matrix: the
+// table's own, standardized in place (the raw values are not kept), and one
+// reward-evaluation block gathered from it that every task's evaluator
+// reads.
 //
 // The test split is used exclusively by the downstream evaluation
 // (experiment.h); training, task representations and rewards only ever see
@@ -64,9 +66,11 @@ class FsProblem {
   FsProblem(const FsProblem&) = delete;
   FsProblem& operator=(const FsProblem&) = delete;
 
-  int num_features() const { return table_.num_features(); }
-  int num_tasks() const { return table_.num_labels(); }
-  const Table& table() const { return table_; }
+  int num_features() const { return std_features_.cols(); }
+  int num_tasks() const { return labels_.cols(); }
+  // A task's binary label column over all rows, as 0/1 floats.
+  std::vector<float> LabelColumn(int label_index) const;
+  const std::vector<std::string>& label_names() const { return label_names_; }
   // Standardized feature matrix (all rows; fit on training rows only).
   const Matrix& std_features() const { return std_features_; }
   const std::vector<int>& train_rows() const { return split_.train_rows; }
@@ -88,7 +92,8 @@ class FsProblem {
   std::vector<float> ComputeTaskRepresentation(int label_index) const;
 
  private:
-  Table table_;
+  Matrix labels_;
+  std::vector<std::string> label_names_;
   FsProblemConfig config_;
   // Root stream for splits/subsampling; serial-only (see rng-escape in
   // pafeat-analyze).
@@ -101,6 +106,8 @@ class FsProblem {
   ColumnMoments train_moments_;
   std::vector<int> classifier_rows_;
   std::vector<int> reward_rows_;
+  // std_features_'s reward_rows_, gathered once for every task's evaluator.
+  Matrix reward_block_;
   std::map<int, TaskContext> tasks_;
 };
 

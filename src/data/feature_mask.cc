@@ -45,10 +45,10 @@ PackedMask PackMask(const FeatureMask& mask) {
   return packed;
 }
 
-size_t PackedMaskHash::operator()(const PackedMask& packed) const {
-  uint64_t h = 0x9e3779b97f4a7c15ull + packed.size();
-  for (uint64_t word : packed) {
-    uint64_t x = word + 0x9e3779b97f4a7c15ull;
+size_t HashPackedWords(const uint64_t* words, size_t count) {
+  uint64_t h = 0x9e3779b97f4a7c15ull + count;
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t x = words[i] + 0x9e3779b97f4a7c15ull;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     x ^= x >> 31;

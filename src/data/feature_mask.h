@@ -32,9 +32,15 @@ using PackedMask = std::vector<uint64_t>;
 
 PackedMask PackMask(const FeatureMask& mask);
 
-// splitmix64-finalizer-based mix over the packed words, for unordered_map.
+// splitmix64-finalizer-based mix over `count` packed words: the reward
+// cache's index hashes its stored keys with it.
+size_t HashPackedWords(const uint64_t* words, size_t count);
+
+// HashPackedWords over a PackedMask, for unordered containers.
 struct PackedMaskHash {
-  size_t operator()(const PackedMask& packed) const;
+  size_t operator()(const PackedMask& packed) const {
+    return HashPackedWords(packed.data(), packed.size());
+  }
 };
 
 // Human-readable form such as "{0, 3, 7}" for logs and tests.

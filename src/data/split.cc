@@ -80,16 +80,15 @@ void Standardizer::Fit(const Matrix& features, const std::vector<int>& rows) {
   }
 }
 
-Matrix Standardizer::Transform(const Matrix& features) const {
+Matrix Standardizer::Transform(Matrix features) const {
   PF_CHECK_EQ(features.cols(), static_cast<int>(means_.size()));
-  Matrix out = features;
-  for (int r = 0; r < out.rows(); ++r) {
-    float* row = out.Row(r);
-    for (int c = 0; c < out.cols(); ++c) {
+  for (int r = 0; r < features.rows(); ++r) {
+    float* row = features.Row(r);
+    for (int c = 0; c < features.cols(); ++c) {
       row[c] = (row[c] - means_[c]) / stddevs_[c];
     }
   }
-  return out;
+  return features;
 }
 
 }  // namespace pafeat

@@ -29,8 +29,9 @@ class Standardizer {
   // Fits mean/stddev per column over the given rows of `features`.
   void Fit(const Matrix& features, const std::vector<int>& rows);
 
-  // Returns a standardized copy of all rows.
-  Matrix Transform(const Matrix& features) const;
+  // Standardizes every row of `features` in place and returns it: pass a
+  // copy to keep the raw values.
+  Matrix Transform(Matrix features) const;
 
  private:
   std::vector<float> means_;

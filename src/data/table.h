@@ -2,6 +2,7 @@
 #define PAFEAT_DATA_TABLE_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -23,6 +24,10 @@ class Table {
 
   const Matrix& features() const { return features_; }
   const Matrix& labels() const { return labels_; }
+
+  // Moves the feature matrix out of a table that is going away, so its owner
+  // can standardize it in place instead of copying it (FsProblem).
+  Matrix TakeFeatures() && { return std::move(features_); }
 
   const std::vector<std::string>& feature_names() const {
     return feature_names_;

@@ -131,8 +131,10 @@ void MaskedDnnClassifier::Fit(const Matrix& features,
     }
   }
   // The net is frozen from here on; prepare the gather kernel's operand once
-  // so every masked query skips the transpose.
+  // so every masked query skips the transpose, and free the gradients and
+  // the last batch, which no query reads.
   w0t_ = net_->FirstLayerWeightTransposed();
+  net_->ReleaseTrainingState();
 }
 
 std::vector<float> MaskedDnnClassifier::Predict(const Matrix& features,

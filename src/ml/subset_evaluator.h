@@ -21,8 +21,9 @@ namespace pafeat {
 // subset bitmask removes the dominant cost (the benchmark's
 // ml.reward_hit_us against ml.reward_miss_us, benchmark/README.md).
 //
-// The evaluation rows are gathered into a contiguous block once at
-// construction. Every cache miss runs one path: a SubsetRecord folded,
+// The evaluation rows come as a contiguous block, gathered once by the
+// problem (FsProblem) and shared by its tasks. Every cache miss runs one
+// path: a SubsetRecord folded,
 // finished and scored by MaskedDnnClassifier::EvaluateAucCarried over that
 // block, so its cost scales with the columns the record has not folded yet
 // rather than the feature count, and no masked copy is materialized. A scan
@@ -34,15 +35,17 @@ namespace pafeat {
 // memory plane"): the byte budget resolves through ResolveCacheBudgetBytes
 // (config > PAFEAT_CACHE_BUDGET > unlimited), rewards are computed outside
 // the cache lock, and concurrent misses on one mask dedup through the
-// in-flight set — the first thread computes, later arrivals wait
+// cache's in-flight claims — the first thread computes, later arrivals wait
 // and read the cached value (counted as hits). Eviction cannot change any
 // reward value (the cache is a pure memo), only the traffic counters; the
 // cache evicts only at epoch boundaries, so counters too are deterministic
 // at any thread count when the training loop drives the epochs.
 class SubsetEvaluator {
  public:
-  SubsetEvaluator(const Matrix* features, std::vector<float> labels,
-                  std::vector<int> eval_rows,
+  // `eval_block` holds the evaluation rows (every row is scored, over all
+  // features) and must outlive the evaluator; `eval_labels` are its rows'
+  // 0/1 labels. Evaluators of one problem share its block.
+  SubsetEvaluator(const Matrix* eval_block, std::vector<float> eval_labels,
                   const MaskedDnnClassifier* classifier,
                   long long cache_budget_bytes = kMemoryBudgetDefault);
 
@@ -71,7 +74,7 @@ class SubsetEvaluator {
   // Reward of the full feature set (the P_all baseline of Eqn 6a).
   double FullFeatureReward() const;
 
-  int num_features() const { return features_->cols(); }
+  int num_features() const { return eval_block_->cols(); }
 
   // Running totals (never reset; the historical telemetry contract).
   long long cache_hits() const { return cache_.total_hits(); }
@@ -100,8 +103,8 @@ class SubsetEvaluator {
       std::vector<std::pair<PackedMask, double>>* out) const {
     cache_.ExportEntries(out);
   }
-  void ImportCacheEntry(PackedMask key, double value) const {
-    cache_.ImportEntry(std::move(key), value);
+  void ImportCacheEntry(const PackedMask& key, double value) const {
+    cache_.ImportEntry(key, value);
   }
 
  private:
@@ -109,14 +112,9 @@ class SubsetEvaluator {
   // evaluate the record outside the cache lock, then publish.
   double ComputeAndPublish(SubsetRecord* record) const;
 
-  const Matrix* features_;
-  std::vector<float> labels_;
-  std::vector<int> eval_rows_;
-  const MaskedDnnClassifier* classifier_;
-  // Contiguous copies of the evaluation rows and their labels, gathered once
-  // so every reward evaluation streams a dense block.
-  Matrix eval_block_;
+  const Matrix* eval_block_;
   std::vector<float> eval_labels_;
+  const MaskedDnnClassifier* classifier_;
   // Mutable: memoization is logically const (Reward is a pure function of
   // the mask; the cache only changes cost and counters).
   mutable TieredRewardCache cache_;

@@ -234,8 +234,23 @@ Matrix Mlp::BackwardImpl(const Matrix& grad_output, bool input_grad) {
 
 void Mlp::ZeroGrad() {
   for (Layer& layer : layers_) {
+    if (!layer.weight_grad.SameShape(layer.weight)) {
+      layer.weight_grad =
+          Matrix::Zeros(layer.weight.rows(), layer.weight.cols());
+      layer.bias_grad = Matrix::Zeros(1, layer.bias.cols());
+      continue;
+    }
     layer.weight_grad.Fill(0.0f);
     layer.bias_grad.Fill(0.0f);
+  }
+}
+
+void Mlp::ReleaseTrainingState() {
+  for (Layer& layer : layers_) {
+    layer.weight_grad = Matrix();
+    layer.bias_grad = Matrix();
+    layer.input = Matrix();
+    layer.output = Matrix();
   }
 }
 

@@ -121,7 +121,14 @@ class Mlp {
   // widest product of the pass.
   void BackwardParams(const Matrix& grad_output);
 
+  // Zeroes the parameter gradients, sizing them first if
+  // ReleaseTrainingState freed them.
   void ZeroGrad();
+
+  // Frees what only training reads: every layer's cached input and output
+  // and the parameter gradients. Inference reads none of it, and ZeroGrad
+  // sizes the gradients again, so a released net can still train.
+  void ReleaseTrainingState();
 
   // Mutable views over all parameters / gradients, in a stable order, for
   // the optimizers and for target-network synchronization.

@@ -40,7 +40,6 @@ SelectionServer::SelectionServer(const AgentCheckpoint& checkpoint,
       max_live_(std::min(config.max_batch, config.max_queue)) {
   PF_CHECK_GT(config_.max_batch, 0);
   PF_CHECK_GT(config_.max_queue, 0);
-  PF_CHECK_GE(config_.max_wait_us, 0);
 
   std::string error;
   current_ = BuildBundle(checkpoint, &error);
@@ -240,20 +239,8 @@ void SelectionServer::ServeLoop() {
       }
       // Live scans drain below before the loop exits.
     } else if (pending_ == nullptr) {
-      if (live_count_ == 0 && queued_count_ > 0 &&
-          queued_count_ < config_.max_batch && config_.max_wait_us > 0) {
-        // No scan is live: give the head request's peers max_wait_us to
-        // arrive so the first step starts as wide as the offered load
-        // allows. Once anything is live this never runs — later arrivals
-        // coalesce at step boundaries instead of waiting.
-        const auto deadline =
-            slots_[queue_ring_[queue_head_]].enqueued_at +
-            std::chrono::microseconds(config_.max_wait_us);
-        if (SteadyClock::now() < deadline) {
-          work_cv_.wait_until(lock, deadline);
-          continue;
-        }
-      }
+      // Queued requests start at once, even alone: a peer that arrives
+      // later joins the live batch at the next step boundary.
       AdmitWaitingLocked();
     }
     if (live_count_ == 0) {

@@ -19,9 +19,8 @@
 namespace pafeat {
 
 // Knobs for the multi-tenant serving plane (DESIGN.md "Selection serving
-// plane"). Defaults favor throughput under concurrency without letting a
-// lone request stall: a lone arrival waits at most max_wait_us for peers
-// before its scan starts.
+// plane"). A request that finds the server idle starts its scan at once;
+// later arrivals join the live batch at the next step boundary.
 struct ServerConfig {
   // Widest coalesced forward pass. Requests beyond this wait at step
   // boundaries for a live scan to retire (continuous batching).
@@ -29,10 +28,6 @@ struct ServerConfig {
   // Admission bound on in-flight requests (queued + live). Arrivals beyond
   // it are rejected with kQueueFull instead of queuing unboundedly.
   int max_queue = 256;
-  // How long an arrival may sit waiting for peers to coalesce with before
-  // the serving loop starts its scan anyway. Only applies while no scan is
-  // live; once scanning, new arrivals join at the next step boundary.
-  int max_wait_us = 200;
 };
 
 // Why a Select call did or did not produce a subset.

@@ -59,7 +59,6 @@ awk -F, 'NR == 1 { for (i = 1; i <= NF; ++i) if ($i ~ /^label:/) keep[++n] = i }
 
 expect_exit_1 --max_batch serve --max_batch 0
 expect_exit_1 --max_queue serve --max_queue 0
-expect_exit_1 --max_wait_us serve --max_wait_us -5
 expect_exit_1 --demo_features serve --demo_features 0
 expect_exit_1 --demo_features serve --demo_features -3
 expect_exit_1 --demo_tasks serve --demo_tasks 0

@@ -1,11 +1,15 @@
 // Concurrency edge cases, sized to be meaningful under ThreadSanitizer
 // (scripts/check.sh tsan): ThreadPool shutdown racing worker re-park,
-// tasks that throw, pool growth racing active jobs, and a multi-threaded
-// SubsetEvaluator stampede over a shared mask working set.
+// tasks that throw, pool growth racing active jobs, a multi-threaded
+// SubsetEvaluator stampede over a shared mask working set, and the reward
+// cache's stampede under a binding budget.
 
 #include <atomic>
+#include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +23,7 @@
 #include "serve/selection_server.h"
 #include "data/feature_mask.h"
 #include "data/synthetic.h"
+#include "memory/reward_cache.h"
 #include "ml/masked_dnn.h"
 #include "ml/subset_evaluator.h"
 #include "tensor/matrix.h"
@@ -159,8 +164,13 @@ TEST(ConcurrencyStressTest, SubsetEvaluatorStampedeStress) {
   const MaskedDnnClassifier classifier =
       FitStressClassifier(&features, &labels);
   std::vector<int> eval_rows;
-  for (int r = 0; r < features.rows(); r += 2) eval_rows.push_back(r);
-  const SubsetEvaluator evaluator(&features, labels, eval_rows, &classifier);
+  std::vector<float> eval_labels;
+  for (int r = 0; r < features.rows(); r += 2) {
+    eval_rows.push_back(r);
+    eval_labels.push_back(labels[r]);
+  }
+  const Matrix block = features.SelectRows(eval_rows);
+  const SubsetEvaluator evaluator(&block, eval_labels, &classifier);
 
   const int m = features.cols();
   constexpr int kMasks = 24;
@@ -229,6 +239,97 @@ TEST(ConcurrencyStressTest, SubsetEvaluatorStampedeStress) {
           << "thread " << t << " mask " << idx;
     }
   }
+}
+
+// Eight executors claim, publish and hit overlapping seeded sets of 16-word
+// keys, one epoch between two barriers, under a budget that binds; the
+// epoch closes at each barrier. After every epoch the cache must show what a
+// one-thread replay of the same probe lists shows — the export, the totals
+// and the drained window — and each distinct key misses once per residency,
+// with every stampede waiter counted as a hit.
+TEST(ConcurrencyStressTest, CompactCacheStampedeUnderBudget) {
+  constexpr int kThreads = 8;
+  constexpr int kEpochs = 12;
+  constexpr int kWords = 16;
+  constexpr int kPool = 160;
+  constexpr int kWindow = 48;
+  constexpr int kProbes = 40;  // per executor and epoch
+  const std::size_t budget = 32 * (2 * sizeof(uint64_t) * kWords + 96);
+  Rng rng(0xc0ac);
+  std::vector<PackedMask> keys(kPool, PackedMask(kWords));
+  for (PackedMask& key : keys) {
+    for (uint64_t& word : key) word = rng.Next();
+  }
+  const auto value_of = [](const PackedMask& key) {
+    return static_cast<double>(key[0] >> 11) * 0x1.0p-53;
+  };
+  // probes[epoch][executor]: key indices from a window that slides by 8
+  // keys an epoch, so epochs share keys and executors collide.
+  std::vector<std::vector<std::vector<int>>> probes(
+      kEpochs, std::vector<std::vector<int>>(kThreads));
+  for (int e = 0; e < kEpochs; ++e) {
+    for (std::vector<int>& list : probes[e]) {
+      for (int p = 0; p < kProbes; ++p) {
+        list.push_back((8 * e + rng.UniformInt(kWindow)) % kPool);
+      }
+    }
+  }
+
+  TieredRewardCache shared(budget, kWords);
+  TieredRewardCache serial(budget, kWords);
+  shared.SetManualEpochControl(true);
+  serial.SetManualEpochControl(true);
+  ThreadPool executors(kThreads - 1);
+  std::atomic<int> wrong_values{0};
+  const auto probe = [&](TieredRewardCache* cache, const PackedMask& key) {
+    double value = 0.0;
+    if (cache->AcquireOrWait(key, &value) ==
+        TieredRewardCache::Probe::kClaimed) {
+      std::this_thread::yield();  // widen the window other executors wait in
+      cache->Publish(key, value_of(key));
+    } else if (value != value_of(key)) {
+      wrong_values.fetch_add(1);
+    }
+  };
+  for (int e = 0; e < kEpochs; ++e) {
+    std::vector<std::pair<PackedMask, double>> resident;
+    serial.ExportEntries(&resident);
+    std::set<PackedMask> before;
+    for (const auto& entry : resident) before.insert(entry.first);
+    std::set<PackedMask> fresh;
+    for (const std::vector<int>& list : probes[e]) {
+      for (int k : list) {
+        if (before.count(keys[k]) == 0) fresh.insert(keys[k]);
+      }
+    }
+
+    executors.ParallelFor(kThreads, kThreads, [&](int t) {
+      for (int k : probes[e][t]) probe(&shared, keys[k]);
+    });
+    for (const std::vector<int>& list : probes[e]) {
+      for (int k : list) probe(&serial, keys[k]);
+    }
+    shared.AdvanceEpoch();
+    serial.AdvanceEpoch();
+
+    const MemoryTraffic got = shared.TakeTraffic();
+    const MemoryTraffic want = serial.TakeTraffic();
+    EXPECT_EQ(got.misses, static_cast<long long>(fresh.size())) << e;
+    EXPECT_EQ(got.hits, kThreads * kProbes - got.misses) << e;
+    EXPECT_EQ(got.misses, want.misses) << e;
+    EXPECT_EQ(got.hits, want.hits) << e;
+    EXPECT_EQ(got.evictions, want.evictions) << e;
+    EXPECT_EQ(shared.total_hits(), serial.total_hits()) << e;
+    EXPECT_EQ(shared.total_misses(), serial.total_misses()) << e;
+    EXPECT_EQ(shared.total_evictions(), serial.total_evictions()) << e;
+    EXPECT_EQ(shared.bytes(), serial.bytes()) << e;
+    std::vector<std::pair<PackedMask, double>> got_entries, want_entries;
+    shared.ExportEntries(&got_entries);
+    serial.ExportEntries(&want_entries);
+    EXPECT_EQ(got_entries, want_entries) << "epoch " << e;
+  }
+  EXPECT_GT(shared.total_evictions(), 0);
+  EXPECT_EQ(wrong_values.load(), 0);
 }
 
 // The collector plane's rendezvous under contention: RunIteration deals

@@ -28,7 +28,7 @@ class ItsTest : public ::testing::Test {
     config.epochs = 6;
     classifier_ = std::make_unique<MaskedDnnClassifier>(config);
     classifier_->Fit(features_, labels_, rows_, &rng);
-    evaluator_ = std::make_unique<SubsetEvaluator>(&features_, labels_, rows_,
+    evaluator_ = std::make_unique<SubsetEvaluator>(&features_, labels_,
                                                    classifier_.get());
   }
 

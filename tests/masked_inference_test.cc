@@ -114,6 +114,14 @@ MaskedDnnClassifier FitSmallClassifier(Matrix* features,
   return classifier;
 }
 
+// The labels of `rows`, in order: a gathered evaluation block's labels.
+std::vector<float> GatherLabels(const std::vector<float>& labels,
+                                const std::vector<int>& rows) {
+  std::vector<float> gathered;
+  for (int r : rows) gathered.push_back(labels[r]);
+  return gathered;
+}
+
 // 77 eval rows: not a multiple of the gather kernel's 4-row tile, so the
 // remainder-row path carries too.
 std::vector<int> CarryEvalRows() {
@@ -140,8 +148,9 @@ TEST(MaskedInferenceTest, CarriedRewardMatchesFreshAlongScans) {
     const double select_probs[] = {0.1, 0.5, 0.9, 1.0};
     for (double select_prob : select_probs) {
       for (int scan = 0; scan < 3; ++scan) {
-        const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
-                                        &classifier);
+        const Matrix block = features.SelectRows(CarryEvalRows());
+        const SubsetEvaluator evaluator(
+            &block, GatherLabels(labels, CarryEvalRows()), &classifier);
         FeatureMask mask(m, 0);
         SubsetRecord record;
         evaluator.StartRecord(mask, m, &record);
@@ -174,8 +183,9 @@ TEST(MaskedInferenceTest, CarryLagsBehindCacheHits) {
   const MaskedDnnClassifier classifier =
       FitSmallClassifier(&features, &labels, 40);
   const int m = features.cols();
-  const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
-                                  &classifier);
+  const Matrix block = features.SelectRows(CarryEvalRows());
+  const SubsetEvaluator evaluator(
+      &block, GatherLabels(labels, CarryEvalRows()), &classifier);
   Rng rng(0x1a95);
   std::vector<int> selects;
   std::vector<FeatureMask> scan;
@@ -219,8 +229,9 @@ TEST(MaskedInferenceTest, CarryRestartsOnNonExtendingMask) {
   const MaskedDnnClassifier classifier =
       FitSmallClassifier(&features, &labels, 40);
   const int m = features.cols();
-  const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
-                                  &classifier);
+  const Matrix block = features.SelectRows(CarryEvalRows());
+  const SubsetEvaluator evaluator(
+      &block, GatherLabels(labels, CarryEvalRows()), &classifier);
   struct Move {
     std::vector<int> cols;
     bool restart;  // false: select the last column into the previous list
@@ -263,8 +274,9 @@ TEST(MaskedInferenceTest, RecordSelectKeepsOrderPastTheScanPosition) {
   const MaskedDnnClassifier classifier =
       FitSmallClassifier(&features, &labels, 40);
   const int m = features.cols();
-  const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
-                                  &classifier);
+  const Matrix block = features.SelectRows(CarryEvalRows());
+  const SubsetEvaluator evaluator(
+      &block, GatherLabels(labels, CarryEvalRows()), &classifier);
   SubsetRecord record;
   FeatureMask mask = IndicesToMask({4, 20, 33}, m);
   evaluator.StartRecord(mask, 0, &record);
@@ -285,8 +297,9 @@ TEST(MaskedInferenceTest, CarryCoversEmptyAndAllOnesMasks) {
   const MaskedDnnClassifier classifier =
       FitSmallClassifier(&features, &labels, 40);
   const int m = features.cols();
-  const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
-                                  &classifier);
+  const Matrix block = features.SelectRows(CarryEvalRows());
+  const SubsetEvaluator evaluator(
+      &block, GatherLabels(labels, CarryEvalRows()), &classifier);
   const FeatureMask empty(m, 0);
   const FeatureMask all(m, 1);
   FeatureMask first_only(m, 0);
@@ -306,7 +319,6 @@ TEST(MaskedInferenceTest, CarryCoversEmptyAndAllOnesMasks) {
   // At the classifier: the implicit all-features mask (an empty vector)
   // runs the explicit all-ones subset, and an all-zero mask gathers
   // nothing.
-  const Matrix block = features.SelectRows(CarryEvalRows());
   FeatureMask half(m, 0);
   for (int c = 0; c < m / 2; ++c) half[c] = 1;
   for (const FeatureMask& mask : {half, FeatureMask{}, empty}) {
@@ -328,8 +340,9 @@ TEST(MaskedInferenceTest, CarryCopiedWithEnvStaysExact) {
   std::vector<float> labels;
   const MaskedDnnClassifier classifier =
       FitSmallClassifier(&features, &labels, 40);
-  const SubsetEvaluator evaluator(&features, labels, CarryEvalRows(),
-                                  &classifier);
+  const Matrix block = features.SelectRows(CarryEvalRows());
+  const SubsetEvaluator evaluator(
+      &block, GatherLabels(labels, CarryEvalRows()), &classifier);
   std::vector<float> representation(features.cols(), 0.5f);
   FeatureSelectionEnv env(representation, &evaluator, /*max_feature_ratio=*/1.0);
   auto expect_exact = [&](const FeatureSelectionEnv& e) {
@@ -441,7 +454,9 @@ TEST(MaskedInferenceTest, EvaluatorUncachedMatchesReward) {
   const MaskedDnnClassifier classifier = FitSmallClassifier(&features, &labels);
   std::vector<int> eval_rows;
   for (int r = 0; r < features.rows(); r += 2) eval_rows.push_back(r);
-  const SubsetEvaluator evaluator(&features, labels, eval_rows, &classifier);
+  const Matrix block = features.SelectRows(eval_rows);
+  const SubsetEvaluator evaluator(&block, GatherLabels(labels, eval_rows),
+                                  &classifier);
 
   FeatureMask mask(features.cols(), 0);
   mask[2] = 1;
@@ -457,9 +472,7 @@ TEST(MaskedInferenceTest, ConcurrentMissesOnSameMaskComputeOnce) {
   Matrix features;
   std::vector<float> labels;
   const MaskedDnnClassifier classifier = FitSmallClassifier(&features, &labels);
-  std::vector<int> eval_rows;
-  for (int r = 0; r < features.rows(); ++r) eval_rows.push_back(r);
-  const SubsetEvaluator evaluator(&features, labels, eval_rows, &classifier);
+  const SubsetEvaluator evaluator(&features, labels, &classifier);
 
   FeatureMask mask(features.cols(), 0);
   for (int c = 0; c < features.cols(); c += 3) mask[c] = 1;

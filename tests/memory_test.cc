@@ -37,7 +37,7 @@ PackedMask Key(uint64_t word) { return PackedMask{word}; }
 // Bytes one resident entry costs, measured on a throwaway cache so the
 // budget tests track the implementation's own accounting.
 std::size_t OneEntryBytes() {
-  TieredRewardCache cache(/*byte_budget=*/0);
+  TieredRewardCache cache(/*byte_budget=*/0, /*key_words=*/1);
   cache.SetManualEpochControl(true);
   double value = 0.0;
   EXPECT_EQ(cache.AcquireOrWait(Key(1), &value),
@@ -106,7 +106,7 @@ TEST(MemoryBudgetTest, VariableTakesOnlyAWholeDecimalByteCount) {
 }
 
 TEST(TieredRewardCacheTest, HitMissAndWindowedTraffic) {
-  TieredRewardCache cache(/*byte_budget=*/0);
+  TieredRewardCache cache(/*byte_budget=*/0, /*key_words=*/1);
   cache.SetManualEpochControl(true);
   MustClaimAndPublish(&cache, Key(7), 0.25);
 
@@ -132,7 +132,7 @@ TEST(TieredRewardCacheTest, HitMissAndWindowedTraffic) {
 
 TEST(TieredRewardCacheTest, SweepEnforcesBudgetAfterHotProtectionExpires) {
   const std::size_t entry = OneEntryBytes();
-  TieredRewardCache cache(/*byte_budget=*/2 * entry);
+  TieredRewardCache cache(/*byte_budget=*/2 * entry, /*key_words=*/1);
   cache.SetManualEpochControl(true);
   for (uint64_t k = 0; k < 6; ++k) {
     MustClaimAndPublish(&cache, Key(k), static_cast<double>(k));
@@ -149,7 +149,7 @@ TEST(TieredRewardCacheTest, SweepEnforcesBudgetAfterHotProtectionExpires) {
 
 TEST(TieredRewardCacheTest, TouchedEntriesSurviveTheSweep) {
   const std::size_t entry = OneEntryBytes();
-  TieredRewardCache cache(/*byte_budget=*/2 * entry);
+  TieredRewardCache cache(/*byte_budget=*/2 * entry, /*key_words=*/1);
   cache.SetManualEpochControl(true);
   for (uint64_t k = 0; k < 6; ++k) {
     MustClaimAndPublish(&cache, Key(k), static_cast<double>(k));
@@ -179,8 +179,8 @@ TEST(TieredRewardCacheTest, EvictionIsInsensitiveToPublishOrder) {
   // orders — the slab layout and the whole eviction sequence must match
   // (this is what makes cache telemetry thread-count invariant).
   const std::size_t entry = OneEntryBytes();
-  TieredRewardCache forward(/*byte_budget=*/3 * entry);
-  TieredRewardCache backward(/*byte_budget=*/3 * entry);
+  TieredRewardCache forward(/*byte_budget=*/3 * entry, /*key_words=*/1);
+  TieredRewardCache backward(/*byte_budget=*/3 * entry, /*key_words=*/1);
   forward.SetManualEpochControl(true);
   backward.SetManualEpochControl(true);
 
@@ -216,7 +216,7 @@ TEST(TieredRewardCacheTest, EvictionIsInsensitiveToPublishOrder) {
 }
 
 TEST(TieredRewardCacheTest, UnboundedCacheNeverEvicts) {
-  TieredRewardCache cache(/*byte_budget=*/0);
+  TieredRewardCache cache(/*byte_budget=*/0, /*key_words=*/1);
   cache.SetManualEpochControl(true);
   for (uint64_t k = 0; k < 200; ++k) {
     MustClaimAndPublish(&cache, Key(k), static_cast<double>(k));
@@ -229,7 +229,7 @@ TEST(TieredRewardCacheTest, UnboundedCacheNeverEvicts) {
 }
 
 TEST(TieredRewardCacheTest, ImportBypassesTrafficAndDuplicates) {
-  TieredRewardCache cache(/*byte_budget=*/0);
+  TieredRewardCache cache(/*byte_budget=*/0, /*key_words=*/1);
   cache.SetManualEpochControl(true);
   cache.ImportEntry(Key(11), 0.75);
   cache.ImportEntry(Key(11), 0.25);  // duplicate import: first value wins
@@ -244,12 +244,185 @@ TEST(TieredRewardCacheTest, ImportBypassesTrafficAndDuplicates) {
   EXPECT_EQ(cache.live_entries(), 1u);
 }
 
+// Every key of a cache has the width the cache was built for; any other
+// width is a programming error at every entry point.
+TEST(TieredRewardCacheDeathTest, KeyOfAnotherWidthDies) {
+  TieredRewardCache cache(/*byte_budget=*/0, /*key_words=*/2);
+  double value = 0.0;
+  EXPECT_DEATH(cache.AcquireOrWait(Key(1), &value), "Check failed");
+  EXPECT_DEATH(cache.Publish(PackedMask(3, 0), 0.5), "Check failed");
+  EXPECT_DEATH(cache.ImportEntry(Key(1), 0.5), "Check failed");
+}
+
+// The fixed charge of one entry with a `words`-word key.
+std::size_t ChargeOf(int words) {
+  return 2 * sizeof(uint64_t) * static_cast<std::size_t>(words) + 96;
+}
+
+// The reward the observable-sequence runs store for a key: a pure
+// function of the key, so a hit can check what it reads.
+double ValueOf(const PackedMask& key) {
+  return static_cast<double>(PackedMaskHash()(key) >> 11) * 0x1.0p-53;
+}
+
+// `count` distinct `words`-word keys: random ones, keys that differ from an
+// earlier key only in their last word, and keys whose hash shares its low
+// four bits with the first key's (they share a bucket at small index sizes).
+std::vector<PackedMask> ObservableKeyPool(int words, int count, Rng* rng) {
+  std::vector<PackedMask> pool;
+  std::set<PackedMask> seen;
+  const auto fresh = [&] {
+    PackedMask key(words);
+    for (uint64_t& word : key) word = rng->Next();
+    return key;
+  };
+  std::size_t bucket = 0;
+  while (static_cast<int>(pool.size()) < count) {
+    PackedMask key;
+    const int kind = pool.empty() ? 0 : rng->UniformInt(4);
+    if (kind == 1) {
+      key = pool[rng->UniformInt(static_cast<int>(pool.size()))];
+      key.back() = rng->Next();
+    } else if (kind == 2) {
+      do {
+        key = fresh();
+      } while ((PackedMaskHash()(key) & 15) != bucket);
+    } else {
+      key = fresh();
+    }
+    if (pool.empty()) bucket = PackedMaskHash()(key) & 15;
+    if (seen.insert(key).second) pool.push_back(std::move(key));
+  }
+  return pool;
+}
+
+// Folds what the cache shows after an epoch close into `digest`: the export
+// (order, keys, value bits), the charge, the resident count, the running
+// totals and the drained window.
+void DigestObservable(TieredRewardCache* cache, golden::Fnv1a64* digest) {
+  std::vector<std::pair<PackedMask, double>> entries;
+  cache->ExportEntries(&entries);
+  digest->Scalar<uint64_t>(entries.size());
+  for (const auto& [key, value] : entries) {
+    digest->Bytes(key.data(), key.size() * sizeof(uint64_t));
+    digest->Scalar(value);
+  }
+  digest->Scalar<uint64_t>(cache->bytes());
+  digest->Scalar<uint64_t>(cache->live_entries());
+  digest->Scalar<int64_t>(cache->total_hits());
+  digest->Scalar<int64_t>(cache->total_misses());
+  digest->Scalar<int64_t>(cache->total_evictions());
+  const MemoryTraffic window = cache->TakeTraffic();
+  digest->Scalar<int64_t>(window.hits);
+  digest->Scalar<int64_t>(window.misses);
+  digest->Scalar<int64_t>(window.evictions);
+}
+
+// One seeded run of claims (held and published out of order), hits,
+// imports of resident, in-flight and fresh keys, and epoch closes. With
+// manual epochs the run closes every round (twice every fifth round, so
+// entries go cold); without, the publish-count trigger closes epochs inside
+// rounds and the digest also sees the pending tier.
+void DriveObservableSequence(std::size_t budget, int words, bool manual,
+                             uint64_t seed, golden::Fnv1a64* digest) {
+  TieredRewardCache cache(budget, words);
+  cache.SetManualEpochControl(manual);
+  Rng rng(seed);
+  const std::vector<PackedMask> pool =
+      ObservableKeyPool(words, manual ? 150 : 4000, &rng);
+  std::vector<PackedMask> held;
+  const auto is_held = [&](const PackedMask& key) {
+    return std::find(held.begin(), held.end(), key) != held.end();
+  };
+  const auto publish_one = [&] {
+    const int at = rng.UniformInt(static_cast<int>(held.size()));
+    cache.Publish(held[at], ValueOf(held[at]));
+    held.erase(held.begin() + at);
+  };
+  for (int round = 0; round < 40; ++round) {
+    const int ops = manual ? 24 : 360;
+    for (int op = 0; op < ops; ++op) {
+      const int kind = rng.UniformInt(10);
+      const PackedMask& key =
+          pool[rng.UniformInt(static_cast<int>(pool.size()))];
+      if (kind < 7) {
+        if (is_held(key)) continue;  // probing it would wait on ourselves
+        double value = 0.0;
+        if (cache.AcquireOrWait(key, &value) ==
+            TieredRewardCache::Probe::kHit) {
+          ASSERT_EQ(value, ValueOf(key));
+        } else {
+          held.push_back(key);
+        }
+      } else if (kind < 9) {
+        if (!held.empty()) publish_one();
+      } else if (!held.empty() && rng.Bernoulli(0.3)) {
+        const PackedMask& in_flight =
+            held[rng.UniformInt(static_cast<int>(held.size()))];
+        cache.ImportEntry(in_flight, ValueOf(in_flight));
+      } else {
+        cache.ImportEntry(key, ValueOf(key));
+      }
+    }
+    while (!held.empty()) publish_one();
+    if (manual) {
+      cache.AdvanceEpoch();
+      if (round % 5 == 4) cache.AdvanceEpoch();
+    }
+    DigestObservable(&cache, digest);
+  }
+}
+
+// Freezes what the cache shows, epoch by epoch, for seeded claim / publish /
+// hit / import sequences at key widths 1, 2 and 16, with manual epochs and
+// with the publish-count trigger, under budgets of 0, one entry - 1, three
+// and forty entries and two seeded values. Provenance: recorded at commit
+// 1b08b8b, where the index was an unordered_map of keys and every slab and
+// pending entry held its own copy of the key. Any layout must reproduce
+// them: they pin sorted-key graduation, LIFO reuse of freed slots, the
+// clock hand, hot-set protection, the export order and the charge.
+TEST(TieredRewardCacheTest, ObservableSequenceMatchesFrozenDigests) {
+  struct Frozen {
+    bool manual;
+    int words;
+    uint64_t digest;
+  };
+  const Frozen cases[] = {
+      {true, 1, 0x9bec8760eb6b634bULL},
+      {true, 2, 0x3e68b4e03f3f0a75ULL},
+      {true, 16, 0xd1a1883c5f8b110cULL},
+      {false, 1, 0xe750a934165034beULL},
+      {false, 2, 0xd62bebe1b62c84afULL},
+      {false, 16, 0x9b98de55b0cfb58bULL},
+  };
+  for (const Frozen& c : cases) {
+    const std::size_t entry = ChargeOf(c.words);
+    Rng budget_rng(0xb0d6e7 + c.words);
+    const std::size_t budgets[] = {
+        0,
+        entry - 1,
+        3 * entry,
+        40 * entry,
+        static_cast<std::size_t>(budget_rng.UniformInt(60 * static_cast<int>(entry))),
+        static_cast<std::size_t>(budget_rng.UniformInt(60 * static_cast<int>(entry)))};
+    golden::Fnv1a64 digest;
+    uint64_t seed = 0x0b5e7 + 131 * c.words + (c.manual ? 7 : 0);
+    for (const std::size_t budget : budgets) {
+      DriveObservableSequence(budget, c.words, c.manual, ++seed, &digest);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_EQ(digest.value(), c.digest)
+        << (c.manual ? "manual" : "automatic") << " epochs, " << c.words
+        << "-word keys, " << golden::DescribeComputed(digest.value());
+  }
+}
+
 // The cache's memory property under seeded random budgets: after every
 // epoch close the charge is the fixed formula over what is resident, the
 // live count is what is resident, and the charge is within budget unless
 // every resident entry was published or hit in the epoch just closed (the
-// hot set may overshoot for one epoch). Keys of one to three words vary the
-// charge per entry.
+// hot set may overshoot for one epoch). Each budget's cache takes keys of
+// one to three words, drawn per budget, so the charge per entry varies.
 TEST(TieredRewardCacheTest, ResidentBytesWithinBudgetAfterEveryEpochClose) {
   const std::size_t entry = OneEntryBytes();  // a one-word key's charge
   Rng rng(0xb0d6e7);
@@ -260,7 +433,8 @@ TEST(TieredRewardCacheTest, ResidentBytesWithinBudgetAfterEveryEpochClose) {
   }
   uint64_t next_key = 1;
   for (const std::size_t budget : budgets) {
-    TieredRewardCache cache(budget);
+    const int words = 1 + rng.UniformInt(3);
+    TieredRewardCache cache(budget, words);
     cache.SetManualEpochControl(true);
     int overshoots = 0;
     for (int epoch = 0; epoch < 30; ++epoch) {
@@ -281,15 +455,16 @@ TEST(TieredRewardCacheTest, ResidentBytesWithinBudgetAfterEveryEpochClose) {
       }
       const int publishes = rng.UniformInt(12);
       for (int p = 0; p < publishes; ++p) {
-        PackedMask key(1 + rng.UniformInt(3), 0);
+        PackedMask key(words, 0);
         key[0] = next_key++;
         MustClaimAndPublish(&cache, key, static_cast<double>(key[0]));
         touched.insert(key);
       }
       cache.AdvanceEpoch();
 
-      const std::string where = "budget " + std::to_string(budget) +
-                                " epoch " + std::to_string(epoch);
+      const std::string where = "budget " + std::to_string(budget) + ", " +
+                                std::to_string(words) + "-word keys, epoch " +
+                                std::to_string(epoch);
       cache.ExportEntries(&resident);
       std::size_t charged = 0;
       bool all_hot = true;
@@ -334,8 +509,7 @@ TEST(TieredRewardCacheTest, ScanRewardsExactUnderRandomBudgets) {
   const std::vector<float> representation(m, 0.25f);
   for (int trial = 0; trial < 4; ++trial) {
     const long long budget = 1 + rng.UniformInt(3000);
-    const SubsetEvaluator evaluator(&features, labels, rows, &classifier,
-                                    budget);
+    const SubsetEvaluator evaluator(&features, labels, &classifier, budget);
     evaluator.SetManualCacheControl(true);
     FeatureSelectionEnv env(representation, &evaluator, 0.6);
     for (int episode = 0; episode < 12; ++episode) {

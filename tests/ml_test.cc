@@ -157,8 +157,7 @@ TEST(SubsetEvaluatorTest, CachesRepeatedSubsets) {
   Rng rng(22);
   MaskedDnnClassifier classifier;
   classifier.Fit(problem.features, problem.labels, problem.rows, &rng);
-  SubsetEvaluator evaluator(&problem.features, problem.labels, problem.rows,
-                            &classifier);
+  SubsetEvaluator evaluator(&problem.features, problem.labels, &classifier);
   const FeatureMask mask = {1, 0, 1};
   const double first = evaluator.Reward(mask);
   EXPECT_EQ(evaluator.cache_misses(), 1);
@@ -175,8 +174,7 @@ TEST(SubsetEvaluatorTest, FullFeatureRewardMatchesAllOnesMask) {
   Rng rng(24);
   MaskedDnnClassifier classifier;
   classifier.Fit(problem.features, problem.labels, problem.rows, &rng);
-  SubsetEvaluator evaluator(&problem.features, problem.labels, problem.rows,
-                            &classifier);
+  SubsetEvaluator evaluator(&problem.features, problem.labels, &classifier);
   EXPECT_DOUBLE_EQ(evaluator.FullFeatureReward(),
                    evaluator.Reward(FeatureMask(3, 1)));
 }
@@ -186,8 +184,7 @@ TEST(SubsetEvaluatorTest, RewardsAreValidAuc) {
   Rng rng(26);
   MaskedDnnClassifier classifier;
   classifier.Fit(problem.features, problem.labels, problem.rows, &rng);
-  SubsetEvaluator evaluator(&problem.features, problem.labels, problem.rows,
-                            &classifier);
+  SubsetEvaluator evaluator(&problem.features, problem.labels, &classifier);
   Rng mask_rng(27);
   for (int trial = 0; trial < 10; ++trial) {
     FeatureMask mask(3);

@@ -222,6 +222,40 @@ TEST(MlpTest, CopyParamsFromMakesNetworksIdentical) {
   EXPECT_FLOAT_EQ(a.Predict(input).At(0, 0), b.Predict(input).At(0, 0));
 }
 
+// A net whose training state was released predicts and keeps training with
+// the bits of one that kept it: ZeroGrad sizes the freed gradients again.
+TEST(MlpTest, ReleasedTrainingStateLeavesPredictAndTrainingBits) {
+  MlpConfig config;
+  config.input_dim = 12;
+  config.hidden_dims = {16};
+  config.output_dim = 1;
+  config.output_activation = Activation::kSigmoid;
+  Rng rng_a(41), rng_b(41), rng_data(43);
+  Mlp kept(config, &rng_a);
+  Mlp released(config, &rng_b);
+  AdamOptimizer adam_kept(1e-2f), adam_released(1e-2f);
+  const auto step = [&](Mlp* net, AdamOptimizer* adam, const Matrix& input,
+                        const Matrix& grad_output) {
+    net->ZeroGrad();
+    net->Forward(input);
+    net->BackwardParams(grad_output);
+    adam->Step(net->Params(), net->Grads());
+  };
+  for (int batch = 0; batch < 4; ++batch) {
+    const Matrix input = Matrix::RandomNormal(8, 12, 1.0f, &rng_data);
+    const Matrix grad_output = Matrix::RandomNormal(8, 1, 1.0f, &rng_data);
+    step(&kept, &adam_kept, input, grad_output);
+    step(&released, &adam_released, input, grad_output);
+    if (batch == 1) {
+      released.ReleaseTrainingState();
+      EXPECT_EQ(released.Grads()[0]->size(), 0);
+      const Matrix probe = Matrix::RandomNormal(5, 12, 1.0f, &rng_data);
+      EXPECT_EQ(released.Predict(probe), kept.Predict(probe));
+    }
+  }
+  EXPECT_EQ(released.SerializeParams(), kept.SerializeParams());
+}
+
 TEST(OptimizerTest, AdamConvergesOnQuadratic) {
   Matrix w(1, 3, 4.0f);
   const Matrix target = Matrix::RowVector({1.0f, -2.0f, 0.5f});

@@ -91,7 +91,7 @@ TEST(FsProblemTest, RepresentationMatchesTaskContextAndPerColumnPearson) {
     const std::vector<float> repr = problem.ComputeTaskRepresentation(t);
     const std::vector<float> want =
         PerColumnPearson(problem.std_features(),
-                         problem.table().LabelColumn(t), problem.train_rows());
+                         problem.LabelColumn(t), problem.train_rows());
     const std::vector<float>& context = problem.Task(t).representation;
     ASSERT_EQ(repr.size(), want.size());
     ASSERT_EQ(context.size(), want.size());

@@ -41,7 +41,7 @@ class EnvPropertyBase {
     config.epochs = 2;
     classifier_ = std::make_unique<MaskedDnnClassifier>(config);
     classifier_->Fit(features_, labels_, rows_, &rng);
-    evaluator_ = std::make_unique<SubsetEvaluator>(&features_, labels_, rows_,
+    evaluator_ = std::make_unique<SubsetEvaluator>(&features_, labels_,
                                                    classifier_.get());
     repr_.assign(num_features, 0.1f);
     repr_[0] = 0.9f;

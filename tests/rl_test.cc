@@ -151,7 +151,7 @@ class FsEnvTest : public ::testing::Test {
     config.epochs = 8;
     classifier_ = std::make_unique<MaskedDnnClassifier>(config);
     classifier_->Fit(features_, labels_, rows_, &rng);
-    evaluator_ = std::make_unique<SubsetEvaluator>(&features_, labels_, rows_,
+    evaluator_ = std::make_unique<SubsetEvaluator>(&features_, labels_,
                                                    classifier_.get());
     repr_ = {0.05f, 0.8f, 0.02f, 0.03f, 0.01f, 0.04f};
   }

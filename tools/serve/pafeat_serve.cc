@@ -117,7 +117,6 @@ int Main(int argc, char** argv) {
   int requests_per_client = 50;
   int max_batch = 64;
   int max_queue = 256;
-  int max_wait_us = 200;
 
   FlagSet flags;
   flags.AddString("checkpoint", &checkpoint_path,
@@ -137,8 +136,6 @@ int Main(int argc, char** argv) {
   flags.AddInt("max_batch", &max_batch, "widest coalesced forward pass");
   flags.AddInt("max_queue", &max_queue,
                "admission bound on in-flight requests");
-  flags.AddInt("max_wait_us", &max_wait_us,
-               "how long a lone arrival waits for peers to coalesce");
   if (!flags.Parse(argc, argv)) return 1;
   if (checkpoint_path.empty() && !demo) {
     std::cerr << "pafeat-serve: pass --checkpoint=<path> or --demo\n\n"
@@ -151,8 +148,7 @@ int Main(int argc, char** argv) {
        {std::tuple{"concurrency", concurrency, 1},
         {"requests_per_client", requests_per_client, 1},
         {"max_batch", max_batch, 1}, {"max_queue", max_queue, 1},
-        {"max_wait_us", max_wait_us, 0}, {"demo_features", demo_features, 1},
-        {"demo_tasks", demo_tasks, 1}}) {
+        {"demo_features", demo_features, 1}, {"demo_tasks", demo_tasks, 1}}) {
     if (value < min) {
       std::cerr << "pafeat-serve: --" << flag << " must be >= " << min << "\n";
       return 1;
@@ -208,14 +204,12 @@ int Main(int argc, char** argv) {
   ServerConfig config;
   config.max_batch = max_batch;
   config.max_queue = max_queue;
-  config.max_wait_us = max_wait_us;
   SelectionServer server(checkpoint, config);
 
   std::cout << "pafeat-serve: " << (demo ? "demo network" : checkpoint_path)
             << " | m=" << m << " clients=" << concurrency << " x " << requests_per_client
             << " requests | max_batch=" << max_batch
-            << " max_queue=" << max_queue << " max_wait_us=" << max_wait_us
-            << "\n";
+            << " max_queue=" << max_queue << "\n";
 
   std::mutex latency_mutex;
   std::vector<double> total_us;
